@@ -22,8 +22,8 @@ from .sampler import (Ensemble, apply_forward_symbol, read_ensemble,
                       sample_ensemble, sample_point_values, solve_spde,
                       write_ensemble)
 from .cumulants import (CumulantEstimate, analytic_truncated_schwinger,
-                        empirical_cumulant, empirical_cumulant_translation_avg,
-                        empirical_two_point, full_schwinger_moment,
+                        empirical_cumulant, empirical_two_point,
+                        full_schwinger_moment,
                         moments_from_cumulants, set_partitions)
 from .rp import (GramReport, MonomialBasis, build_reflection_gram,
                  gram_report, min_eigenvalue, rp_scan, verify_witness,
@@ -32,7 +32,7 @@ from .wightman import (BaumannReport, IntegratorSpec, MassAssignment,
                        MomentumTestFunction, ShellRegularization,
                        baumann_check, make_spacelike_test, make_test,
                        shell_control_tests, wightman_n_regularized)
-from .streams import substream
+from .streams import substream, substream_seed
 
 __version__ = "0.1.0"
 
@@ -47,12 +47,12 @@ __all__ = [
     "Ensemble", "solve_spde", "apply_forward_symbol", "sample_ensemble",
     "sample_point_values", "write_ensemble", "read_ensemble",
     "CumulantEstimate", "analytic_truncated_schwinger", "empirical_cumulant",
-    "empirical_cumulant_translation_avg", "empirical_two_point",
+    "empirical_two_point",
     "full_schwinger_moment", "moments_from_cumulants", "set_partitions",
     "MonomialBasis", "GramReport", "build_reflection_gram", "gram_report",
     "min_eigenvalue", "rp_scan", "witness_record", "verify_witness",
     "MomentumTestFunction", "ShellRegularization", "MassAssignment",
     "IntegratorSpec", "BaumannReport", "make_test", "make_spacelike_test",
     "shell_control_tests", "wightman_n_regularized", "baumann_check",
-    "substream",
+    "substream", "substream_seed",
 ]

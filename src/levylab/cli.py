@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     characteristic_functional, sample_noise)
 from .rp import gram_report, rp_scan, verify_witness, witness_record
 from .sampler import sample_ensemble, sample_point_values, write_ensemble
-from .streams import substream
+from .streams import substream, substream_seed
 from .wightman import (IntegratorSpec, MassAssignment, baumann_check,
-                       make_spacelike_test, make_test, substream_seed)
+                       make_spacelike_test, make_test)
 
 # ---------------------------------------------------------------------------
 # Config schema: (section, key) -> (type tag, required)
@@ -220,10 +221,10 @@ def _validate(cfg: dict, needs: dict) -> None:
 # Artifacts
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Write an artifact via write(tmp_path), then rename it into place."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
+    write(tmp)
     os.replace(tmp, path)
 
 
@@ -243,7 +244,7 @@ def _write_report(path: str, command: str, cfg: dict, seed: int, results) -> Non
         "results": results,
     }
     data = json.dumps(report, sort_keys=True, indent=2, default=_jsonify)
-    _atomic_write(path, (data + "\n").encode())
+    _atomic_write(path, lambda tmp: Path(tmp).write_bytes((data + "\n").encode()))
 
 
 def _jsonify(obj):
@@ -305,10 +306,8 @@ def _cmd_sample(cfg, seed, workers, outdir):
                     "lattice": ("d", "L", "a"), "run": ("n_samples",)})
     e = sample_ensemble(build_model(cfg), build_chi(cfg), build_lattice(cfg),
                         cfg["run"]["n_samples"], seed, workers=workers)
-    path = os.path.join(outdir, "ensemble.lflb")
-    tmp = path + ".tmp"
-    write_ensemble(tmp, e)
-    os.replace(tmp, path)
+    _atomic_write(os.path.join(outdir, "ensemble.lflb"),
+                  lambda tmp: write_ensemble(tmp, e))
     return 0
 
 
@@ -417,7 +416,8 @@ def _cmd_rp_scan(cfg, seed, workers, outdir):
                                      workers=workers)
             record["verification"] = verdict["status"]
             witnesses.append({"record": record, "verdict": verdict})
-    _atomic_write(os.path.join(outdir, "rp_scan.csv"), buf.getvalue().encode())
+    _atomic_write(os.path.join(outdir, "rp_scan.csv"),
+                  lambda tmp: Path(tmp).write_bytes(buf.getvalue().encode()))
     _write_report(os.path.join(outdir, "rp_scan_witnesses.json"),
                   "rp-scan", cfg, seed, {"witnesses": witnesses})
     return 0
@@ -475,7 +475,10 @@ def _cmd_verify_witness(cfg, seed, workers, outdir, witness_path):
         raise ConfigurationError("verify-witness requires --witness PATH")
     _validate(cfg, {"run": ("n_samples",)})
     with open(witness_path) as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"witness: invalid JSON ({exc})") from exc
     verdict = verify_witness(record, seed, n_samples=cfg["run"]["n_samples"],
                              workers=workers)
     _write_report(os.path.join(outdir, "verify_witness.json"),
@@ -520,6 +523,8 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read())
         run = cfg.get("run", {})
         seed = args.seed if args.seed is not None else run.get("seed", 0)
+        if seed < 0:
+            raise ConfigurationError("run.seed: must be >= 0")
         workers = args.workers if args.workers is not None else run.get("workers", 1)
         if args.command == "verify-witness":
             return _cmd_verify_witness(cfg, seed, workers, outdir, args.witness)

@@ -6,8 +6,9 @@ The analytic truncated n-point function is the single lattice sum
 
 with c_n the n-th noise cumulant (c_1 = b + lam*r_1, c_2 = sigma2 + lam*r_2,
 c_n = lam*r_n for n >= 3).  Empirical joint cumulants are estimated from
-ensembles by the set-partition Moebius formula over sample moments, with
-jackknife standard errors.
+ensembles by the set-partition Moebius formula over sample moments.  Every
+standard error comes from one delete-block jackknife (_jackknife); the
+leave-one-out jackknife is the same with blocks of one sample.
 """
 
 from __future__ import annotations
@@ -157,32 +158,72 @@ def full_schwinger_moment(p: ModelParams, chi: LevyCharacteristic,
     return moments_from_cumulants(cums, n)
 
 
-def joint_cumulant(values: np.ndarray) -> float:
-    """Joint cumulant of the columns of an (N, n) sample matrix."""
-    x = np.asarray(values, dtype=float)
-    n = x.shape[1]
-    moments = {frozenset(idx): float(x[:, idx].prod(axis=1).mean())
-               for size in range(1, n + 1)
-               for idx in combinations(range(n), size)}
-    return _mobius_cumulant(moments, n)
+def _subset_keys(n: int):
+    return [frozenset(idx) for size in range(1, n + 1)
+            for idx in combinations(range(n), size)]
+
+
+def _subset_products(cols) -> list:
+    """Product of cols[j] over j in S for every subset S, in _subset_keys order;
+    each is its parent's product (S minus its largest index) times cols[max S]."""
+    prods = {}
+    for key in _subset_keys(len(cols)):
+        top = max(key)
+        parent = key - {top}
+        prods[key] = prods[parent] * cols[top] if parent else cols[top]
+    return list(prods.values())
+
+
+def _jackknife(block_sums, counts, estimate):
+    """Delete-block jackknife of estimate(*pooled means).
+
+    block_sums: arrays with a leading block axis, one per pooled quantity;
+    counts: samples per block.  estimate is evaluated once on the pooled
+    means and once on all deleted pools together (a new leading axis), so it
+    must broadcast over leading axes.  Blocks of one sample give the
+    leave-one-out jackknife.  Returns (value, stderr); stderr is 0 for fewer
+    than two blocks.
+    """
+    counts = np.asarray(counts, dtype=float)
+    n_total, b = counts.sum(), len(counts)
+    totals = [s.sum(axis=0) for s in block_sums]
+    value = estimate(*(t / n_total for t in totals))
+    if b < 2:
+        return value, np.zeros_like(value)
+    deleted_means = [t - s for t, s in zip(totals, block_sums)]
+    for d in deleted_means:  # in place: one pool-sized copy per quantity
+        d /= (n_total - counts).reshape((b,) + (1,) * (d.ndim - 1))
+    deleted = estimate(*deleted_means)
+    stderr = np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean(axis=0)) ** 2, axis=0))
+    return value, stderr
+
+
+def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
+                              order: int) -> CumulantEstimate:
+    """Translation-averaged cumulant with delete-block jackknife stderr.
+
+    block_sums: shape (B, n_subsets, V) of per-block subset sums.
+    """
+    block_sums = np.asarray(block_sums, dtype=float)
+    keys = _subset_keys(order)
+
+    def estimate(means):
+        moments = {key: means[..., k, :] for k, key in enumerate(keys)}
+        return np.mean(_mobius_cumulant(moments, order), axis=-1)
+
+    value, stderr = _jackknife([block_sums], block_counts, estimate)
+    return CumulantEstimate(float(value), float(stderr),
+                            int(np.sum(block_counts)), order)
 
 
 def joint_cumulant_jackknife(values: np.ndarray) -> tuple[float, float]:
-    """Joint cumulant plus leave-one-out jackknife standard error."""
+    """Joint cumulant of the columns of an (N, n) sample matrix, plus its
+    leave-one-out jackknife standard error."""
     x = np.asarray(values, dtype=float)
-    n_samp, n = x.shape
-    prods = {}
-    loo = {}
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            p = x[:, idx].prod(axis=1)
-            key = frozenset(idx)
-            prods[key] = float(p.mean())
-            loo[key] = (p.sum() - p) / (n_samp - 1)
-    value = _mobius_cumulant(prods, n)
-    loo_vals = _mobius_cumulant(loo, n)
-    stderr = float(np.sqrt((n_samp - 1) / n_samp * np.sum((loo_vals - loo_vals.mean()) ** 2)))
-    return float(value), stderr
+    # (n_subsets, N) in memory, so sums over samples stay pairwise
+    prods = np.stack(_subset_products(list(x.T))).T[:, :, None]
+    est = cumulant_from_subset_sums(prods, np.ones(len(x)), x.shape[1])
+    return est.value, est.stderr
 
 
 def empirical_cumulant(e: Ensemble, pts) -> CumulantEstimate:
@@ -199,11 +240,6 @@ def empirical_cumulant(e: Ensemble, pts) -> CumulantEstimate:
     return CumulantEstimate(value, stderr, e.n_samples, n)
 
 
-def _subset_keys(n: int):
-    return [frozenset(idx) for size in range(1, n + 1)
-            for idx in combinations(range(n), size)]
-
-
 def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.ndarray:
     """Sum over samples of prod_{j in S} phi(tau + x_j), for every subset S.
 
@@ -211,58 +247,14 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
     Used by the translation-averaged cumulant estimator.
     """
     pts = _check_points(spec, pts)
-    n = len(pts)
-    keys = _subset_keys(n)
     axes = tuple(range(spec.d))
-    sums = np.zeros((len(keys), spec.n_sites))
-    neg = [tuple(-c for c in p) for p in pts]
+    sums = np.zeros((2 ** len(pts) - 1, spec.n_sites))
     for f in fields:
-        rolled = [np.roll(f, shift=s, axis=axes).ravel() for s in neg]
-        for k, key in enumerate(keys):
-            prod = None
-            for j in sorted(key):
-                prod = rolled[j] if prod is None else prod * rolled[j]
-            sums[k] += prod
+        rolled = {p: np.roll(f, shift=tuple(-c for c in p), axis=axes).ravel()
+                  for p in set(pts)}
+        for total, prod in zip(sums, _subset_products([rolled[p] for p in pts])):
+            total += prod
     return sums
-
-
-def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
-                              order: int) -> CumulantEstimate:
-    """Translation-averaged cumulant with delete-block jackknife stderr.
-
-    block_sums: shape (B, n_subsets, V) of per-block subset sums.
-    """
-    block_sums = np.asarray(block_sums, dtype=float)
-    counts = np.asarray(block_counts, dtype=float)
-    n_total = int(counts.sum())
-    keys = _subset_keys(order)
-    total = block_sums.sum(axis=0)
-
-    def estimate(sums, n_samp):
-        moments = {key: sums[k] / n_samp for k, key in enumerate(keys)}
-        return float(np.mean(_mobius_cumulant(moments, order)))
-
-    value = estimate(total, n_total)
-    b = len(counts)
-    if b < 2:
-        return CumulantEstimate(value, 0.0, n_total, order)
-    deleted = np.array([estimate(total - block_sums[i], n_total - counts[i])
-                        for i in range(b)])
-    stderr = float(np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean()) ** 2)))
-    return CumulantEstimate(value, stderr, n_total, order)
-
-
-def empirical_cumulant_translation_avg(e: Ensemble, pts,
-                                       n_blocks: int = 50) -> CumulantEstimate:
-    """Cumulant averaged over all lattice translations of the point set."""
-    pts = _check_points(e.spec, pts)
-    n = len(pts)
-    if not 1 <= n <= MAX_EMPIRICAL_ORDER:
-        raise RangeError(f"empirical order {n} outside [1, {MAX_EMPIRICAL_ORDER}]")
-    chunks = np.array_split(np.arange(e.n_samples), min(n_blocks, e.n_samples))
-    block_sums = np.stack([accumulate_subset_sums(e.fields[c], e.spec, pts)
-                           for c in chunks])
-    return cumulant_from_subset_sums(block_sums, [len(c) for c in chunks], n)
 
 
 def empirical_two_point(e: Ensemble, n_blocks: int = 50):
@@ -272,24 +264,13 @@ def empirical_two_point(e: Ensemble, n_blocks: int = 50):
     S_2^T(0, x).  Uses the FFT autocorrelation per sample.
     """
     spec = e.spec
+    axes = tuple(range(1, spec.d + 1))
     chunks = np.array_split(np.arange(e.n_samples), min(n_blocks, e.n_samples))
-    auto = np.zeros((len(chunks),) + spec.shape)
-    mean = np.zeros(len(chunks))
+    auto = np.empty((len(chunks),) + spec.shape)
+    mean = np.empty((len(chunks),) + (1,) * spec.d)
     for i, c in enumerate(chunks):
-        for f in e.fields[c]:
-            fhat = np.fft.fftn(f)
-            auto[i] += np.fft.ifftn(np.abs(fhat) ** 2).real / spec.n_sites
-            mean[i] += f.mean()
-    counts = np.array([len(c) for c in chunks], dtype=float)
-    n_total = counts.sum()
-
-    def connected(a_sum, m_sum, n_samp):
-        return a_sum / n_samp - (m_sum / n_samp) ** 2
-
-    full = connected(auto.sum(axis=0), mean.sum(), n_total)
-    b = len(chunks)
-    deleted = np.stack([connected(auto.sum(axis=0) - auto[i],
-                                  mean.sum() - mean[i], n_total - counts[i])
-                        for i in range(b)])
-    stderr = np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean(axis=0)) ** 2, axis=0))
-    return full, stderr
+        f = e.fields[c]
+        fhat = np.fft.fftn(f, axes=axes)
+        auto[i] = (np.fft.ifftn(np.abs(fhat) ** 2, axes=axes).real / spec.n_sites).sum(axis=0)
+        mean[i] = sum(f.mean(axis=axes))  # running total, sample by sample
+    return _jackknife([auto, mean], [len(c) for c in chunks], lambda a, m: a - m ** 2)

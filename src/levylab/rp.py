@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cumulants import analytic_truncated_schwinger, full_schwinger_moment
-from .errors import ConfigurationError, ContractViolation, RangeError
+from .errors import ConfigurationError, ContractViolation, LevyLabError, RangeError
 from .greens import ModelParams
 from .noise import JumpLaw, LatticeSpec, LevyCharacteristic
 from .sampler import sample_point_values
@@ -187,7 +187,7 @@ def rp_scan(alphas, lambdas, m0: float, chi_template: LevyCharacteristic,
                 rep = gram_report(p, chi, basis, centered=centered)
                 row["min_eig"] = rep.min_eig
                 row["report"] = rep
-            except Exception as exc:  # record and continue the scan
+            except LevyLabError as exc:  # record and continue the scan
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
     return rows
@@ -247,14 +247,18 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
     Monte-Carlo estimate to be consistent with it (within 4 stderr) and not
     significantly positive.
     """
-    w = np.asarray(record["coefficients"], dtype=float)
+    try:
+        w = np.asarray(record["coefficients"], dtype=float)
+        p, chi, spec, centered = params_from_snapshot(record["params"])
+        monomials = tuple(tuple(tuple(pt) for pt in mon) for mon in record["basis"])
+    except KeyError as exc:
+        raise ConfigurationError(f"witness: {exc.args[0]}: missing") from exc
+    except (TypeError, ValueError) as exc:  # e.g. a list where an object belongs
+        raise ConfigurationError(f"witness: malformed entry ({exc})") from exc
     if np.linalg.norm(w) < 1e-12:
         raise ConfigurationError("degenerate witness: zero coefficient vector")
     w = w / np.linalg.norm(w)
-    p, chi, spec, centered = params_from_snapshot(record["params"])
-    basis = MonomialBasis(spec,
-                          tuple(tuple(tuple(pt) for pt in mon) for mon in record["basis"]),
-                          record.get("time_axis", 0))
+    basis = MonomialBasis(spec, monomials, record.get("time_axis", 0))
     if len(w) != basis.size:
         raise ConfigurationError("witness length does not match basis size")
     m = build_reflection_gram(p, chi, basis, centered=centered)

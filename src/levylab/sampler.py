@@ -51,9 +51,6 @@ class Ensemble:
     def n_samples(self) -> int:
         return self.fields.shape[0]
 
-    def sample(self, i: int) -> LatticeField:
-        return LatticeField(self.spec, self.fields[i])
-
 
 def solve_spde(p: ModelParams, eta: LatticeField) -> LatticeField:
     """Solve the lattice equation for one noise realization (FFT route)."""
@@ -129,15 +126,11 @@ def sample_point_values(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSp
     return _run_chunks(p, chi, spec, n_samples, master_seed, list(points), workers)
 
 
-def _jump_params(law: JumpLaw | None) -> tuple[float, ...]:
-    return () if law is None else law.params
-
-
 def write_ensemble(path, e: Ensemble) -> None:
     """Write the LFLB binary format (little-endian, contiguous f64 samples)."""
     law = e.chi.jump_law if e.chi.lam > 0.0 else None
     tag = _JUMP_TAGS[None if law is None else law.kind]
-    params = _jump_params(law)
+    params = () if law is None else law.params
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -152,22 +145,41 @@ def write_ensemble(path, e: Ensemble) -> None:
         fh.write(np.ascontiguousarray(e.fields, dtype="<f8").tobytes())
 
 
+def _unpack(buf: bytes, pos: int, fmt: str, path, field: str):
+    """struct.unpack_from that names the field when the file is too short."""
+    size = struct.calcsize(fmt)
+    if len(buf) - pos < size:
+        raise ConfigurationError(f"{path}: {field}: truncated file")
+    return struct.unpack_from(fmt, buf, pos), pos + size
+
+
 def read_ensemble(path, master_seed: int = 0) -> Ensemble:
-    """Read an LFLB file back into an Ensemble (continuum symbol assumed)."""
+    """Read an LFLB file back into an Ensemble (continuum symbol assumed); a
+    truncated file, unknown jump tag or trailing bytes raise ConfigurationError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ConfigurationError(f"{path}: not an LFLB ensemble file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise ConfigurationError(f"{path}: unsupported format version {version}")
-        d, L = struct.unpack("<II", fh.read(8))
-        (a,) = struct.unpack("<d", fh.read(8))
-        alpha, m0, b, sigma2, lam = struct.unpack("<5d", fh.read(40))
-        tag, n_params = struct.unpack("<II", fh.read(8))
-        params = struct.unpack(f"<{n_params}d", fh.read(8 * n_params)) if n_params else ()
-        (n_samples,) = struct.unpack("<Q", fh.read(8))
-        spec = LatticeSpec(d, L, a)
-        data = np.frombuffer(fh.read(8 * n_samples * spec.n_sites), dtype="<f8")
+        buf = fh.read()
+    if buf[:4] != MAGIC:
+        raise ConfigurationError(f"{path}: not an LFLB ensemble file")
+    (version,), pos = _unpack(buf, 4, "<I", path, "version")
+    if version != FORMAT_VERSION:
+        raise ConfigurationError(f"{path}: unsupported format version {version}")
+    (d, L, a), pos = _unpack(buf, pos, "<IId", path, "lattice")
+    if d >= 64:  # beyond numpy's array rank; L**d could not be sized either
+        raise ConfigurationError(f"{path}: lattice: d = {d} is unsupported")
+    (alpha, m0, b, sigma2, lam), pos = _unpack(buf, pos, "<5d", path, "model and noise")
+    (tag, n_params), pos = _unpack(buf, pos, "<II", path, "jump tag")
+    if tag not in _TAG_KINDS:
+        raise ConfigurationError(f"{path}: jump tag: unknown value {tag}")
+    params, pos = _unpack(buf, pos, f"<{n_params}d", path, "jump params")
+    (n_samples,), pos = _unpack(buf, pos, "<Q", path, "n_samples")
+    spec = LatticeSpec(d, L, a)
+    n_values = n_samples * spec.n_sites
+    extra = len(buf) - pos - 8 * n_values
+    if extra < 0:
+        raise ConfigurationError(f"{path}: sample data: truncated file")
+    if extra > 0:
+        raise ConfigurationError(f"{path}: sample data: {extra} trailing bytes")
+    data = np.frombuffer(buf, dtype="<f8", count=n_values, offset=pos)
     kind = _TAG_KINDS[tag]
     law = None if kind is None else JumpLaw(kind, params)
     chi = LevyCharacteristic(b=b, sigma2=sigma2, lam=lam, jump_law=law)

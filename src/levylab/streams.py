@@ -12,16 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def _seed_sequence(master_seed: int, path) -> np.random.SeedSequence:
+    """SeedSequence for (master seed, index path).  The path length is folded
+    into the entropy because SeedSequence pads short entropy lists with zeros,
+    which would alias (i,) with (i, 0)."""
+    if master_seed < 0 or any(p < 0 for p in path):
+        raise ValueError("seed and path entries must be non-negative")
+    return np.random.SeedSequence(
+        entropy=[int(master_seed), len(path), *map(int, path)])
+
+
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the generator for a given (master seed, index path).
 
     The same arguments always yield an identical stream; distinct paths yield
-    statistically independent streams (SeedSequence hashing).  The path length
-    is folded into the entropy because SeedSequence pads short entropy lists
-    with zeros, which would alias (i,) with (i, 0).
+    statistically independent streams (SeedSequence hashing).
     """
-    if master_seed < 0 or any(p < 0 for p in path):
-        raise ValueError("seed and path entries must be non-negative")
-    ss = np.random.SeedSequence(
-        entropy=[int(master_seed), len(path), *map(int, path)])
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(master_seed, path)))
+
+
+def substream_seed(master_seed: int, *path: int) -> int:
+    """Derive a 63-bit child seed for nested runs (same entropy as substream)."""
+    state = _seed_sequence(master_seed, path).generate_state(1, dtype=np.uint64)
+    return int(state[0] >> 1)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ClassificationError, ConfigurationError, NumericalError
-from .streams import substream
+from .errors import ClassificationError, ConfigurationError
+from .streams import substream, substream_seed
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -178,7 +178,6 @@ class IntegratorSpec:
     n_samples: int = 1_000_000
     n_strata: int = 8
     seed: int = 0
-    max_rel_error: float | None = None
 
     def __post_init__(self):
         if self.n_samples < self.n_strata**2:
@@ -192,10 +191,6 @@ class WightmanEstimate:
     value: float
     stderr: float
     n_samples: int
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 def _leg_factors(k: np.ndarray, leg_nodes, reg: ShellRegularization):
@@ -331,11 +326,6 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
             variances[s3, s4] = vals.var(ddof=1) / per
     value = float(vol * means.mean())
     stderr = float(vol * np.sqrt(variances.sum()) / (S * S))
-    if integrator.max_rel_error is not None and abs(value) > 0:
-        if stderr > integrator.max_rel_error * abs(value):
-            raise NumericalError(
-                f"integrator error {stderr} exceeds requested tolerance "
-                f"({integrator.max_rel_error} relative) at value {value}")
     return WightmanEstimate(value, stderr, per * S * S)
 
 
@@ -448,8 +438,3 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     return BaumannReport(tuple(eps), tuple(space), tuple(ctrl), verdict,
                          control_vanishes, details)
 
-
-def substream_seed(seed: int, *path: int) -> int:
-    """Derive a 63-bit child seed for nested integrator runs."""
-    ss = np.random.SeedSequence(entropy=[int(seed), *map(int, path)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -197,3 +197,22 @@ n_strata = 2
 def test_reports_are_atomic_no_tmp_left(config_path, tmp_path):
     run_cli("schwinger", config_path, tmp_path)
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
+
+def test_negative_seed_is_config_error(config_path, tmp_path, capsys):
+    assert run_cli("schwinger", config_path, tmp_path, "--seed", "-1") == 1
+    assert "run.seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, field", [
+    ("{not json", "witness: invalid JSON"),
+    ('{"coefficients": [1.0], "basis": [[[0, 0, 0]]]}', "witness: params: missing"),
+    ("[1.0]", "witness: malformed entry"),
+])
+def test_verify_witness_malformed_exit_1(config_path, tmp_path, capsys,
+                                         content, field):
+    witness = tmp_path / "witness.json"
+    witness.write_text(content)
+    assert run_cli("verify-witness", config_path, tmp_path,
+                   "--witness", str(witness)) == 1
+    assert field in capsys.readouterr().err

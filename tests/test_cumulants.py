@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from levylab import (ConfigurationError, CumulantEstimate, Ensemble, JumpLaw,
                      empirical_two_point, full_schwinger_moment,
                      moments_from_cumulants, noise_cumulant, sample_ensemble,
                      set_partitions)
-from levylab.cumulants import joint_cumulant, joint_cumulant_jackknife
+from levylab.cumulants import (accumulate_subset_sums, cumulant_from_subset_sums,
+                               joint_cumulant_jackknife)
 from levylab.greens import green_momentum_sq, squared_momentum
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -201,11 +204,37 @@ def test_joint_cumulant_synthetic_poisson(rng):
         assert abs(val - mu) <= 4.0 * se
 
 
-def test_joint_cumulant_matches_jackknife_value(rng):
-    x = rng.normal(size=(500, 3))
-    v1 = joint_cumulant(x)
-    v2, _ = joint_cumulant_jackknife(x)
-    assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+def test_subset_sums_match_per_subset_products(model_half, small_spec, poisson_chi):
+    e = sample_ensemble(model_half, poisson_chi, small_spec, 4, 11)
+    pts = [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 2, 1)]
+    sums = accumulate_subset_sums(e.fields, small_spec, pts)
+    subsets = [idx for size in range(1, 5) for idx in combinations(range(4), size)]
+    for k, idx in enumerate(subsets):
+        ref = np.zeros(small_spec.n_sites)
+        for f in e.fields:
+            prod = np.roll(f, [-c for c in pts[idx[0]]], axis=(0, 1, 2)).ravel()
+            for j in idx[1:]:
+                prod = prod * np.roll(f, [-c for c in pts[j]], axis=(0, 1, 2)).ravel()
+            ref += prod
+        assert np.array_equal(sums[k], ref)
+
+
+def test_block_jackknife_matches_explicit_deletion(rng):
+    sums = rng.random((5, 3, 7)) * 10.0  # subsets {0}, {1}, {0, 1}
+    counts = np.array([10.0, 12.0, 9.0, 11.0, 10.0])
+
+    def cov(s, n):
+        m = s / n
+        return np.mean(m[2] - m[0] * m[1])
+
+    total = sums.sum(axis=0)
+    deleted = np.array([cov(total - sums[i], counts.sum() - counts[i])
+                        for i in range(5)])
+    stderr = np.sqrt(4 / 5 * np.sum((deleted - deleted.mean()) ** 2))
+    est = cumulant_from_subset_sums(sums, counts, 2)
+    assert est.value == pytest.approx(cov(total, counts.sum()), rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    assert est.n_samples == 52
 
 
 def test_empirical_cumulant_needs_samples(model_half, small_spec, gaussian_chi):

@@ -6,6 +6,7 @@ from levylab import (ConfigurationError, ContractViolation, JumpLaw,
                      MonomialBasis, RangeError, analytic_truncated_schwinger,
                      build_reflection_gram, gram_report, min_eigenvalue,
                      rp_scan, verify_witness, witness_record)
+from levylab import rp
 from levylab.rp import witness_quadratic_form_mc
 
 
@@ -147,3 +148,13 @@ def test_verify_witness_length_mismatch(desk_spec, basis6):
     record["coefficients"] = record["coefficients"][:-1]
     with pytest.raises(ConfigurationError):
         verify_witness(record, fresh_seed=1)
+
+
+def test_rp_scan_propagates_bugs(desk_spec, basis6, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(rp, "gram_report", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        rp_scan([0.5], [0.0], 1.0, LevyCharacteristic(sigma2=1.0), basis6,
+                symbol="discrete")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,10 +112,25 @@ def test_lflb_round_trip(tmp_path, model_half, small_spec, mixed_chi):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_lflb_rejects_garbage(tmp_path):
+HEADER = 4 + 4 + 8 + 8 + 40 + 8  # magic .. jump tag and parameter count
+MALFORMED = {  # case -> (corruption of a valid file, expected message)
+    "bad_magic": (lambda data: b"NOPE" + b"\x00" * 64, "not an LFLB"),
+    "short_header": (lambda data: data[:20], "lattice: truncated"),
+    "truncated_body": (lambda data: data[:-3], "sample data: truncated"),
+    "unknown_tag": (lambda data: data[:HEADER - 8] + struct.pack("<I", 9) + data[HEADER - 4:],
+                    "jump tag: unknown value 9"),
+    "trailing_bytes": (lambda data: data + b"\x00", "sample data: 1 trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_lflb_rejects_garbage(tmp_path, model_half, small_spec, gaussian_chi, case):
+    corrupt, message = MALFORMED[case]
+    good = tmp_path / "good.lflb"
+    write_ensemble(good, sample_ensemble(model_half, gaussian_chi, small_spec, 2, 0))
     path = tmp_path / "bad.lflb"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ConfigurationError):
+    path.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(ConfigurationError, match=message):
         read_ensemble(path)
 
 
