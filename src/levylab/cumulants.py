@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, RangeError
 from .greens import ModelParams, green_real_fft
-from .noise import LatticeSpec, LevyCharacteristic, noise_cumulant
+from .noise import LatticeSpec, LevyCharacteristic, _check_points, noise_cumulant
 from .sampler import Ensemble
 
 MAX_ANALYTIC_ORDER = 6
@@ -74,16 +74,6 @@ def _factorial(n: int) -> float:
     for i in range(2, n + 1):
         out *= i
     return out
-
-
-def _check_points(spec: LatticeSpec, pts):
-    pts = [tuple(int(c) for c in p) for p in pts]
-    for p in pts:
-        if len(p) != spec.d:
-            raise ConfigurationError(f"point {p} has wrong dimension (d={spec.d})")
-        if any(not 0 <= c < spec.L for c in p):
-            raise ConfigurationError(f"point {p} outside the lattice")
-    return pts
 
 
 @lru_cache(maxsize=32)

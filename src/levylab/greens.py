@@ -46,8 +46,8 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.m0 < 0.0:
-            raise ConfigurationError("m0 must be >= 0")
+        if not 0.0 <= self.m0 < np.inf:  # NaN fails too
+            raise ConfigurationError("m0 must be finite and >= 0")
         if self.symbol not in (CONTINUUM, DISCRETE):
             raise ConfigurationError(f"unknown momentum symbol {self.symbol!r}")
 
@@ -63,8 +63,8 @@ class SpectralDensity:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
-        if self.m0 < 0.0:
-            raise ConfigurationError("m0 must be >= 0")
+        if not 0.0 <= self.m0 < np.inf:  # NaN fails too
+            raise ConfigurationError("m0 must be finite and >= 0")
         if self.normalization not in (ANALYTIC, PAPER):
             raise ConfigurationError(f"unknown normalization {self.normalization!r}")
 

@@ -2,9 +2,12 @@
 
 The equation (-Laplace + m0^2)^alpha phi = eta is diagonal in the FFT basis,
 so phi_hat(k) = eta_hat(k) * (|k|^2 + m0^2)^(-alpha); this is exact on the
-periodic lattice and O(V log V).  Ensemble sample i always draws from the
-counter-based stream (master_seed, i), making results bit-identical for any
-worker count.
+periodic lattice and O(V log V).  The solve plan is the half-spectrum symbol
+that rfftn/irfftn work on, cached per (ModelParams, LatticeSpec), so the field
+is real by construction.  Point-only sampling skips the solve:
+phi(x) = a^d * sum_y G(x - y) eta_y is one product per sample with a cached
+matrix of Green rows.  Ensemble sample i always draws from the counter-based
+stream (master_seed, i), making results bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -12,19 +15,24 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .greens import ModelParams, green_momentum_sq, inverse_transform, squared_momentum
-from .noise import JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic, sample_noise
+from .greens import (CONTINUUM, DISCRETE, ModelParams, green_momentum_sq,
+                     green_real_fft, inverse_transform, squared_momentum)
+from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
+                    _check_points, sample_noise)
 from .streams import substream
 
 MAGIC = b"LFLB"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _JUMP_TAGS = {None: 0, "atoms": 1, "uniform": 2, "two_sided_exponential": 3}
 _TAG_KINDS = {v: k for k, v in _JUMP_TAGS.items()}
+_SYMBOL_TAGS = {CONTINUUM: 0, DISCRETE: 1}
+_TAG_SYMBOLS = {v: k for k, v in _SYMBOL_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -52,15 +60,22 @@ class Ensemble:
         return self.fields.shape[0]
 
 
+@lru_cache(maxsize=32)
+def _half_symbol(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
+    """Ghat on the half spectrum of rfftn (last axis 0..L//2); read-only."""
+    ksq = squared_momentum(spec, p.symbol)[..., : spec.L // 2 + 1]
+    ghat = green_momentum_sq(p, ksq)
+    ghat.setflags(write=False)
+    return ghat
+
+
 def solve_spde(p: ModelParams, eta: LatticeField) -> LatticeField:
     """Solve the lattice equation for one noise realization (FFT route)."""
     if p.m0 == 0.0:
         raise SingularityError("zero mode diverges for m0 = 0")
-    ghat = green_momentum_sq(p, squared_momentum(eta.spec, p.symbol))
-    phi_hat = np.fft.fftn(eta.values) * ghat
-    # inverse_transform divides by a^d; undo it, phi is a plain field value
-    out = inverse_transform(eta.spec, phi_hat * eta.spec.cell_volume)
-    return out
+    axes = tuple(range(eta.spec.d))
+    phi_hat = np.fft.rfftn(eta.values, axes=axes) * _half_symbol(p, eta.spec)
+    return LatticeField(eta.spec, np.fft.irfftn(phi_hat, s=eta.spec.shape, axes=axes))
 
 
 def apply_forward_symbol(p: ModelParams, phi: LatticeField) -> LatticeField:
@@ -70,11 +85,17 @@ def apply_forward_symbol(p: ModelParams, phi: LatticeField) -> LatticeField:
     return out
 
 
-def _sample_one(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
-                master_seed: int, index: int) -> np.ndarray:
-    rng = substream(master_seed, index)
-    eta = sample_noise(chi, spec, rng)
-    return solve_spde(p, eta).values
+@lru_cache(maxsize=32)
+def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
+    """(n_points, V) matrix whose row for x holds a^d * G(x - y) over the sites y,
+    so that row @ eta is phi(x); read-only."""
+    g = green_real_fft(p, spec).values
+    sites = np.arange(spec.L)
+    rows = np.empty((len(points), spec.n_sites))
+    for r, x in enumerate(points):
+        rows[r] = spec.cell_volume * g[np.ix_(*[(c - sites) % spec.L for c in x])].ravel()
+    rows.setflags(write=False)
+    return rows
 
 
 def _sample_chunk(args):
@@ -82,12 +103,16 @@ def _sample_chunk(args):
     if points is None:
         out = np.empty((len(indices),) + spec.shape)
         for j, i in enumerate(indices):
-            out[j] = _sample_one(p, chi, spec, master_seed, i)
+            eta = sample_noise(chi, spec, substream(master_seed, i))
+            out[j] = solve_spde(p, eta).values
     else:
-        pts = tuple(np.asarray(points, dtype=int).T)
+        # one matrix-vector product per sample: no BLAS blocking across
+        # samples, so a value never depends on how samples are chunked
+        rows = _green_rows(p, spec, points)
         out = np.empty((len(indices), len(points)))
         for j, i in enumerate(indices):
-            out[j] = _sample_one(p, chi, spec, master_seed, i)[pts]
+            eta = sample_noise(chi, spec, substream(master_seed, i))
+            out[j] = rows @ eta.values.ravel()
     return out
 
 
@@ -118,16 +143,20 @@ def sample_point_values(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSp
     """Stream an ensemble, keeping only phi at the given lattice points.
 
     Returns shape (n_samples, n_points).  Memory stays O(n_samples * n_points)
-    instead of O(n_samples * V); the per-sample streams are the same as in
-    sample_ensemble, so values agree with a stored ensemble at equal seed.
+    instead of O(n_samples * V).  Each value is a^d * sum_y G(x - y) eta_y, a
+    product of the noise with cached Green rows, not a full solve; the
+    per-sample streams are the same as in sample_ensemble, so values agree
+    with a stored ensemble at equal seed to rounding (not bit for bit), and
+    they are bit-identical for any worker count.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    return _run_chunks(p, chi, spec, n_samples, master_seed, list(points), workers)
+    points = tuple(_check_points(spec, points))
+    return _run_chunks(p, chi, spec, n_samples, master_seed, points, workers)
 
 
 def write_ensemble(path, e: Ensemble) -> None:
-    """Write the LFLB binary format (little-endian, contiguous f64 samples)."""
+    """Write the LFLB v2 binary format (little-endian, contiguous f64 samples)."""
     law = e.chi.jump_law if e.chi.lam > 0.0 else None
     tag = _JUMP_TAGS[None if law is None else law.kind]
     params = () if law is None else law.params
@@ -141,6 +170,7 @@ def write_ensemble(path, e: Ensemble) -> None:
         fh.write(struct.pack("<II", tag, len(params)))
         if params:
             fh.write(struct.pack(f"<{len(params)}d", *params))
+        fh.write(struct.pack("<IQ", _SYMBOL_TAGS[e.params.symbol], e.master_seed))
         fh.write(struct.pack("<Q", e.n_samples))
         fh.write(np.ascontiguousarray(e.fields, dtype="<f8").tobytes())
 
@@ -153,15 +183,20 @@ def _unpack(buf: bytes, pos: int, fmt: str, path, field: str):
     return struct.unpack_from(fmt, buf, pos), pos + size
 
 
-def read_ensemble(path, master_seed: int = 0) -> Ensemble:
-    """Read an LFLB file back into an Ensemble (continuum symbol assumed); a
-    truncated file, unknown jump tag or trailing bytes raise ConfigurationError."""
+def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
+    """Read an LFLB file (v2, or v1) back into an Ensemble.
+
+    v2 stores the momentum symbol and the master seed; a master_seed passed
+    here must then agree with the stored one.  A v1 file assumes the continuum
+    symbol and takes master_seed (default 0).  A truncated file, an unknown
+    tag, trailing bytes or a seed mismatch raise ConfigurationError.
+    """
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != MAGIC:
         raise ConfigurationError(f"{path}: not an LFLB ensemble file")
     (version,), pos = _unpack(buf, 4, "<I", path, "version")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise ConfigurationError(f"{path}: unsupported format version {version}")
     (d, L, a), pos = _unpack(buf, pos, "<IId", path, "lattice")
     if d >= 64:  # beyond numpy's array rank; L**d could not be sized either
@@ -171,6 +206,15 @@ def read_ensemble(path, master_seed: int = 0) -> Ensemble:
     if tag not in _TAG_KINDS:
         raise ConfigurationError(f"{path}: jump tag: unknown value {tag}")
     params, pos = _unpack(buf, pos, f"<{n_params}d", path, "jump params")
+    symbol, seed = CONTINUUM, (0 if master_seed is None else master_seed)
+    if version >= 2:
+        (symbol_tag, seed), pos = _unpack(buf, pos, "<IQ", path, "symbol and seed")
+        if symbol_tag not in _TAG_SYMBOLS:
+            raise ConfigurationError(f"{path}: symbol: unknown value {symbol_tag}")
+        symbol = _TAG_SYMBOLS[symbol_tag]
+        if master_seed is not None and master_seed != seed:
+            raise ConfigurationError(
+                f"{path}: master_seed: {master_seed} passed, file stores {seed}")
     (n_samples,), pos = _unpack(buf, pos, "<Q", path, "n_samples")
     spec = LatticeSpec(d, L, a)
     n_values = n_samples * spec.n_sites
@@ -184,4 +228,4 @@ def read_ensemble(path, master_seed: int = 0) -> Ensemble:
     law = None if kind is None else JumpLaw(kind, params)
     chi = LevyCharacteristic(b=b, sigma2=sigma2, lam=lam, jump_law=law)
     fields = data.reshape((n_samples,) + spec.shape)
-    return Ensemble(ModelParams(alpha, m0), chi, spec, master_seed, fields)
+    return Ensemble(ModelParams(alpha, m0, symbol), chi, spec, seed, fields)

@@ -80,6 +80,15 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def test_nan_lattice_spacing_exit_1(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text(BASE_CONFIG.replace("a = 0.5", "a = nan"))
+    assert run_cli("sample", str(path), tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "lattice spacing a" in err
+    assert "Traceback" not in err
+
+
 def test_missing_section_exit_code(tmp_path):
     path = tmp_path / "partial.ini"
     path.write_text("[model]\nalpha = 0.5\nm0 = 1.0\n")

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
-                     LevyCharacteristic, RangeError, characteristic_functional,
-                     noise_cumulant, psi, sample_noise, substream)
+                     LevyCharacteristic, ModelParams, RangeError, SpectralDensity,
+                     characteristic_functional, noise_cumulant, psi, sample_noise,
+                     substream)
 from levylab.noise import MAX_CUMULANT_ORDER
 
 
@@ -74,6 +75,31 @@ def test_jump_law_validation():
         JumpLaw.two_sided_exponential(0.0)
     with pytest.raises(ConfigurationError):
         JumpLaw("lognormal", (1.0,))
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {  # case -> (constructor call, field named in the message)
+    "lattice_a_nan": (lambda: LatticeSpec(3, 4, NAN), "spacing a"),
+    "lattice_a_inf": (lambda: LatticeSpec(3, 4, INF), "spacing a"),
+    "model_m0_nan": (lambda: ModelParams(0.5, NAN), "m0"),
+    "model_m0_inf": (lambda: ModelParams(0.5, INF), "m0"),
+    "spectral_m0_nan": (lambda: SpectralDensity(0.5, NAN), "m0"),
+    "sigma2_nan": (lambda: LevyCharacteristic(sigma2=NAN), "sigma2"),
+    "lambda_nan": (lambda: LevyCharacteristic(lam=NAN, jump_law=JumpLaw.atom(1.0)),
+                   "lambda"),
+    "drift_nan": (lambda: LevyCharacteristic(b=NAN), "drift b"),
+    "atom_position_nan": (lambda: JumpLaw.atoms([(NAN, 1.0)]), "atom positions"),
+    "atom_weight_nan": (lambda: JumpLaw.atoms([(1.0, NAN)]), "atom weights"),
+    "uniform_hi_inf": (lambda: JumpLaw.uniform(1.0, INF), "lo < hi"),
+    "exponential_scale_nan": (lambda: JumpLaw.two_sided_exponential(NAN), "scale"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_parameters_rejected(case):
+    build, field = NON_FINITE[case]
+    with pytest.raises(ConfigurationError, match=field):
+        build()
 
 
 def test_jump_moment_order_cap():
@@ -208,6 +234,25 @@ def test_empirical_characteristic_functional(small_spec, poisson_chi):
     exact = characteristic_functional(poisson_chi, LatticeField(spec, f))
     se = max(z.real.std(ddof=1), z.imag.std(ddof=1)) / np.sqrt(len(z))
     assert abs(z.mean() - exact) <= 4.0 * se
+
+
+@pytest.mark.parametrize("amp", [0.5, 6.0])
+def test_atom_thinning_characteristic_functional(amp):
+    # atom laws are drawn as one Poisson count per atom and site; two atoms of
+    # opposite sign plus drift and diffusion must still give E exp(i eta(f))
+    spec = LatticeSpec(3, 4, 0.5)
+    chi = LevyCharacteristic(b=0.2, sigma2=0.1, lam=1.5,
+                             jump_law=JumpLaw.atoms([(1.0, 0.6), (-0.5, 0.4)]))
+    f = np.zeros(spec.shape)  # one line of sites keeps |E| well above 0
+    f[:, 0, 0] = amp * (np.cos(2 * np.pi * np.arange(spec.L) / spec.L) + 0.5)
+    exact = characteristic_functional(chi, LatticeField(spec, f))
+    rng = substream(2002, int(amp * 10))
+    n_draws = 40_000
+    z = np.array([np.exp(1j * pairing(spec, f, sample_noise(chi, spec, rng)))
+                  for _ in range(n_draws)])
+    assert abs(exact) > 0.05
+    assert abs(z.real.mean() - exact.real) <= 3.0 * z.real.std(ddof=1) / np.sqrt(n_draws)
+    assert abs(z.imag.mean() - exact.imag) <= 3.0 * z.imag.std(ddof=1) / np.sqrt(n_draws)
 
 
 def test_lattice_spec_validation():

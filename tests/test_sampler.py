@@ -72,11 +72,21 @@ def test_worker_count_independence(model_half, small_spec, poisson_chi):
 
 
 def test_point_values_match_ensemble(model_half, small_spec, mixed_chi):
+    # Green rows and the FFT solve agree to rounding; a misaligned sample
+    # stream would differ by O(1)
     pts = [(0, 0, 0), (1, 2, 3), (7, 7, 7)]
     e = sample_ensemble(model_half, mixed_chi, small_spec, 5, 21)
     vals = sample_point_values(model_half, mixed_chi, small_spec, pts, 5, 21)
     for j, pt in enumerate(pts):
-        assert np.array_equal(vals[:, j], e.fields[(slice(None),) + pt])
+        ref = e.fields[(slice(None),) + pt]
+        assert np.all(np.abs(vals[:, j] - ref) <= 1e-12 * (1.0 + np.abs(ref).max()))
+
+
+def test_point_values_worker_count_independence(model_half, small_spec, poisson_chi):
+    pts = [(0, 0, 0), (1, 2, 3), (7, 7, 7), (3, 0, 5)]
+    serial = sample_point_values(model_half, poisson_chi, small_spec, pts, 10, 7, workers=1)
+    parallel = sample_point_values(model_half, poisson_chi, small_spec, pts, 10, 7, workers=4)
+    assert np.array_equal(serial.view(np.uint64), parallel.view(np.uint64))
 
 
 def test_gaussian_excess_kurtosis(model_half, gaussian_chi):
@@ -96,6 +106,37 @@ def test_ensemble_immutable(model_half, small_spec, gaussian_chi):
         e.fields[0, 0, 0, 0] = 1.0
 
 
+def test_lflb_round_trip_symbol_and_seed(tmp_path):
+    # format v2 keeps the momentum symbol and the master seed
+    spec = LatticeSpec(2, 4, 0.5)
+    p = ModelParams(0.5, 1.0, "discrete")
+    e = sample_ensemble(p, LevyCharacteristic(sigma2=1.0), spec, 3, 77)
+    path = tmp_path / "d.lflb"
+    write_ensemble(path, e)
+    back = read_ensemble(path)
+    assert back.params == p
+    assert back.master_seed == 77
+    assert np.array_equal(back.fields, e.fields)
+    assert read_ensemble(path, master_seed=77).master_seed == 77
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        read_ensemble(path, master_seed=78)
+
+
+def test_lflb_reads_v1(tmp_path, model_half, small_spec, gaussian_chi):
+    # a v1 file has no symbol or seed fields: continuum and the caller's seed
+    e = sample_ensemble(model_half, gaussian_chi, small_spec, 2, 5)
+    path = tmp_path / "v2.lflb"
+    write_ensemble(path, e)
+    data = path.read_bytes()
+    v1 = data[:4] + struct.pack("<I", 1) + data[8:HEADER] + data[HEADER + 12:]
+    path.write_bytes(v1)
+    back = read_ensemble(path, master_seed=5)
+    assert back.params == model_half
+    assert back.master_seed == 5
+    assert read_ensemble(path).master_seed == 0
+    assert np.array_equal(back.fields, e.fields)
+
+
 def test_lflb_round_trip(tmp_path, model_half, small_spec, mixed_chi):
     e = sample_ensemble(model_half, mixed_chi, small_spec, 4, 31)
     path = tmp_path / "e.lflb"
@@ -104,8 +145,8 @@ def test_lflb_round_trip(tmp_path, model_half, small_spec, mixed_chi):
     assert np.array_equal(back.fields, e.fields)
     assert back.spec == e.spec
     assert back.chi == e.chi
-    assert back.params.alpha == e.params.alpha
-    assert back.params.m0 == e.params.m0
+    assert back.params == e.params
+    assert back.master_seed == 31
     # byte-identical on rewrite
     path2 = tmp_path / "e2.lflb"
     write_ensemble(path2, back)
