@@ -1,28 +1,36 @@
 """Truncated Schwinger functions, empirical cumulants and partition algebra.
 
-The analytic truncated n-point function is the single lattice sum
+The analytic truncated n-point function is the noise cumulant times a lattice
+sum,
 
-    S_n^T(x_1, ..., x_n) = c_n * a^d * sum_y prod_j G(x_j - y),
+    S_n^T(x_1, ..., x_n) = c_n * K(x_1, ..., x_n),
+    K(x_1, ..., x_n) = a^d * sum_y prod_j G(x_j - y),
 
 with c_n the n-th noise cumulant (c_1 = b + lam*r_1, c_2 = sigma2 + lam*r_2,
-c_n = lam*r_n for n >= 3).  Empirical joint cumulants are estimated from
-ensembles by the set-partition Moebius formula over sample moments.  Every
-standard error comes from one delete-block jackknife (_jackknife); the
-leave-one-out jackknife is the same with blocks of one sample.
+c_n = lam*r_n for n >= 3).  Only c_n depends on the noise; the lattice sums K
+are kept in one table per (ModelParams, LatticeSpec, point set), filled on
+first use from the Green rows the point sampler also uses, so every noise law
+on the same points (an rp-scan over lambda, a witness re-check) shares it.
+Full moments are the set-partition sum of products of c_|B| * K(B) over that
+table.  Empirical joint cumulants are estimated from ensembles by the
+set-partition Moebius formula over sample moments.  Every standard error comes
+from one delete-block jackknife (_jackknife); the leave-one-out jackknife is
+the same with blocks of one sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigurationError, RangeError
-from .greens import ModelParams, green_real_fft
+# green_real_fft stays a module attribute: bench/tracer patches it by name
+from .greens import ModelParams, green_real_fft  # noqa: F401
 from .noise import LatticeSpec, LevyCharacteristic, _check_points, noise_cumulant
-from .sampler import Ensemble
+from .sampler import Ensemble, _green_rows
 
 MAX_ANALYTIC_ORDER = 6
 MAX_EMPIRICAL_ORDER = 4
@@ -76,24 +84,71 @@ def _factorial(n: int) -> float:
     return out
 
 
-@lru_cache(maxsize=32)
-def _green_grid(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
-    return green_real_fft(p, spec).values
+@lru_cache(maxsize=None)
+def _partitions(n: int) -> tuple:
+    """set_partitions(range(n)) as tuples; positions ascend within each block."""
+    return tuple(tuple(tuple(block) for block in part)
+                 for part in set_partitions(range(n)))
 
 
-@lru_cache(maxsize=200_000)
-def _schwinger_cached(p: ModelParams, chi: LevyCharacteristic,
-                      spec: LatticeSpec, pts: tuple) -> float:
-    n = len(pts)
-    c_n = noise_cumulant(chi, n)
-    if c_n == 0.0:
-        return 0.0
-    g = _green_grid(p, spec)
-    axes = tuple(range(spec.d))
-    prod = np.ones(spec.shape)
-    for x in pts:
-        prod = prod * np.roll(g, shift=x, axis=axes)
-    return float(c_n * spec.cell_volume * prod.sum())
+@lru_cache(maxsize=4096)
+def _lattice_sums(p: ModelParams, spec: LatticeSpec, points: tuple):
+    """K over one point set as a function of a sorted tuple of indices into
+    points: a^d * sum_y prod_j G(x_j - y), from the Green rows, each computed
+    once.  Holds no noise parameter, and no rows (those stay in the smaller
+    _green_rows cache), so many point sets stay cached."""
+
+    @cache
+    def lattice_sum(idx: tuple) -> float:
+        rows = _green_rows(p, spec, points)
+        prod = rows[idx[0]]
+        for i in idx[1:]:
+            prod = prod * rows[i]
+        return float(spec.cell_volume * prod.sum())
+
+    return lattice_sum
+
+
+def schwinger_moments(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
+                      points: tuple, centered: bool = False):
+    """Full Schwinger moments over distinct lattice points, as a function of a
+    sorted tuple of indices into points (repeats allowed, () gives 1).
+
+    Each moment is the partition sum of prod_B c_|B| * K(B) with the lattice
+    sums K from the table shared by every noise law on these points; with
+    centered=True c_1 is 0.  Points are not validated here.
+    """
+    lattice_sum = _lattice_sums(p, spec, points)
+    c = [0.0]  # c[k] = c_k, extended to the highest order asked for
+
+    @cache
+    def moment(idx: tuple) -> float:
+        while len(c) <= len(idx):
+            k = len(c)
+            c.append(0.0 if centered and k == 1 else noise_cumulant(chi, k))
+        total = 0.0
+        for part in _partitions(len(idx)):
+            prod = 1.0
+            for block in part:
+                c_k = c[len(block)]
+                if c_k == 0.0:
+                    prod = 0.0
+                    break
+                prod *= c_k * lattice_sum(tuple(idx[i] for i in block))
+            total += prod
+        return total
+
+    return moment
+
+
+def _canonical(spec: LatticeSpec, pts) -> tuple[tuple, tuple]:
+    """(distinct points, sorted index tuple) after translating the smallest
+    point to the origin; exact on the torus, and equal for any permutation."""
+    base = min(pts)
+    canon = sorted(tuple((c - b) % spec.L for c, b in zip(q, base)) for q in pts)
+    points = tuple(sorted(set(canon)))
+    index = {q: i for i, q in enumerate(points)}
+    return points, tuple(index[q] for q in canon)
 
 
 def analytic_truncated_schwinger(p: ModelParams, chi: LevyCharacteristic,
@@ -103,11 +158,11 @@ def analytic_truncated_schwinger(p: ModelParams, chi: LevyCharacteristic,
     n = len(pts)
     if not 1 <= n <= MAX_ANALYTIC_ORDER:
         raise RangeError(f"analytic order {n} outside [1, {MAX_ANALYTIC_ORDER}]")
-    # canonical form: translate first (sorted) point to the origin, then sort;
-    # exact on the torus and improves cache reuse
-    base = min(pts)
-    canon = tuple(sorted(tuple((c - b) % spec.L for c, b in zip(q, base)) for q in pts))
-    return _schwinger_cached(p, chi, spec, canon)
+    c_n = noise_cumulant(chi, n)
+    if c_n == 0.0:
+        return 0.0
+    points, idx = _canonical(spec, pts)
+    return c_n * _lattice_sums(p, spec, points)(idx)
 
 
 def moments_from_cumulants(cumulants, n: int) -> float:
@@ -137,15 +192,8 @@ def full_schwinger_moment(p: ModelParams, chi: LevyCharacteristic,
     n = len(pts)
     if not 1 <= n <= MAX_ANALYTIC_ORDER:
         raise RangeError(f"moment order {n} outside [1, {MAX_ANALYTIC_ORDER}]")
-    cums = {}
-    for size in range(1, n + 1):
-        for idx in combinations(range(n), size):
-            if centered and size == 1:
-                cums[frozenset(idx)] = 0.0
-            else:
-                cums[frozenset(idx)] = analytic_truncated_schwinger(
-                    p, chi, spec, [pts[i] for i in idx])
-    return moments_from_cumulants(cums, n)
+    points, idx = _canonical(spec, pts)
+    return schwinger_moments(p, chi, spec, points, centered)(idx)
 
 
 def _subset_keys(n: int):

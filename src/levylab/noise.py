@@ -14,6 +14,7 @@ cumulants converge to their continuum integrals as a -> 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from scipy.special import factorial
@@ -164,6 +165,8 @@ class LatticeSpec:
     a: float
 
     def __post_init__(self):
+        if not isinstance(self.d, Integral) or not isinstance(self.L, Integral):
+            raise ConfigurationError("lattice d and L must be integers")
         if self.d < 1:
             raise ConfigurationError("dimension d must be >= 1")
         if self.L < 1:
@@ -189,15 +192,24 @@ class LatticeSpec:
 
 
 def _check_points(spec: LatticeSpec, pts) -> list[tuple[int, ...]]:
-    """Lattice points as int tuples; a wrong dimension or an off-lattice
-    coordinate raises ConfigurationError naming the point."""
-    pts = [tuple(int(c) for c in p) for p in pts]
+    """Lattice points as int tuples; a non-integer coordinate (1.7, nan, a
+    string), a wrong dimension or an off-lattice coordinate raises
+    ConfigurationError naming the point."""
+    out = []
     for p in pts:
-        if len(p) != spec.d:
-            raise ConfigurationError(f"point {p} has wrong dimension (d={spec.d})")
-        if any(not 0 <= c < spec.L for c in p):
-            raise ConfigurationError(f"point {p} outside the lattice")
-    return pts
+        try:
+            coords = tuple(p)
+            q = tuple(int(c) for c in coords)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"point {p!r}: coordinates must be integers") from None
+        if q != coords:
+            raise ConfigurationError(f"point {coords}: coordinates must be integers")
+        if len(q) != spec.d:
+            raise ConfigurationError(f"point {q} has wrong dimension (d={spec.d})")
+        if any(not 0 <= c < spec.L for c in q):
+            raise ConfigurationError(f"point {q} outside the lattice")
+        out.append(q)
+    return out
 
 
 @dataclass(frozen=True)

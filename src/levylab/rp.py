@@ -12,18 +12,27 @@ w with w^T M w < 0 is an explicit non-positivity witness; witnesses are
 re-verified both analytically and by Monte Carlo on a fresh ensemble.
 Monomials use the centered field (mean subtracted) by default, which removes
 the trivial mixing with the constant sector.
+
+Each entry is a moment of at most four field values at the (at most 12)
+distinct points of the basis and its reflection.  The Gram build takes them
+from one cumulants.schwinger_moments over those points: the noise cumulants
+c_n times lattice sums from a table that holds no noise parameter, so the
+builds of a lambda scan and the rebuild in verify_witness share one table.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cumulants import analytic_truncated_schwinger, full_schwinger_moment
+# full_schwinger_moment stays a module attribute: bench/tracer patches it by name
+from .cumulants import (analytic_truncated_schwinger, full_schwinger_moment,  # noqa: F401
+                        schwinger_moments)
 from .errors import ConfigurationError, ContractViolation, LevyLabError, RangeError
 from .greens import ModelParams
-from .noise import JumpLaw, LatticeSpec, LevyCharacteristic
+from .noise import JumpLaw, LatticeSpec, LevyCharacteristic, _check_points
 from .sampler import sample_point_values
 
 MAX_MOMENT_ORDER = 4
@@ -38,8 +47,14 @@ class MonomialBasis:
     time_axis: int = 0
 
     def __post_init__(self):
-        mons = tuple(tuple(tuple(int(c) for c in pt) for pt in mon)
-                     for mon in self.monomials)
+        try:
+            axis = operator.index(self.time_axis)
+        except TypeError:
+            axis = -1
+        if not 0 <= axis < self.spec.d:
+            raise ConfigurationError(
+                f"time_axis: {self.time_axis!r} outside [0, {self.spec.d})")
+        mons = tuple(tuple(_check_points(self.spec, mon)) for mon in self.monomials)
         if not mons:
             raise ConfigurationError("basis must contain at least one monomial")
         half = self.spec.L / 2.0
@@ -47,15 +62,12 @@ class MonomialBasis:
             if len(mon) > 2:
                 raise ConfigurationError("monomial degree capped at 2")
             for pt in mon:
-                if len(pt) != self.spec.d:
-                    raise ConfigurationError(f"point {pt} has wrong dimension")
-                if any(not 0 <= c < self.spec.L for c in pt):
-                    raise ConfigurationError(f"point {pt} outside the lattice")
-                t = pt[self.time_axis]
+                t = pt[axis]
                 if not 0 < t < half:
                     raise ConfigurationError(
                         f"monomial point {pt} must have time in (0, L/2)")
         object.__setattr__(self, "monomials", mons)
+        object.__setattr__(self, "time_axis", axis)
 
     def reflect(self, pt):
         out = list(pt)
@@ -129,20 +141,18 @@ def build_reflection_gram(p: ModelParams, chi: LevyCharacteristic,
                           basis: MonomialBasis, centered: bool = True) -> np.ndarray:
     """Gram matrix of reflected-times-unreflected monomial moments."""
     mons = basis.monomials
+    theta = tuple(tuple(basis.reflect(pt) for pt in mon) for mon in mons)
+    points = tuple(sorted({pt for mon in mons + theta for pt in mon}))
+    index = {pt: i for i, pt in enumerate(points)}
+    moment = schwinger_moments(p, chi, basis.spec, points, centered=centered)
     n = len(mons)
     m = np.empty((n, n))
     for a in range(n):
-        theta_a = tuple(basis.reflect(pt) for pt in mons[a])
         for b in range(n):
-            order = len(theta_a) + len(mons[b])
-            if order > MAX_MOMENT_ORDER:
+            idx = tuple(sorted(index[pt] for pt in theta[a] + mons[b]))
+            if len(idx) > MAX_MOMENT_ORDER:
                 raise RangeError("combined monomial degree exceeds supported moments")
-            if order == 0:
-                m[a, b] = 1.0
-            else:
-                m[a, b] = full_schwinger_moment(p, chi, basis.spec,
-                                                list(theta_a) + list(mons[b]),
-                                                centered=centered)
+            m[a, b] = moment(idx)
     asym = np.max(np.abs(m - m.T))
     if asym > 1e-10 * max(1.0, np.max(np.abs(m))):
         raise ContractViolation(f"Gram construction produced asymmetry {asym}")
@@ -253,8 +263,12 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
         monomials = tuple(tuple(tuple(pt) for pt in mon) for mon in record["basis"])
     except KeyError as exc:
         raise ConfigurationError(f"witness: {exc.args[0]}: missing") from exc
-    except (TypeError, ValueError) as exc:  # e.g. a list where an object belongs
+    except (AttributeError, TypeError, ValueError) as exc:  # e.g. a list for an object
         raise ConfigurationError(f"witness: malformed entry ({exc})") from exc
+    if w.ndim != 1:
+        raise ConfigurationError("witness: coefficients: must be a flat list")
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("witness: coefficients: non-finite")
     if np.linalg.norm(w) < 1e-12:
         raise ConfigurationError("degenerate witness: zero coefficient vector")
     w = w / np.linalg.norm(w)

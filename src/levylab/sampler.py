@@ -85,15 +85,27 @@ def apply_forward_symbol(p: ModelParams, phi: LatticeField) -> LatticeField:
     return out
 
 
+@lru_cache(maxsize=2)
+def _doubled_green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
+    """G(-z) for z in [0, 2L)^d (green_real_fft, continued periodically), so
+    that every Green row is one slice of it.  2^d times the size of G, so few
+    are kept."""
+    minus = (-np.arange(spec.L)) % spec.L
+    flipped = green_real_fft(p, spec).values[np.ix_(*[minus] * spec.d)]
+    return np.tile(flipped, (2,) * spec.d)
+
+
 @lru_cache(maxsize=32)
 def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
-    """(n_points, V) matrix whose row for x holds a^d * G(x - y) over the sites y,
-    so that row @ eta is phi(x); read-only."""
-    g = green_real_fft(p, spec).values
-    sites = np.arange(spec.L)
+    """(n_points, V) matrix whose row for x holds G(x - y) over the sites y,
+    so that a^d * row @ eta is phi(x); read-only.  Also the source of the
+    analytic lattice sums (cumulants._lattice_sums)."""
+    grid = _doubled_green(p, spec)
     rows = np.empty((len(points), spec.n_sites))
     for r, x in enumerate(points):
-        rows[r] = spec.cell_volume * g[np.ix_(*[(c - sites) % spec.L for c in x])].ravel()
+        # grid[L - x + y] = G(x - y - L) = G(x - y)
+        rows[r].reshape(spec.shape)[...] = grid[tuple(slice(spec.L - c, 2 * spec.L - c)
+                                                      for c in x)]
     rows.setflags(write=False)
     return rows
 
@@ -112,7 +124,7 @@ def _sample_chunk(args):
         out = np.empty((len(indices), len(points)))
         for j, i in enumerate(indices):
             eta = sample_noise(chi, spec, substream(master_seed, i))
-            out[j] = rows @ eta.values.ravel()
+            out[j] = spec.cell_volume * (rows @ eta.values.ravel())
     return out
 
 

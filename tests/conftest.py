@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from levylab import (JumpLaw, LatticeSpec, LevyCharacteristic, ModelParams)
+
+# Every run draws the same examples, and no example fails for running slowly
+# on a loaded machine; each test keeps its own max_examples.
+settings.register_profile("levylab", derandomize=True, deadline=None)
+settings.load_profile("levylab")
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+import copy
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levylab.cli import main, parse_config, serialize_config
 from levylab.errors import ConfigurationError
@@ -225,3 +228,126 @@ def test_verify_witness_malformed_exit_1(config_path, tmp_path, capsys,
     assert run_cli("verify-witness", config_path, tmp_path,
                    "--witness", str(witness)) == 1
     assert field in capsys.readouterr().err
+
+
+RP_INI = """\
+[model]
+alpha = 0.75
+m0 = 1.0
+symbol = discrete
+
+[noise]
+sigma2 = 1.0
+
+[lattice]
+d = 3
+L = 8
+a = 0.5
+
+[basis]
+points = 1,0,0; 2,1,0
+time_axis = {axis}
+"""
+
+
+def test_ini_time_axis_out_of_range_exit_1(tmp_path, capsys):
+    path = tmp_path / "rp.ini"
+    path.write_text(RP_INI.format(axis=5))
+    assert run_cli("rp-check", str(path), tmp_path) == 1
+    assert "time_axis" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# witness files: every input is verified or rejected with an exit code
+
+WITNESS_INI = "[run]\nseed = 3\nn_samples = 40\nworkers = 1\n"
+WITNESS = {
+    "params": {"alpha": 0.75, "m0": 1.0, "symbol": "discrete", "b": 0.0,
+               "sigma2": 1.0, "lambda": 0.5,
+               "jump_law": {"kind": "atoms", "params": [1.0, 1.0]},
+               "lattice": {"d": 3, "L": 6, "a": 0.5}, "centered": True},
+    "basis": [[[1, 0, 0]], [[2, 0, 0]], [[1, 1, 0]], [[1, 0, 0], [2, 1, 0]]],
+    "time_axis": 0,
+    "coefficients": [0.5, -0.5, 0.5, -0.5],
+    "min_eig": -1.0,
+    "verification": "UNVERIFIED",
+}
+
+
+def _paths(node, prefix=()):
+    """Path (keys and indices) of every value below node."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(record, op, path, value):
+    node = record
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if op == "drop":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or replaced this path
+
+
+def run_witness(record, out):
+    witness, config = out / "witness.json", out / "witness.ini"
+    witness.write_text(json.dumps(record))
+    config.write_text(WITNESS_INI)
+    return run_cli("verify-witness", str(config), out, "--witness", str(witness))
+
+
+@pytest.fixture(scope="module")
+def witness_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("witness")
+
+
+def test_verify_witness_base_record_runs(witness_dir):
+    assert run_witness(WITNESS, witness_dir) in (0, 3)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("time_axis",), 5, "time_axis"),
+    (("time_axis",), -1, "time_axis"),
+    (("basis", 0, 0, 0), 1.7, "point (1.7, 0, 0)"),
+    (("coefficients", 1), float("nan"), "witness: coefficients: non-finite"),
+    (("coefficients", 1), float("inf"), "witness: coefficients: non-finite"),
+    (("params", "lattice", "L"), 6.0, "d and L must be integers"),
+], ids=["time_axis_5", "time_axis_-1", "point_1.7", "coefficient_nan", "coefficient_inf",
+        "float_L"])
+def test_verify_witness_bad_field_exit_1(witness_dir, capsys, path, value, field):
+    record = copy.deepcopy(WITNESS)
+    _mutate(record, "set", path, value)
+    assert run_witness(record, witness_dir) == 1
+    assert field in capsys.readouterr().err
+
+
+_PATHS = list(_paths(WITNESS))
+_WRONG_TYPES = [None, "x", [], {}, 1.5, 6.0, True, -1, 0]
+_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_PATHS), st.none()),
+    st.tuples(st.just("set"), st.sampled_from(_PATHS), st.sampled_from(_WRONG_TYPES)),
+    st.tuples(st.just("set"), st.just(("time_axis",)),
+              st.sampled_from([-1, 3, 5, 1.5, float("nan"), float("inf"), "0"])),
+    st.tuples(st.just("set"), st.sampled_from([p for p in _PATHS if p[0] == "basis"
+                                               and len(p) == 4]),
+              st.sampled_from([-1, 6, 1.7, float("nan"), float("inf"), 1e20, "1"])),
+    st.tuples(st.just("set"), st.sampled_from([p for p in _PATHS if p[0] == "coefficients"]),
+              st.sampled_from([float("nan"), float("inf"), -float("inf")])),
+)
+
+
+@example(mutations=[("set", ("time_axis",), 5)])
+@settings(max_examples=60)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_verify_witness_fuzz(witness_dir, mutations):
+    record = copy.deepcopy(WITNESS)
+    for op, path, value in mutations:
+        _mutate(record, op, path, value)
+    assert run_witness(record, witness_dir) in (0, 1, 2, 3)

@@ -13,7 +13,7 @@ from levylab import (ConfigurationError, CumulantEstimate, Ensemble, JumpLaw,
                      set_partitions)
 from levylab.cumulants import (accumulate_subset_sums, cumulant_from_subset_sums,
                                joint_cumulant_jackknife)
-from levylab.greens import green_momentum_sq, squared_momentum
+from levylab.greens import green_momentum_sq, green_real_fft, squared_momentum
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -57,7 +57,7 @@ def test_moments_from_cumulants_small():
     assert moments_from_cumulants(cums3, 3) == pytest.approx(4.0)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(3, 6), st.integers(0, 10_000))
 def test_moments_from_cumulants_vs_exhaustive(n, seed):
     rng = np.random.default_rng(seed)
@@ -125,6 +125,23 @@ def test_even_order_positivity(model_half, desk_spec, poisson_chi, rng):
         pts = [tuple(rng.integers(0, desk_spec.L, size=3)) for _ in range(4)]
         assert analytic_truncated_schwinger(model_half, poisson_chi,
                                             desk_spec, pts) > 0.0
+
+
+@pytest.mark.parametrize("symbol", ["continuum", "discrete"])
+def test_lattice_sum_matches_rolled_green_grid(small_spec, mixed_chi, rng, symbol):
+    # pre-table kernel as the reference: c_n * a^d * sum_y prod_j G(y - x_j),
+    # with G symmetric, from rolled copies of the Green grid
+    p = ModelParams(0.6, 1.2, symbol)
+    g = green_real_fft(p, small_spec).values
+    for n in range(1, 7):
+        pts = [tuple(int(c) for c in rng.integers(0, small_spec.L, size=3))
+               for _ in range(n)]
+        prod = np.ones(small_spec.shape)
+        for x in pts:
+            prod = prod * np.roll(g, shift=x, axis=(0, 1, 2))
+        ref = noise_cumulant(mixed_chi, n) * small_spec.cell_volume * prod.sum()
+        val = analytic_truncated_schwinger(p, mixed_chi, small_spec, pts)
+        assert val == pytest.approx(ref, rel=1e-12)
 
 
 def test_order_bounds(model_half, desk_spec, poisson_chi):

@@ -120,7 +120,7 @@ def characteristics(draw):
     return LevyCharacteristic(b=b, sigma2=sigma2, lam=lam, jump_law=law)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(chi=characteristics(), t=st.floats(-50.0, 50.0))
 def test_psi_invariants(chi, t):
     assert psi(chi, 0.0) == 0.0

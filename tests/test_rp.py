@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,9 @@ from levylab import (ConfigurationError, ContractViolation, JumpLaw,
                      LatticeSpec, LevyCharacteristic, ModelParams,
                      MonomialBasis, RangeError, analytic_truncated_schwinger,
                      build_reflection_gram, gram_report, min_eigenvalue,
-                     rp_scan, verify_witness, witness_record)
-from levylab import rp
+                     moments_from_cumulants, rp_scan, verify_witness,
+                     witness_record)
+from levylab import cumulants, rp
 from levylab.rp import witness_quadratic_form_mc
 
 
@@ -27,6 +31,30 @@ def test_basis_validation(desk_spec):
         MonomialBasis(desk_spec, (((1, 0, 0), (1, 0, 0), (1, 0, 0)),))  # degree 3
     with pytest.raises(ConfigurationError):
         MonomialBasis(desk_spec, (((1, 0),),))  # wrong dimension
+
+
+@pytest.mark.parametrize("axis", [5, 3, -1, 1.5, "0", None])
+def test_basis_time_axis_range(desk_spec, axis):
+    with pytest.raises(ConfigurationError, match="time_axis"):
+        MonomialBasis(desk_spec, (((1, 0, 0),),), time_axis=axis)
+
+
+def test_basis_time_axis_valid(desk_spec):
+    basis = MonomialBasis(desk_spec, (((0, 2, 0),),), time_axis=np.int64(1))
+    assert basis.time_axis == 1 and type(basis.time_axis) is int
+    assert basis.reflect((0, 2, 0)) == (0, 14, 0)
+
+
+@pytest.mark.parametrize("pt", [(1.7, 0, 0), (1, 0.5, 0), (float("nan"), 0, 0),
+                                (float("inf"), 0, 0), ("1", 0, 0), ([1], 0, 0)])
+def test_basis_rejects_non_integer_coordinates(desk_spec, pt):
+    with pytest.raises(ConfigurationError, match="point"):
+        MonomialBasis(desk_spec, ((pt,),))
+
+
+def test_basis_accepts_integral_numbers(desk_spec):
+    basis = MonomialBasis(desk_spec, (((np.int64(1), 0, 0),), ((2.0, 1, 0),)))
+    assert basis.monomials == (((1, 0, 0),), ((2, 1, 0),))
 
 
 def test_reflection_is_involution(basis6):
@@ -70,6 +98,47 @@ def test_degree_one_gram_is_s2_kernel(model_half, desk_spec, gaussian_chi, basis
                 model_half, gaussian_chi, desk_spec,
                 [basis6.reflect(mon_a[0]), mon_b[0]])
             assert m[a, b] == pytest.approx(s2, rel=1e-10)
+
+
+def reference_gram(p, chi, basis, centered):
+    """Per-entry loop: each moment by moments_from_cumulants over every
+    subset's analytic_truncated_schwinger (c_1 dropped when centered)."""
+    n = basis.size
+    m = np.empty((n, n))
+    for a, mon_a in enumerate(basis.monomials):
+        for b, mon_b in enumerate(basis.monomials):
+            pts = [basis.reflect(pt) for pt in mon_a] + list(mon_b)
+            if not pts:
+                m[a, b] = 1.0
+                continue
+            cums = {}
+            for size in range(1, len(pts) + 1):
+                for idx in combinations(range(len(pts)), size):
+                    cums[frozenset(idx)] = 0.0 if centered and size == 1 else (
+                        analytic_truncated_schwinger(p, chi, basis.spec,
+                                                     [pts[i] for i in idx]))
+            m[a, b] = moments_from_cumulants(cums, len(pts))
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize("centered", [True, False])
+def test_gram_matches_per_entry_reference(small_spec, mixed_chi, centered):
+    p = ModelParams(0.5, 1.0, "discrete")
+    basis = MonomialBasis.up_to_degree_two(small_spec, [(1, 0, 0), (2, 1, 0), (3, 0, 1)])
+    m = build_reflection_gram(p, mixed_chi, basis, centered=centered)
+    np.testing.assert_allclose(m, reference_gram(p, mixed_chi, basis, centered),
+                               rtol=1e-12, atol=0.0)
+    # a second lambda on the same basis reuses every lattice sum
+    points = tuple(sorted({pt for mon in basis.monomials for x in mon
+                           for pt in (x, basis.reflect(x))}))
+    table = cumulants._lattice_sums(p, small_spec, points)
+    outer, inner = cumulants._lattice_sums.cache_info().misses, table.cache_info().misses
+    chi2 = replace(mixed_chi, lam=4.0)
+    m2 = build_reflection_gram(p, chi2, basis, centered=centered)
+    assert cumulants._lattice_sums.cache_info().misses == outer
+    assert table.cache_info().misses == inner
+    np.testing.assert_allclose(m2, reference_gram(p, chi2, basis, centered),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_gram_entry_monte_carlo_oracle(desk_spec, basis6):
@@ -138,6 +207,21 @@ def test_verify_witness_rejects_degenerate(desk_spec, basis6):
     record = witness_record(gram_report(p, chi, basis6))
     record["coefficients"] = [0.0] * len(record["coefficients"])
     with pytest.raises(ConfigurationError):
+        verify_witness(record, fresh_seed=1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_verify_witness_non_finite_coefficients(basis6, monkeypatch, bad):
+    p = ModelParams(0.75, 1.0, "discrete")
+    record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))
+    record["coefficients"][2] = bad
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Gram or Monte-Carlo work before the input check")
+
+    monkeypatch.setattr(rp, "build_reflection_gram", no_work)
+    monkeypatch.setattr(rp, "witness_quadratic_form_mc", no_work)
+    with pytest.raises(ConfigurationError, match="witness: coefficients: non-finite"):
         verify_witness(record, fresh_seed=1)
 
 

@@ -43,7 +43,7 @@ def test_solve_spde_m0_zero():
         solve_spde(ModelParams(0.5, 0.0), LatticeField.zeros(LatticeSpec(3, 8, 0.5)))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(eta=arrays(float, (8, 8, 8), elements=st.floats(-10, 10)),
        c=st.floats(-3, 3))
 def test_solve_spde_linearity_and_inverse(eta, c):
@@ -87,6 +87,22 @@ def test_point_values_worker_count_independence(model_half, small_spec, poisson_
     serial = sample_point_values(model_half, poisson_chi, small_spec, pts, 10, 7, workers=1)
     parallel = sample_point_values(model_half, poisson_chi, small_spec, pts, 10, 7, workers=4)
     assert np.array_equal(serial.view(np.uint64), parallel.view(np.uint64))
+
+
+def test_point_values_reject_non_integer_points(model_half, small_spec, gaussian_chi):
+    with pytest.raises(ConfigurationError, match=r"point \(1\.7, 0, 0\)"):
+        sample_point_values(model_half, gaussian_chi, small_spec, [(1.7, 0, 0)], 2, 0)
+    ints = sample_point_values(model_half, gaussian_chi, small_spec, [(1, 0, 0)], 2, 0)
+    same = sample_point_values(model_half, gaussian_chi, small_spec,
+                               [np.array([1, 0, 0])], 2, 0)
+    assert np.array_equal(ints, same)
+
+
+def test_lattice_rejects_non_integer_sizes():
+    for d, L in [(3.0, 8), (3, 8.5), ("3", 8)]:
+        with pytest.raises(ConfigurationError, match="d and L must be integers"):
+            LatticeSpec(d, L, 0.5)
+    assert LatticeSpec(np.int64(3), np.int32(8), 0.5).n_sites == 512
 
 
 def test_gaussian_excess_kurtosis(model_half, gaussian_chi):
