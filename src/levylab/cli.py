@@ -268,6 +268,10 @@ def _cmd_noise_check(cfg, seed, workers, outdir):
     spec = build_lattice(cfg)
     amplitudes = cfg.get("noise_check", {}).get("amplitudes", (0.5, 1.0, 8.0))
     n_draws = cfg.get("noise_check", {}).get("n_draws", cfg["run"]["n_samples"])
+    if not amplitudes:
+        raise ConfigurationError("noise_check.amplitudes: empty")
+    if n_draws < 2:  # a standard error needs two draws
+        raise ConfigurationError(f"noise_check.n_draws: must be >= 2, got {n_draws}")
     axis = np.arange(spec.L)
     profile = np.cos(2.0 * np.pi * axis / spec.L) + 0.5
     base = profile.reshape((spec.L,) + (1,) * (spec.d - 1)) * np.ones(spec.shape)
@@ -315,6 +319,9 @@ def _point_sets(cfg):
     sets = cfg.get("points", {})
     if not sets:
         raise ConfigurationError("invalid config:\n  [points]: missing section")
+    for name, pts in sets.items():
+        if not pts:
+            raise ConfigurationError(f"points.{name}: empty")
     return [(name, sets[name]) for name in sorted(sets)]
 
 

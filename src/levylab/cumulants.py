@@ -20,6 +20,7 @@ the same with blocks of one sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
@@ -34,6 +35,7 @@ from .sampler import Ensemble, _green_rows
 
 MAX_ANALYTIC_ORDER = 6
 MAX_EMPIRICAL_ORDER = 4
+TWO_POINT_BLOCKS = 50
 
 
 @dataclass(frozen=True)
@@ -63,32 +65,24 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def _mobius_cumulant(moments, n):
-    """Joint cumulant from subset moments: sum over partitions of
-    (-1)^(b-1) (b-1)! prod of block moments."""
-    total = 0.0
-    for part in set_partitions(range(n)):
-        b = len(part)
-        prod = (-1.0) ** (b - 1) * _factorial(b - 1)
-        for block in part:
-            prod = prod * moments[frozenset(block)]
-        total = total + prod
-    return total
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 @lru_cache(maxsize=None)
 def _partitions(n: int) -> tuple:
     """set_partitions(range(n)) as tuples; positions ascend within each block."""
     return tuple(tuple(tuple(block) for block in part)
                  for part in set_partitions(range(n)))
+
+
+def _mobius_cumulant(moments, n):
+    """Joint cumulant from subset moments: sum over partitions of
+    (-1)^(b-1) (b-1)! prod of block moments."""
+    total = 0.0
+    for part in _partitions(n):
+        b = len(part)
+        prod = (-1.0) ** (b - 1) * math.factorial(b - 1)
+        for block in part:
+            prod = prod * moments[frozenset(block)]
+        total = total + prod
+    return total
 
 
 @lru_cache(maxsize=4096)
@@ -170,7 +164,7 @@ def moments_from_cumulants(cumulants, n: int) -> float:
     if n < 1:
         raise RangeError("moment order must be >= 1")
     total = 0.0
-    for part in set_partitions(range(n)):
+    for part in _partitions(n):
         prod = 1.0
         for block in part:
             key = frozenset(block)
@@ -295,15 +289,16 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
     return sums
 
 
-def empirical_two_point(e: Ensemble, n_blocks: int = 50):
-    """Translation-averaged connected two-point map C(x) with jackknife errors.
+def empirical_two_point(e: Ensemble):
+    """Translation-averaged connected two-point map C(x) with jackknife errors
+    over TWO_POINT_BLOCKS blocks of samples.
 
     Returns (values, stderr) arrays of lattice shape; C(x) estimates
     S_2^T(0, x).  Uses the FFT autocorrelation per sample.
     """
     spec = e.spec
     axes = tuple(range(1, spec.d + 1))
-    chunks = np.array_split(np.arange(e.n_samples), min(n_blocks, e.n_samples))
+    chunks = np.array_split(np.arange(e.n_samples), min(TWO_POINT_BLOCKS, e.n_samples))
     auto = np.empty((len(chunks),) + spec.shape)
     mean = np.empty((len(chunks),) + (1,) * spec.d)
     for i, c in enumerate(chunks):

@@ -34,6 +34,8 @@ DISCRETE = "discrete"
 ANALYTIC = "analytic"
 PAPER = "paper"
 
+IMAG_TOL = 1e-10  # inverse_transform: largest relative imaginary residue
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -120,16 +122,15 @@ def green_momentum_sq(p: ModelParams, ksq):
     return float(out) if out.ndim == 0 else out
 
 
-def inverse_transform(spec: LatticeSpec, ghat: np.ndarray,
-                      imag_tol: float = 1e-10) -> LatticeField:
+def inverse_transform(spec: LatticeSpec, ghat: np.ndarray) -> LatticeField:
     """Lattice inverse Fourier transform with the a^d density convention.
 
     Guards against a nonreal result: the imaginary residue must stay below
-    imag_tol times the field norm (catches symbol/convention bugs).
+    IMAG_TOL times the field norm (catches symbol/convention bugs).
     """
     g = np.fft.ifftn(np.asarray(ghat, dtype=complex)) / spec.cell_volume
     scale = np.linalg.norm(g.real) + 1e-300
-    if np.linalg.norm(g.imag) > imag_tol * scale:
+    if np.linalg.norm(g.imag) > IMAG_TOL * scale:
         raise NumericalError("inverse transform produced a non-real field")
     return LatticeField(spec, g.real)
 

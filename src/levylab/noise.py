@@ -27,6 +27,7 @@ _ATOMS = "atoms"
 _UNIFORM = "uniform"
 _TWO_SIDED_EXP = "two_sided_exponential"
 _KINDS = (_ATOMS, _UNIFORM, _TWO_SIDED_EXP)
+_N_PARAMS = {_UNIFORM: 2, _TWO_SIDED_EXP: 1}  # atoms: (position, weight) pairs
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,13 @@ class JumpLaw:
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unsupported jump law kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        count = len(self.params)
+        if self.kind == _ATOMS and count % 2:
+            raise ConfigurationError(
+                f"jump_params: atoms takes (position, weight) pairs, got {count} values")
+        if count != _N_PARAMS.get(self.kind, count):
+            raise ConfigurationError(
+                f"jump_params: {self.kind} takes {_N_PARAMS[self.kind]} value(s), got {count}")
         # range checks are written so that NaN fails them
         if self.kind == _ATOMS:
             s, w = self.positions_weights()
@@ -167,8 +175,8 @@ class LatticeSpec:
     def __post_init__(self):
         if not isinstance(self.d, Integral) or not isinstance(self.L, Integral):
             raise ConfigurationError("lattice d and L must be integers")
-        if self.d < 1:
-            raise ConfigurationError("dimension d must be >= 1")
+        if not 1 <= self.d < 64:  # numpy arrays have at most 64 axes
+            raise ConfigurationError(f"dimension d must be in [1, 64), got {self.d}")
         if self.L < 1:
             raise ConfigurationError("sites per axis L must be >= 1")
         if not 0.0 < self.a < np.inf:

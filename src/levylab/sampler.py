@@ -12,6 +12,7 @@ stream (master_seed, i), making results bit-identical for any worker count.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -130,6 +131,8 @@ def _sample_chunk(args):
 
 def _run_chunks(p, chi, spec, n_samples, master_seed, points, workers):
     indices = np.arange(n_samples)
+    # a fork pool starts all its processes at once: never more than the cores
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _sample_chunk((p, chi, spec, master_seed, indices, points))
     chunks = np.array_split(indices, 4 * workers)
@@ -142,7 +145,10 @@ def _run_chunks(p, chi, spec, n_samples, master_seed, points, workers):
 
 def sample_ensemble(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                     n_samples: int, master_seed: int, workers: int = 1) -> Ensemble:
-    """Generate an ensemble; bit-identical for any worker count."""
+    """Generate an ensemble; bit-identical for any worker count.
+
+    At most os.cpu_count() worker processes are started, whatever is asked.
+    """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     fields = _run_chunks(p, chi, spec, n_samples, master_seed, None, workers)
@@ -211,8 +217,7 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
     if version not in (1, FORMAT_VERSION):
         raise ConfigurationError(f"{path}: unsupported format version {version}")
     (d, L, a), pos = _unpack(buf, pos, "<IId", path, "lattice")
-    if d >= 64:  # beyond numpy's array rank; L**d could not be sized either
-        raise ConfigurationError(f"{path}: lattice: d = {d} is unsupported")
+    spec = LatticeSpec(d, L, a)
     (alpha, m0, b, sigma2, lam), pos = _unpack(buf, pos, "<5d", path, "model and noise")
     (tag, n_params), pos = _unpack(buf, pos, "<II", path, "jump tag")
     if tag not in _TAG_KINDS:
@@ -228,7 +233,6 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
             raise ConfigurationError(
                 f"{path}: master_seed: {master_seed} passed, file stores {seed}")
     (n_samples,), pos = _unpack(buf, pos, "<Q", path, "n_samples")
-    spec = LatticeSpec(d, L, a)
     n_values = n_samples * spec.n_sites
     extra = len(buf) - pos - 8 * n_values
     if extra < 0:

@@ -14,17 +14,18 @@ mechanism) and PV(q) = q / (q^2 + eps^2).
 
 The pairing with four momentum-space test functions is evaluated by
 stratified, importance-sampled Monte Carlo: legs 1, 3, 4 are sampled inside
-their hard-support balls (radially stratified, energies importance-sampled
-toward the mass shells), leg 2 is fixed by momentum conservation.  If both
-middle test functions have purely space-like support, every j-term carries at
-least one shell delta evaluated at a bounded distance from its shell, so the
-pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control does
-not.
+their hard-support balls (radially stratified), leg 2 is fixed by momentum
+conservation.  Each energy is drawn once from the chosen component of one
+proposal: the uniform slab mixed with truncated normals at the shell energies
+(for leg 1 also where the conserved leg 2 is on shell).  If both middle test
+functions have purely space-like support, every j-term carries at least one
+shell delta at a bounded distance from its shell, so the pairing vanishes as
+epsilon -> 0; a matched on-shell (time-like) control does not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -74,8 +75,7 @@ class MomentumTestFunction:
         return self.amplitude * np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
 
     def scaled(self, c: float) -> "MomentumTestFunction":
-        return MomentumTestFunction(self.center, self.width, self.radius,
-                                    self.classification, self.amplitude * c)
+        return replace(self, amplitude=self.amplitude * c)
 
 
 def _spacelike_ball(center, radius) -> bool:
@@ -132,11 +132,10 @@ class MassAssignment:
         for leg in legs:
             if not leg:
                 raise ConfigurationError("every leg needs at least one mass node")
-            for m2, w in leg:
-                if m2 <= 0.0:
-                    raise ConfigurationError("mass nodes must have m^2 > 0")
-                if w <= 0.0:
-                    raise ConfigurationError("mass node weights must be > 0")
+            if any(m2 <= 0.0 for m2, _ in leg):
+                raise ConfigurationError("mass nodes must have m^2 > 0")
+            if any(w <= 0.0 for _, w in leg):
+                raise ConfigurationError("mass node weights must be > 0")
         object.__setattr__(self, "legs", legs)
 
     @classmethod
@@ -146,25 +145,24 @@ class MassAssignment:
         return cls(tuple(((float(m) ** 2, 1.0),) for m in masses))
 
     @classmethod
-    def superposed(cls, alpha: float, m0: float, n_legs: int = 4,
-                   n_nodes: int = 8, s_span: float = 25.0) -> "MassAssignment":
-        """Gauss-Legendre nodes of the mass density (analytic normalization).
+    def superposed(cls, alpha: float, m0: float, n_nodes: int = 8) -> "MassAssignment":
+        """Gauss-Legendre nodes of the mass density on all 4 legs (analytic norm).
 
         The endpoint singularity is absorbed by u = (s - m0^2)^(1-alpha); the
-        density integrated to s = m0^2 + s_span.
+        density integrated to s = m0^2 + 25.
         """
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
         if n_nodes < 1 or n_nodes > 8:
             raise ConfigurationError("superposed mode supports 1..8 nodes per leg")
-        u_max = s_span ** (1.0 - alpha)
+        u_max = 25.0 ** (1.0 - alpha)
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         u = 0.5 * u_max * (x + 1.0)
         du = 0.5 * u_max * w
         const = np.sin(np.pi * alpha) / np.pi / (1.0 - alpha)
         nodes = tuple((float(m0**2 + ui ** (1.0 / (1.0 - alpha))), float(const * dui))
                       for ui, dui in zip(u, du))
-        return cls((nodes,) * n_legs)
+        return cls((nodes,) * 4)
 
     @property
     def n_legs(self) -> int:
@@ -196,17 +194,12 @@ class WightmanEstimate:
 def _leg_factors(k: np.ndarray, leg_nodes, reg: ShellRegularization):
     """(delta+, delta-, PV) node-weighted factors for one leg, vectorized."""
     ksq = minkowski_sq(k)
-    pos = k[..., 0] > 0.0
-    neg = k[..., 0] < 0.0
-    dp = np.zeros(ksq.shape)
-    dm = np.zeros(ksq.shape)
+    shell = np.zeros(ksq.shape)
     pv = np.zeros(ksq.shape)
     for m2, w in leg_nodes:
-        d = reg.delta(ksq - m2)
-        dp += w * d
-        dm += w * d
+        shell += w * reg.delta(ksq - m2)
         pv += w * reg.pv(ksq - m2)
-    return dp * pos, dm * neg, pv
+    return shell * (k[..., 0] > 0.0), shell * (k[..., 0] < 0.0), pv
 
 
 def truncated_kernel(ks, masses: MassAssignment, reg: ShellRegularization) -> np.ndarray:
@@ -215,27 +208,19 @@ def truncated_kernel(ks, masses: MassAssignment, reg: ShellRegularization) -> np
     facs = [_leg_factors(k, masses.legs[l], reg) for l, k in enumerate(ks)]
     total = np.zeros_like(facs[0][0])
     for j in range(n):
-        term = facs[j][2].copy()
-        for l in range(n):
-            if l < j:
-                term = term * facs[l][0]
-            elif l > j:
-                term = term * facs[l][1]
+        term = facs[j][2]
+        for l in range(j):
+            term = term * facs[l][0]
+        for l in range(j + 1, n):
+            term = term * facs[l][1]
         total = total + term
     return total
 
 
-def _sample_ball(test: MomentumTestFunction, nodes, rng, n: int, u_lo: float,
-                 u_hi: float, shell_sd_floor: float, extra_peak_fn=None):
-    """Sample n momenta from the support ball of a test function.
-
-    Spatial part: exact uniform-in-ball marginal, with the radial CDF variable
-    restricted to [u_lo, u_hi) (stratification).  Energy: mixture of the
-    uniform slab and truncated normals at the +/- shell energies of every mass
-    node (importance sampling); returns (k, weight) with weight the uniform
-    density over the proposal density, so that vol * mean(weight * f) is
-    unbiased for the ball integral of f.
-    """
+def _sample_spatial(test: MomentumTestFunction, rng, n: int, u_lo: float, u_hi: float):
+    """(spatial, lo, hi): n spatial momenta uniform in the support disk, the
+    radial CDF variable restricted to [u_lo, u_hi) (stratification), and the
+    energy slab [lo, hi] of the ball above each."""
     c = np.asarray(test.center)
     R = test.radius
     u = rng.uniform(u_lo, u_hi, size=n)
@@ -243,40 +228,42 @@ def _sample_ball(test: MomentumTestFunction, nodes, rng, n: int, u_lo: float,
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     spatial = np.stack([c[1] + rho * np.cos(phi), c[2] + rho * np.sin(phi)], axis=1)
     half = np.sqrt(np.maximum(R**2 - rho**2, 1e-300))
-    lo, hi = c[0] - half, c[0] + half
+    return spatial, c[0] - half, c[0] + half
 
-    # energy proposal: mixture of the uniform slab and truncated normals at
-    # the +/- shell energies of every mass node
+
+def _shell_energies(spatial: np.ndarray, nodes) -> list:
+    """The +/- shell energies sqrt(|kvec|^2 + m^2) of every mass node."""
     ssq = np.sum(spatial**2, axis=1)
-    peaks = [sign * np.sqrt(ssq + m2) for m2, _ in nodes for sign in (1.0, -1.0)]
-    if extra_peak_fn is not None:
-        peaks = peaks + list(extra_peak_fn(spatial))
-    p_uniform = 0.4
-    p_peak = (1.0 - p_uniform) / len(peaks)
-    sd = max(shell_sd_floor, 1e-9)
+    return [sign * np.sqrt(ssq + m2) for m2, _ in nodes for sign in (1.0, -1.0)]
 
-    comp = rng.uniform(size=n)
-    u_slab = rng.uniform(size=n)
-    u_norm = rng.uniform(size=n)
-    k0 = lo + (hi - lo) * u_slab  # uniform component by default
-    trunc = []
-    for mu in peaks:
-        a = ndtr((lo - mu) / sd)
-        b = ndtr((hi - mu) / sd)
-        trunc.append((a, np.maximum(b - a, 1e-300)))
-    for i, mu in enumerate(peaks):
-        a, mass = trunc[i]
-        in_comp = (comp >= p_uniform + i * p_peak) & (comp < p_uniform + (i + 1) * p_peak)
-        if np.any(in_comp):
-            draw = mu + sd * ndtri(np.clip(a + mass * u_norm, 1e-300, 1.0 - 1e-16))
-            k0 = np.where(in_comp, np.clip(draw, lo, hi), k0)
+
+def _sample_energy(rng, spatial, lo, hi, peaks, sd: float):
+    """Energies on the slabs [lo, hi]: each sample picks one component of a
+    mixture of the uniform slab and truncated normals of width sd at the peaks
+    (one (n,) array per peak) and draws once from it.  Returns (k, weight),
+    weight the uniform over the proposal density, so that vol * mean(weight *
+    f) is unbiased for the ball integral of f."""
+    n = len(lo)
+    mu = np.array(peaks)
+    p_uniform = 0.4
+    p_peak = (1.0 - p_uniform) / len(mu)
+    comp, u_slab, u_norm = rng.uniform(size=(3, n))  # three draws of n, in this order
+    a = ndtr((lo - mu) / sd)
+    mass = np.maximum(ndtr((hi - mu) / sd) - a, 1e-300)
+    # peak i owns [p_uniform + i p_peak, p_uniform + (i+1) p_peak); the rest is the slab
+    edges = p_uniform + np.arange(len(mu) + 1) * p_peak
+    pick = np.searchsorted(edges, comp, side="right") - 1
+    chosen = np.flatnonzero((pick >= 0) & (pick < len(mu)))
+    at = (pick[chosen], chosen)
+    k0 = lo + (hi - lo) * u_slab
+    u = np.clip(a[at] + mass[at] * u_norm[chosen], 1e-300, 1.0 - 1e-16)
+    k0[chosen] = np.clip(mu[at] + sd * ndtri(u), lo[chosen], hi[chosen])
     dens = np.full(n, p_uniform) / (hi - lo)
-    for mu, (a, mass) in zip(peaks, trunc):
-        pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-        dens = dens + p_peak * pdf / mass
+    for mu_i, mass_i in zip(mu, mass):  # peak by peak, in order
+        pdf = np.exp(-0.5 * ((k0 - mu_i) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+        dens = dens + p_peak * pdf / mass_i
     weight = (1.0 / (hi - lo)) / dens
-    k = np.concatenate([k0[:, None], spatial], axis=1)
-    return k, weight
+    return np.concatenate([k0[:, None], spatial], axis=1), weight
 
 
 def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularization,
@@ -295,30 +282,25 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     vol = 1.0
     for t in (f, h2, g):
         vol *= 4.0 / 3.0 * np.pi * t.radius**3
-    sd_floor = reg.epsilon / 2.0
+    sd = max(reg.epsilon / 2.0, 1e-9)
+    legs = masses.legs
 
     means = np.empty((S, S))
     variances = np.empty((S, S))
     for s3 in range(S):
         for s4 in range(S):
             rng = substream(integrator.seed, s3, s4)
-            k3, w3 = _sample_ball(h2, masses.legs[2], rng, per,
-                                  s3 / S, (s3 + 1) / S, sd_floor)
-            k4, w4 = _sample_ball(g, masses.legs[3], rng, per,
-                                  s4 / S, (s4 + 1) / S, sd_floor)
-
-            def conserved_leg_peaks(spatial1, _a0=k3[:, 0] + k4[:, 0],
-                                    _as=k3[:, 1:] + k4[:, 1:]):
-                # energies making the conserved leg 2 hit its mass shells
-                s2 = np.sum((spatial1 + _as) ** 2, axis=1)
-                out = []
-                for m2, _ in masses.legs[1]:
-                    root = np.sqrt(s2 + m2)
-                    out += [-_a0 + root, -_a0 - root]
-                return out
-
-            k1, w1 = _sample_ball(f, masses.legs[0], rng, per, 0.0, 1.0, sd_floor,
-                                  extra_peak_fn=conserved_leg_peaks)
+            sp3, lo3, hi3 = _sample_spatial(h2, rng, per, s3 / S, (s3 + 1) / S)
+            k3, w3 = _sample_energy(rng, sp3, lo3, hi3, _shell_energies(sp3, legs[2]), sd)
+            sp4, lo4, hi4 = _sample_spatial(g, rng, per, s4 / S, (s4 + 1) / S)
+            k4, w4 = _sample_energy(rng, sp4, lo4, hi4, _shell_energies(sp4, legs[3]), sd)
+            sp1, lo1, hi1 = _sample_spatial(f, rng, per, 0.0, 1.0)
+            # leg 1 also peaks where the conserved leg 2 hits its shells
+            a0 = k3[:, 0] + k4[:, 0]
+            sp2 = sp1 + (k3[:, 1:] + k4[:, 1:])
+            peaks = (_shell_energies(sp1, legs[0])
+                     + [-a0 + e for e in _shell_energies(sp2, legs[1])])
+            k1, w1 = _sample_energy(rng, sp1, lo1, hi1, peaks, sd)
             k2 = -(k1 + k3 + k4)
             vals = (w1 * w3 * w4 * f(k1) * h1(k2) * h2(k3) * g(k4)
                     * truncated_kernel([k1, k2, k3, k4], masses, reg))
@@ -369,18 +351,18 @@ class BaumannReport:
         }
 
 
-DECAY_PER_DECADE = 100.0
 SMALLNESS_FACTOR = 1e-3
 
 
-def _decays(effective, epsilons, floor):
-    for (v0, e0), (v1, e1) in zip(zip(effective, epsilons), zip(effective[1:], epsilons[1:])):
-        if v1 <= floor:
-            continue
-        required = v0 * (e1 / e0) ** 2  # factor 100 per decade
-        if v1 > required:
-            return False
-    return True
+def _vanishing(pairs, epsilons, c_val: float):
+    """(effective, decays, small) for the magnitudes |value| + 4 stderr: a fall
+    of >= 100x per epsilon decade (or below 1e-12 of the control scale c_val),
+    and a last magnitude at most SMALLNESS_FACTOR * c_val."""
+    eff = [abs(v) + 4.0 * s for v, s in pairs]
+    floor = 1e-12 * c_val
+    decays = all(v1 <= floor or not v1 > v0 * (e1 / e0) ** 2
+                 for v0, v1, e0, e1 in zip(eff, eff[1:], epsilons, epsilons[1:]))
+    return eff, decays, eff[-1] <= SMALLNESS_FACTOR * c_val
 
 
 def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
@@ -397,44 +379,26 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     if h1.classification != SPACELIKE or h2.classification != SPACELIKE:
         raise ClassificationError("h1 and h2 must be certified space-like")
     eps = [float(e) for e in epsilons]
-    details: dict = {}
-    space = []
-    ctrl = []
-    m_ctrl = float(np.sqrt(masses.legs[0][0][0]))
-    ctests = shell_control_tests(m_ctrl)
+    space, ctrl = [], []
+    ctests = shell_control_tests(float(np.sqrt(masses.legs[0][0][0])))
     for i, e in enumerate(eps):
         reg = ShellRegularization(e)
-        ispec_s = IntegratorSpec(integrator.n_samples, integrator.n_strata,
-                                 substream_seed(integrator.seed, 0, i))
-        ispec_c = IntegratorSpec(integrator.n_samples, integrator.n_strata,
-                                 substream_seed(integrator.seed, 1, i))
-        es = wightman_n_regularized((f, h1, h2, g), masses, reg, ispec_s)
-        ec = wightman_n_regularized(ctests, masses, reg, ispec_c)
-        space.append((es.value, es.stderr))
-        ctrl.append((ec.value, ec.stderr))
+        for branch, (tests, out) in enumerate((((f, h1, h2, g), space), (ctests, ctrl))):
+            spec = replace(integrator, seed=substream_seed(integrator.seed, branch, i))
+            est = wightman_n_regularized(tests, masses, reg, spec)
+            out.append((est.value, est.stderr))
 
+    pairings = (tuple(eps), tuple(space), tuple(ctrl))
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
-        return BaumannReport(tuple(eps), tuple(space), tuple(ctrl), "INCONCLUSIVE",
-                             False, {"reason": "need >= 3 strictly decreasing epsilons"})
-
-    c_val, c_err = abs(ctrl[-1][0]), ctrl[-1][1]
-    if c_val <= 10.0 * c_err:
-        return BaumannReport(tuple(eps), tuple(space), tuple(ctrl), "INCONCLUSIVE",
-                             False, {"reason": "control scale not statistically resolved"})
-    eff = [abs(v) + 4.0 * s for v, s in space]
-    floor = 1e-12 * c_val
-    decay_ok = _decays(eff, eps, floor)
-    small_ok = eff[-1] <= SMALLNESS_FACTOR * c_val
-    ctrl_eff = [abs(v) + 4.0 * s for v, s in ctrl]
-    control_vanishes = (_decays(ctrl_eff, eps, floor)
-                        and ctrl_eff[-1] <= SMALLNESS_FACTOR * c_val)
-    verdict = "PASS" if (decay_ok and small_ok) else "FAIL"
-    details.update({
-        "control_scale": c_val,
-        "decay_ok": decay_ok,
-        "smallness_ok": small_ok,
-        "effective_spacelike": eff,
-    })
-    return BaumannReport(tuple(eps), tuple(space), tuple(ctrl), verdict,
-                         control_vanishes, details)
-
+        return BaumannReport(*pairings, "INCONCLUSIVE", False,
+                             {"reason": "need >= 3 strictly decreasing epsilons"})
+    c_val = abs(ctrl[-1][0])
+    if c_val <= 10.0 * ctrl[-1][1]:
+        return BaumannReport(*pairings, "INCONCLUSIVE", False,
+                             {"reason": "control scale not statistically resolved"})
+    eff, decay_ok, small_ok = _vanishing(space, eps, c_val)
+    _, ctrl_decays, ctrl_small = _vanishing(ctrl, eps, c_val)
+    details = {"control_scale": c_val, "decay_ok": decay_ok,
+               "smallness_ok": small_ok, "effective_spacelike": eff}
+    return BaumannReport(*pairings, "PASS" if decay_ok and small_ok else "FAIL",
+                         ctrl_decays and ctrl_small, details)

@@ -351,3 +351,81 @@ def test_verify_witness_fuzz(witness_dir, mutations):
     for op, path, value in mutations:
         _mutate(record, op, path, value)
     assert run_witness(record, witness_dir) in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# INI configs: every mutation is accepted or rejected with an exit code
+
+
+def test_jump_params_count_exit_1(tmp_path, capsys):
+    path = tmp_path / "jump.ini"
+    path.write_text(BASE_CONFIG.replace(
+        "lambda = 0.0", "lambda = 1.0\njump_kind = uniform\njump_params = 1.0"))
+    assert run_cli("schwinger", str(path), tmp_path) == 1
+    assert "jump_params: uniform takes 2 value(s), got 1" in capsys.readouterr().err
+
+
+def test_lattice_rank_exit_1(tmp_path, capsys):
+    path = tmp_path / "rank.ini"
+    path.write_text(BASE_CONFIG.replace("d = 3", "d = 70"))
+    assert run_cli("noise-check", str(path), tmp_path) == 1
+    assert "dimension d must be in [1, 64)" in capsys.readouterr().err
+
+
+def test_empty_point_set_exit_1(tmp_path, capsys):
+    path = tmp_path / "empty.ini"
+    path.write_text(BASE_CONFIG.replace("pair = 0,0,0; 1,0,0", "pair ="))
+    assert run_cli("cumulants", str(path), tmp_path) == 1
+    assert "points.pair: empty" in capsys.readouterr().err
+
+
+FUZZ_INI = {  # a small valid config: 4^3 sites, few samples
+    "model": {"alpha": "0.5", "m0": "1.0", "symbol": "discrete"},
+    "noise": {"b": "0.1", "sigma2": "0.5", "lambda": "1.0", "jump_kind": "atoms",
+              "jump_params": "1.0, 0.5, -2.0, 0.5"},
+    "lattice": {"d": "3", "L": "4", "a": "0.5"},
+    "run": {"seed": "3", "n_samples": "40", "workers": "1"},
+    "points": {"pair": "0,0,0; 1,0,0", "quad": "0,0,0; 1,0,0; 0,1,0; 0,0,1"},
+    "noise_check": {"amplitudes": "0.5, 2.0", "n_draws": "30"},
+}
+# never the worker count, and no value that could size a large lattice
+_INI_KEYS = [(sec, key) for sec, body in FUZZ_INI.items() for key in body if key != "workers"]
+_NUMERIC_KEYS = [(sec, key) for sec, key in _INI_KEYS
+                 if sec != "points" and key not in ("symbol", "jump_kind")]
+_INI_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_INI_KEYS), st.none()),
+    st.tuples(st.just("set"), st.sampled_from(_INI_KEYS),
+              st.sampled_from(["x", "", "1.5", "1", "true", "0,0,0; 1", "1, 2"])),
+    st.tuples(st.just("set"), st.sampled_from(_NUMERIC_KEYS),
+              st.sampled_from(["nan", "inf", "-inf", "-1", "-0.5", "0"])),
+    st.tuples(st.just("set"), st.just(("noise", "jump_kind")),
+              st.sampled_from(["uniform", "two_sided_exponential", "atoms", "lognormal"])),
+    st.tuples(st.just("set"), st.just(("noise", "jump_params")),
+              st.sampled_from(["1.0", "0.5, 2.0", "1.0, 1.0, 2.0", "", "1.0, nan"])),
+    st.tuples(st.just("set"), st.just(("lattice", "d")), st.sampled_from(["70", "64", "2"])),
+)
+
+
+@pytest.fixture(scope="module")
+def ini_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ini")
+
+
+@example(mutations=[("set", ("noise", "jump_kind"), "uniform"),
+                    ("set", ("noise", "jump_params"), "1.0")])
+@example(mutations=[("set", ("lattice", "d"), "70")])
+@example(mutations=[("set", ("noise_check", "n_draws"), "-1")])
+@settings(max_examples=60)
+@given(mutations=st.lists(_INI_MUTATION, min_size=1, max_size=3))
+def test_ini_config_fuzz(ini_dir, mutations):
+    cfg = copy.deepcopy(FUZZ_INI)
+    for op, (sec, key), value in mutations:
+        if op == "drop":
+            cfg[sec].pop(key, None)
+        else:
+            cfg[sec][key] = value
+    path = ini_dir / "fuzz.ini"
+    path.write_text("\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                              for sec, body in cfg.items()))
+    for command in ("schwinger", "cumulants", "noise-check"):
+        assert run_cli(command, str(path), ini_dir) in (0, 1, 2, 3)

@@ -77,6 +77,16 @@ def test_jump_law_validation():
         JumpLaw("lognormal", (1.0,))
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("uniform", (1.0,), "uniform takes 2 value"),
+    ("two_sided_exponential", (1.0, 2.0), "two_sided_exponential takes 1 value"),
+    ("atoms", (1.0, 0.5, 2.0), r"atoms takes \(position, weight\) pairs, got 3"),
+], ids=["uniform", "two_sided_exponential", "atoms"])
+def test_jump_law_parameter_count(kind, params, message):
+    with pytest.raises(ConfigurationError, match="jump_params: " + message):
+        JumpLaw(kind, params)
+
+
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = {  # case -> (constructor call, field named in the message)
     "lattice_a_nan": (lambda: LatticeSpec(3, 4, NAN), "spacing a"),
@@ -258,6 +268,9 @@ def test_atom_thinning_characteristic_functional(amp):
 def test_lattice_spec_validation():
     with pytest.raises(ConfigurationError):
         LatticeSpec(0, 8, 0.5)
+    with pytest.raises(ConfigurationError, match=r"dimension d must be in \[1, 64\)"):
+        LatticeSpec(64, 2, 0.5)  # numpy arrays have at most 64 axes
+    assert LatticeSpec(63, 1, 0.5).n_sites == 1
     with pytest.raises(ConfigurationError):
         LatticeSpec(3, 8, 0.0)
     with pytest.raises(ConfigurationError):

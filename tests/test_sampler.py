@@ -11,6 +11,7 @@ from levylab import (ConfigurationError, LatticeField, LatticeSpec,
                      apply_forward_symbol, green_real_fft, read_ensemble,
                      sample_ensemble, sample_point_values, solve_spde,
                      write_ensemble)
+from levylab import sampler
 from levylab.greens import green_momentum_sq, squared_momentum
 
 
@@ -87,6 +88,35 @@ def test_point_values_worker_count_independence(model_half, small_spec, poisson_
     serial = sample_point_values(model_half, poisson_chi, small_spec, pts, 10, 7, workers=1)
     parallel = sample_point_values(model_half, poisson_chi, small_spec, pts, 10, 7, workers=4)
     assert np.array_equal(serial.view(np.uint64), parallel.view(np.uint64))
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [(3, 12)]), (None, [])])
+def test_worker_pool_capped_at_cpu_count(monkeypatch, model_half, small_spec, poisson_chi,
+                                         cpus, pools):
+    started = []
+
+    class RecordingPool:  # records (max_workers, chunks) and runs them in-process
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            started.append((self.max_workers, len(args)))
+            return map(fn, args)
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    pts = [(0, 0, 0), (1, 2, 3)]
+    many = sample_point_values(model_half, poisson_chi, small_spec, pts, 20, 7, workers=5000)
+    assert started == pools
+    serial = sample_point_values(model_half, poisson_chi, small_spec, pts, 20, 7, workers=1)
+    assert np.array_equal(many.view(np.uint64), serial.view(np.uint64))
 
 
 def test_point_values_reject_non_integer_points(model_half, small_spec, gaussian_chi):
@@ -177,6 +207,8 @@ MALFORMED = {  # case -> (corruption of a valid file, expected message)
     "unknown_tag": (lambda data: data[:HEADER - 8] + struct.pack("<I", 9) + data[HEADER - 4:],
                     "jump tag: unknown value 9"),
     "trailing_bytes": (lambda data: data + b"\x00", "sample data: 1 trailing bytes"),
+    "rank_70": (lambda data: data[:8] + struct.pack("<I", 70) + data[12:],
+                r"dimension d must be in \[1, 64\)"),
 }
 
 
@@ -188,6 +220,17 @@ def test_lflb_rejects_garbage(tmp_path, model_half, small_spec, gaussian_chi, ca
     path = tmp_path / "bad.lflb"
     path.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(ConfigurationError, match=message):
+        read_ensemble(path)
+
+
+def test_lflb_rejects_wrong_jump_param_count(tmp_path, model_half, small_spec, mixed_chi):
+    good = tmp_path / "good.lflb"
+    write_ensemble(good, sample_ensemble(model_half, mixed_chi, small_spec, 2, 0))
+    data = good.read_bytes()  # uniform law: 2 parameters after the count
+    path = tmp_path / "bad.lflb"
+    path.write_bytes(data[:HEADER - 4] + struct.pack("<I", 1) + data[HEADER:HEADER + 8]
+                     + data[HEADER + 16:])
+    with pytest.raises(ConfigurationError, match="jump_params: uniform takes 2 value"):
         read_ensemble(path)
 
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      MassAssignment, MomentumTestFunction, ShellRegularization,
                      baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
-from levylab.wightman import minkowski_sq, truncated_kernel
+from levylab.wightman import (_sample_energy, _sample_spatial, _shell_energies, minkowski_sq,
+                              truncated_kernel)
 
 
 @pytest.fixture
@@ -172,3 +174,36 @@ def test_report_round_trip(masses):
                       "control_vanishes"}
     import json
     json.dumps(d)  # JSON-serializable
+
+
+def _energy_reference(rng, spatial, lo, hi, peaks, sd):
+    # the per-peak loop the integrator's proposal must reproduce bit for bit:
+    # every peak draws for all samples, the chosen one is kept
+    n = len(lo)
+    p_uniform = 0.4
+    p_peak = (1.0 - p_uniform) / len(peaks)
+    comp, u_slab, u_norm = (rng.uniform(size=n) for _ in range(3))
+    k0 = lo + (hi - lo) * u_slab
+    trunc = [(ndtr((lo - mu) / sd), np.maximum(ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd),
+                                               1e-300)) for mu in peaks]
+    for i, (mu, (a, mass)) in enumerate(zip(peaks, trunc)):
+        in_comp = (comp >= p_uniform + i * p_peak) & (comp < p_uniform + (i + 1) * p_peak)
+        draw = mu + sd * ndtri(np.clip(a + mass * u_norm, 1e-300, 1.0 - 1e-16))
+        k0 = np.where(in_comp, np.clip(draw, lo, hi), k0)
+    dens = np.full(n, p_uniform) / (hi - lo)
+    for mu, (a, mass) in zip(peaks, trunc):
+        pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+        dens = dens + p_peak * pdf / mass
+    return np.concatenate([k0[:, None], spatial], axis=1), (1.0 / (hi - lo)) / dens
+
+
+@pytest.mark.parametrize("n_nodes", [1, 3])
+def test_energy_proposal_matches_per_peak_reference(n_nodes):
+    test = make_test((1.0, 0.5, 0.0), 0.4, 0.8)
+    spatial, lo, hi = _sample_spatial(test, np.random.default_rng(4), 5000, 0.0, 1.0)
+    nodes = MassAssignment.superposed(0.5, 1.0, n_nodes=n_nodes).legs[0]
+    peaks = _shell_energies(spatial, nodes) + [-0.3 + e for e in _shell_energies(spatial, nodes)]
+    for sd in (0.25, 0.025):
+        k, w = _sample_energy(np.random.default_rng(9), spatial, lo, hi, peaks, sd)
+        k_ref, w_ref = _energy_reference(np.random.default_rng(9), spatial, lo, hi, peaks, sd)
+        assert np.array_equal(k, k_ref) and np.array_equal(w, w_ref)
