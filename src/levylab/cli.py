@@ -6,8 +6,11 @@ canonical config (minus the worker count, which never affects results) and
 the effective seed, so artifacts are self-describing and byte-identical
 across reruns and worker counts.
 
-Exit codes: 0 success, 1 invalid config/usage, 2 numerical failure,
-3 physics check failed or inconclusive.
+Every command runs one pipeline: parse the config, check it and build the
+model, noise and lattice once (_validate), run the command's runner, write
+its JSON report.  A bad input exits 1 naming its section or field.  Exit
+codes: 0 success, 1 invalid config/usage, 2 numerical failure, 3 physics
+check failed or inconclusive.
 """
 
 from __future__ import annotations
@@ -19,22 +22,25 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .cumulants import analytic_truncated_schwinger, joint_cumulant_jackknife
+from .cumulants import (MAX_ANALYTIC_ORDER, analytic_truncated_schwinger,
+                        joint_cumulant_jackknife)
 from .errors import (ConfigurationError, ContractViolation, LevyLabError,
                      NumericalError, RangeError, SingularityError)
 from .greens import (ANALYTIC, PAPER, ModelParams, SpectralDensity,
                      green_momentum_sq, kl_momentum)
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
-                    characteristic_functional, sample_noise)
-from .rp import gram_report, rp_scan, verify_witness, witness_record
+                    _check_points, characteristic_functional, sample_noise)
+from .rp import MonomialBasis, gram_report, rp_scan, verify_witness, witness_record
 from .sampler import sample_ensemble, sample_point_values, write_ensemble
 from .streams import substream, substream_seed
-from .wightman import (IntegratorSpec, MassAssignment, baumann_check,
-                       make_spacelike_test, make_test)
+from .wightman import (IntegratorSpec, MassAssignment, ShellRegularization,
+                       baumann_check, make_spacelike_test, make_test)
 
 # ---------------------------------------------------------------------------
 # Config schema: (section, key) -> (type tag, required)
@@ -170,15 +176,6 @@ def serialize_config(cfg: dict) -> str:
     return "\n".join(lines)
 
 
-def _require(cfg, problems, section, keys):
-    if section not in cfg:
-        problems.append(f"[{section}]: missing section")
-        return
-    for key in keys:
-        if key not in cfg[section]:
-            problems.append(f"{section}.{key}: missing")
-
-
 def build_model(cfg: dict) -> ModelParams:
     m = cfg["model"]
     return ModelParams(m["alpha"], m["m0"], m.get("symbol", "continuum"))
@@ -198,23 +195,45 @@ def build_lattice(cfg: dict) -> LatticeSpec:
     return LatticeSpec(lat["d"], lat["L"], lat["a"])
 
 
-def _validate(cfg: dict, needs: dict) -> None:
-    """Check required sections/keys, then touch every domain constructor the
-    command will use so rejection happens before any computation."""
+# keys a section must have whenever a command reads it
+_REQUIRED = {"model": ("alpha", "m0"), "lattice": ("d", "L", "a"), "run": ("n_samples",),
+             "basis": ("points",), "scan": ("alphas", "lambdas"),
+             "baumann": ("epsilons", "mass", "h1_center", "h2_center", "f_center",
+                         "g_center", "n_samples")}
+_BUILDERS = {"model": build_model, "noise": build_chi, "lattice": build_lattice}
+
+
+def _validate(cfg: dict, sections) -> tuple:
+    """Check each section the command reads for missing keys and empty lists,
+    then build the model, noise and lattice once.  Returns (ModelParams,
+    LevyCharacteristic, LatticeSpec), None for a section not read."""
     problems: list = []
-    for section, keys in needs.items():
-        _require(cfg, problems, section, keys)
-    if problems:
-        raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
-    builders = {"model": build_model, "noise": build_chi, "lattice": build_lattice}
-    for section in needs:
-        if section in builders:
+    built = {}
+    for section in sections:
+        if section not in cfg:
+            problems.append(f"[{section}]: missing section")
+            continue
+        found = [f"{section}.{key}: missing"
+                 for key in _REQUIRED.get(section, ()) if key not in cfg[section]]
+        found += [f"{section}.{key}: empty" for key, v in cfg[section].items() if v == ()]
+        problems += found
+        if section in _BUILDERS and not found:
             try:
-                builders[section](cfg)
+                built[section] = _BUILDERS[section](cfg)
             except LevyLabError as exc:
                 problems.append(f"[{section}]: {exc}")
     if problems:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
+    return built.get("model"), built.get("noise"), built.get("lattice")
+
+
+@contextmanager
+def _named(field: str):
+    """Re-raise a rejected input value as a ConfigurationError naming its field."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{field}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +277,13 @@ def _jsonify(obj):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each runner checks its own sections before it computes, and
+# returns (results for the JSON report, exit code)
 
 
-def _cmd_noise_check(cfg, seed, workers, outdir):
-    _validate(cfg, {"noise": (), "lattice": ("d", "L", "a"),
-                    "run": ("n_samples",), "noise_check": ()})
-    chi = build_chi(cfg)
-    spec = build_lattice(cfg)
-    amplitudes = cfg.get("noise_check", {}).get("amplitudes", (0.5, 1.0, 8.0))
-    n_draws = cfg.get("noise_check", {}).get("n_draws", cfg["run"]["n_samples"])
-    if not amplitudes:
-        raise ConfigurationError("noise_check.amplitudes: empty")
+def _cmd_noise_check(cfg, p, chi, spec, args):
+    amplitudes = cfg["noise_check"].get("amplitudes", (0.5, 1.0, 8.0))
+    n_draws = cfg["noise_check"].get("n_draws", cfg["run"]["n_samples"])
     if n_draws < 2:  # a standard error needs two draws
         raise ConfigurationError(f"noise_check.n_draws: must be >= 2, got {n_draws}")
     axis = np.arange(spec.L)
@@ -280,7 +294,7 @@ def _cmd_noise_check(cfg, seed, workers, outdir):
     for j, amp in enumerate(amplitudes):
         f = LatticeField(spec, amp * base)
         exact = characteristic_functional(chi, f)
-        rng = substream(seed, j)
+        rng = substream(args.seed, j)
         z = np.empty(n_draws, dtype=complex)
         fv = f.values
         for i in range(n_draws):
@@ -300,41 +314,37 @@ def _cmd_noise_check(cfg, seed, workers, outdir):
             "n_draws": int(n_draws),
             "within_3_stderr": within,
         })
-    _write_report(os.path.join(outdir, "noise_check.json"),
-                  "noise-check", cfg, seed, {"tests": rows, "all_within": ok})
-    return 0 if ok else 3
+    return {"tests": rows, "all_within": ok}, 0 if ok else 3
 
 
-def _cmd_sample(cfg, seed, workers, outdir):
-    _validate(cfg, {"model": ("alpha", "m0"), "noise": (),
-                    "lattice": ("d", "L", "a"), "run": ("n_samples",)})
-    e = sample_ensemble(build_model(cfg), build_chi(cfg), build_lattice(cfg),
-                        cfg["run"]["n_samples"], seed, workers=workers)
-    _atomic_write(os.path.join(outdir, "ensemble.lflb"),
+def _cmd_sample(cfg, p, chi, spec, args):
+    e = sample_ensemble(p, chi, spec, cfg["run"]["n_samples"],
+                        args.seed, workers=args.workers)
+    _atomic_write(os.path.join(args.out, "ensemble.lflb"),
                   lambda tmp: write_ensemble(tmp, e))
-    return 0
+    return None, 0
 
 
-def _point_sets(cfg):
-    sets = cfg.get("points", {})
+def _point_sets(cfg, spec):
+    """Sorted (name, points) pairs, each on the lattice with <= MAX_ANALYTIC_ORDER points."""
+    sets = cfg["points"]
     if not sets:
         raise ConfigurationError("invalid config:\n  [points]: missing section")
     for name, pts in sets.items():
-        if not pts:
-            raise ConfigurationError(f"points.{name}: empty")
+        with _named(f"points.{name}"):
+            _check_points(spec, pts)
+            if len(pts) > MAX_ANALYTIC_ORDER:
+                raise ConfigurationError(
+                    f"order {len(pts)} outside [1, {MAX_ANALYTIC_ORDER}]")
     return [(name, sets[name]) for name in sorted(sets)]
 
 
-def _cmd_cumulants(cfg, seed, workers, outdir):
-    _validate(cfg, {"model": ("alpha", "m0"), "noise": (),
-                    "lattice": ("d", "L", "a"), "run": ("n_samples",),
-                    "points": ()})
-    p, chi, spec = build_model(cfg), build_chi(cfg), build_lattice(cfg)
-    sets = _point_sets(cfg)
+def _cmd_cumulants(cfg, p, chi, spec, args):
+    sets = _point_sets(cfg, spec)
     needed = sorted({pt for _, pts in sets for pt in pts})
     index_of = {pt: i for i, pt in enumerate(needed)}
-    values = sample_point_values(p, chi, spec, needed,
-                                 cfg["run"]["n_samples"], seed, workers=workers)
+    values = sample_point_values(p, chi, spec, needed, cfg["run"]["n_samples"],
+                                 args.seed, workers=args.workers)
     rows = []
     for name, pts in sets:
         cols = values[:, [index_of[pt] for pt in pts]]
@@ -348,64 +358,52 @@ def _cmd_cumulants(cfg, seed, workers, outdir):
             "stderr": stderr,
             "n_samples": int(values.shape[0]),
         })
-    _write_report(os.path.join(outdir, "cumulants.json"),
-                  "cumulants", cfg, seed, {"cumulants": rows})
-    return 0
+    return {"cumulants": rows}, 0
 
 
-def _cmd_schwinger(cfg, seed, workers, outdir):
-    _validate(cfg, {"model": ("alpha", "m0"), "noise": (),
-                    "lattice": ("d", "L", "a"), "points": ()})
-    p, chi, spec = build_model(cfg), build_chi(cfg), build_lattice(cfg)
+def _cmd_schwinger(cfg, p, chi, spec, args):
     rows = [{
         "name": name,
         "points": [list(pt) for pt in pts],
         "order": len(pts),
         "value": analytic_truncated_schwinger(p, chi, spec, pts),
-    } for name, pts in _point_sets(cfg)]
-    _write_report(os.path.join(outdir, "schwinger.json"),
-                  "schwinger", cfg, seed, {"schwinger": rows})
-    return 0
+    } for name, pts in _point_sets(cfg, spec)]
+    return {"schwinger": rows}, 0
 
 
 def _build_basis(cfg, spec):
-    from .rp import MonomialBasis
     b = cfg["basis"]
-    pts = b["points"]
-    axis = b.get("time_axis", 0)
-    if b.get("degree", 1) >= 2:
-        return MonomialBasis.up_to_degree_two(spec, pts, axis)
-    return MonomialBasis.degree_one(spec, pts, axis)
+    degree = b.get("degree", 1)
+    if degree not in (1, 2):
+        raise ConfigurationError(f"basis.degree: must be 1 or 2, got {degree}")
+    build = MonomialBasis.up_to_degree_two if degree == 2 else MonomialBasis.degree_one
+    with _named("[basis]"):
+        return build(spec, b["points"], b.get("time_axis", 0))
 
 
-def _cmd_rp_check(cfg, seed, workers, outdir):
-    _validate(cfg, {"model": ("alpha", "m0"), "noise": (),
-                    "lattice": ("d", "L", "a"), "basis": ("points",)})
-    spec = build_lattice(cfg)
-    centered = cfg["basis"].get("centered", True)
-    rep = gram_report(build_model(cfg), build_chi(cfg),
-                      _build_basis(cfg, spec), centered=centered)
-    results = {
+def _cmd_rp_check(cfg, p, chi, spec, args):
+    rep = gram_report(p, chi, _build_basis(cfg, spec),
+                      centered=cfg["basis"].get("centered", True))
+    return {
         "min_eig": rep.min_eig,
         "gram_norm": float(np.linalg.norm(rep.matrix, 2)),
         "matrix": rep.matrix,
         "witness": witness_record(rep) if rep.min_eig < 0.0 else None,
-    }
-    _write_report(os.path.join(outdir, "rp_check.json"),
-                  "rp-check", cfg, seed, results)
-    return 0
+    }, 0
 
 
-def _cmd_rp_scan(cfg, seed, workers, outdir):
-    _validate(cfg, {"model": ("alpha", "m0"), "noise": (),
-                    "lattice": ("d", "L", "a"), "basis": ("points",),
-                    "scan": ("alphas", "lambdas"), "run": ("n_samples",)})
-    spec = build_lattice(cfg)
-    centered = cfg["basis"].get("centered", True)
-    rows = rp_scan(cfg["scan"]["alphas"], cfg["scan"]["lambdas"],
-                   cfg["model"]["m0"], build_chi(cfg), _build_basis(cfg, spec),
-                   symbol=cfg["model"].get("symbol", "continuum"),
-                   centered=centered)
+def _cmd_rp_scan(cfg, p, chi, spec, args):
+    scan = cfg["scan"]
+    basis = _build_basis(cfg, spec)
+    # reject a bad grid value here; rp_scan records failures inside the scan
+    with _named("scan.alphas"):
+        for alpha in scan["alphas"]:
+            replace(p, alpha=alpha)
+    with _named("scan.lambdas"):
+        for lam in scan["lambdas"]:
+            replace(chi, lam=lam)
+    rows = rp_scan(scan["alphas"], scan["lambdas"], p.m0, chi, basis,
+                   symbol=p.symbol, centered=cfg["basis"].get("centered", True))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "lambda", "min_eig", "error"])
@@ -418,51 +416,46 @@ def _cmd_rp_scan(cfg, seed, workers, outdir):
                          repr(row["min_eig"]), ""])
         if row["min_eig"] < 0.0:
             record = witness_record(row["report"])
-            verdict = verify_witness(record, substream_seed(seed, i),
+            verdict = verify_witness(record, substream_seed(args.seed, i),
                                      n_samples=cfg["run"]["n_samples"],
-                                     workers=workers)
+                                     workers=args.workers)
             record["verification"] = verdict["status"]
             witnesses.append({"record": record, "verdict": verdict})
-    _atomic_write(os.path.join(outdir, "rp_scan.csv"),
+    _atomic_write(os.path.join(args.out, "rp_scan.csv"),
                   lambda tmp: Path(tmp).write_bytes(buf.getvalue().encode()))
-    _write_report(os.path.join(outdir, "rp_scan_witnesses.json"),
-                  "rp-scan", cfg, seed, {"witnesses": witnesses})
-    return 0
+    return {"witnesses": witnesses}, 0
 
 
-def _cmd_baumann(cfg, seed, workers, outdir):
-    _validate(cfg, {"baumann": ("epsilons", "mass", "h1_center", "h2_center",
-                                "f_center", "g_center", "n_samples")})
+def _cmd_baumann(cfg, p, chi, spec, args):
     b = cfg["baumann"]
     width = b.get("width", 0.4)
     radius = b.get("radius", 0.8)
-    h1 = make_spacelike_test(b["h1_center"], width, radius)
-    h2 = make_spacelike_test(b["h2_center"], width, radius)
-    f = make_test(b["f_center"], width, radius)
-    g = make_test(b["g_center"], width, radius)
-    masses = MassAssignment.fixed([b["mass"]] * 4)
-    ispec = IntegratorSpec(n_samples=b["n_samples"],
-                           n_strata=b.get("n_strata", 8), seed=seed)
+    with _named("[baumann]"):
+        h1 = make_spacelike_test(b["h1_center"], width, radius)
+        h2 = make_spacelike_test(b["h2_center"], width, radius)
+        f = make_test(b["f_center"], width, radius)
+        g = make_test(b["g_center"], width, radius)
+        masses = MassAssignment.fixed([b["mass"]] * 4)
+        ispec = IntegratorSpec(n_samples=b["n_samples"],
+                               n_strata=b.get("n_strata", 8), seed=args.seed)
+        for eps in b["epsilons"]:  # every shell scale, before any pairing runs
+            ShellRegularization(eps)
     report = baumann_check(masses, h1, h2, f, g, b["epsilons"], ispec)
-    _write_report(os.path.join(outdir, "baumann.json"),
-                  "baumann", cfg, seed, report.to_dict())
-    return 0 if report.verdict == "PASS" else 3
+    return report.to_dict(), 0 if report.verdict == "PASS" else 3
 
 
-def _cmd_spectral(cfg, seed, workers, outdir):
-    _validate(cfg, {"model": ("m0",)})
-    m0 = cfg["model"]["m0"]
+def _cmd_spectral(cfg, p, chi, spec, args):
     sec = cfg.get("spectral", {})
     q2_grid = sec.get("q2_grid", (0.0, 1.0, 10.0))
     alphas = sec.get("alphas", (0.3, 0.5, 0.75))
     rows = []
     worst = 0.0
     for alpha in alphas:
-        p = ModelParams(alpha, m0)
-        sd = SpectralDensity(alpha, m0, ANALYTIC)
-        sd_paper = SpectralDensity(alpha, m0, PAPER)
+        model = ModelParams(alpha, p.m0)
+        sd = SpectralDensity(alpha, p.m0, ANALYTIC)
+        sd_paper = SpectralDensity(alpha, p.m0, PAPER)
         for q2 in q2_grid:
-            exact = green_momentum_sq(p, q2)
+            exact = green_momentum_sq(model, q2)
             val = kl_momentum(sd, q2)
             rel = abs(val - exact) / abs(exact)
             worst = max(worst, rel)
@@ -471,38 +464,36 @@ def _cmd_spectral(cfg, seed, workers, outdir):
                 "closed_form": exact, "quadrature": val, "rel_error": rel,
                 "paper_normalization_ratio": kl_momentum(sd_paper, q2) / val,
             })
-    _write_report(os.path.join(outdir, "spectral.json"),
-                  "spectral", cfg, seed,
-                  {"identity": rows, "worst_rel_error": worst})
-    return 0
+    return {"identity": rows, "worst_rel_error": worst}, 0
 
 
-def _cmd_verify_witness(cfg, seed, workers, outdir, witness_path):
-    if not witness_path:
+def _cmd_verify_witness(cfg, p, chi, spec, args):
+    if not args.witness:
         raise ConfigurationError("verify-witness requires --witness PATH")
-    _validate(cfg, {"run": ("n_samples",)})
-    with open(witness_path) as fh:
+    with open(args.witness) as fh:
         try:
             record = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"witness: invalid JSON ({exc})") from exc
-    verdict = verify_witness(record, seed, n_samples=cfg["run"]["n_samples"],
-                             workers=workers)
-    _write_report(os.path.join(outdir, "verify_witness.json"),
-                  "verify-witness", cfg, seed,
-                  {"witness": record, "verdict": verdict})
-    return 0 if verdict["status"] == "CONFIRMED" else 3
+    verdict = verify_witness(record, args.seed, n_samples=cfg["run"]["n_samples"],
+                             workers=args.workers)
+    return ({"witness": record, "verdict": verdict},
+            0 if verdict["status"] == "CONFIRMED" else 3)
 
 
+_MODEL = ("model", "noise", "lattice")
+# command -> (runner, sections it reads, JSON report or None)
 _COMMANDS = {
-    "noise-check": _cmd_noise_check,
-    "sample": _cmd_sample,
-    "cumulants": _cmd_cumulants,
-    "schwinger": _cmd_schwinger,
-    "rp-check": _cmd_rp_check,
-    "rp-scan": _cmd_rp_scan,
-    "baumann": _cmd_baumann,
-    "spectral": _cmd_spectral,
+    "noise-check": (_cmd_noise_check, ("noise", "lattice", "run", "noise_check"),
+                    "noise_check.json"),
+    "sample": (_cmd_sample, _MODEL + ("run",), None),
+    "cumulants": (_cmd_cumulants, _MODEL + ("run", "points"), "cumulants.json"),
+    "schwinger": (_cmd_schwinger, _MODEL + ("points",), "schwinger.json"),
+    "rp-check": (_cmd_rp_check, _MODEL + ("basis",), "rp_check.json"),
+    "rp-scan": (_cmd_rp_scan, _MODEL + ("basis", "scan", "run"), "rp_scan_witnesses.json"),
+    "baumann": (_cmd_baumann, ("baumann",), "baumann.json"),
+    "spectral": (_cmd_spectral, ("model",), "spectral.json"),
+    "verify-witness": (_cmd_verify_witness, ("run",), "verify_witness.json"),
 }
 
 
@@ -510,7 +501,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="levylab",
         description="Euclidean random fields from generalized Levy white noise")
-    parser.add_argument("command", choices=sorted(_COMMANDS) + ["verify-witness"])
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI config path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -522,20 +513,22 @@ def main(argv=None) -> int:
                         help="witness archive entry (verify-witness only)")
     args = parser.parse_args(argv)
 
-    outdir = args.out or os.environ.get("LFL_OUT") or os.getcwd()
+    args.out = args.out or os.environ.get("LFL_OUT") or os.getcwd()
     try:
-        if not os.path.isdir(outdir):
-            os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         run = cfg.get("run", {})
-        seed = args.seed if args.seed is not None else run.get("seed", 0)
-        if seed < 0:
+        args.seed = args.seed if args.seed is not None else run.get("seed", 0)
+        if args.seed < 0:
             raise ConfigurationError("run.seed: must be >= 0")
-        workers = args.workers if args.workers is not None else run.get("workers", 1)
-        if args.command == "verify-witness":
-            return _cmd_verify_witness(cfg, seed, workers, outdir, args.witness)
-        return _COMMANDS[args.command](cfg, seed, workers, outdir)
+        args.workers = args.workers if args.workers is not None else run.get("workers", 1)
+        runner, sections, report = _COMMANDS[args.command]
+        results, code = runner(cfg, *_validate(cfg, sections), args)
+        if report:
+            _write_report(os.path.join(args.out, report), args.command, cfg,
+                          args.seed, results)
+        return code
     except (ConfigurationError, RangeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -234,7 +234,9 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
                               order: int) -> CumulantEstimate:
     """Translation-averaged cumulant with delete-block jackknife stderr.
 
-    block_sums: shape (B, n_subsets, V) of per-block subset sums.
+    block_sums: shape (B, n_subsets, V) of per-block subset sums.  The value is
+    the plug-in estimate, biased by O(1/N): z = -3.2, -3.5, -3.0, -1.6 against
+    an analytic 0 at 200 samples on 16^3 (seeds 7-10), so N must be large.
     """
     block_sums = np.asarray(block_sums, dtype=float)
     keys = _subset_keys(order)

@@ -22,6 +22,7 @@ from scipy.special import factorial
 from .errors import ConfigurationError, ContractViolation, RangeError
 
 MAX_CUMULANT_ORDER = 8
+MAX_SITES = 2**24  # a 256^3 lattice: 128 MiB per float64 field
 
 _ATOMS = "atoms"
 _UNIFORM = "uniform"
@@ -179,6 +180,9 @@ class LatticeSpec:
             raise ConfigurationError(f"dimension d must be in [1, 64), got {self.d}")
         if self.L < 1:
             raise ConfigurationError("sites per axis L must be >= 1")
+        if int(self.L) ** int(self.d) > MAX_SITES:
+            raise ConfigurationError(
+                f"L**d = {self.L}**{self.d} sites exceed the cap MAX_SITES = {MAX_SITES}")
         if not 0.0 < self.a < np.inf:
             raise ConfigurationError("lattice spacing a must be finite and > 0")
 

@@ -58,10 +58,10 @@ class MomentumTestFunction:
 
     def __post_init__(self):
         c = tuple(float(x) for x in self.center)
-        if len(c) != _DIM:
-            raise ConfigurationError(f"momentum center must have {_DIM} components")
-        if self.width <= 0.0 or self.radius <= 0.0:
-            raise ConfigurationError("width and support radius must be > 0")
+        if len(c) != _DIM or not np.all(np.isfinite(c)):
+            raise ConfigurationError(f"momentum center must have {_DIM} finite components")
+        if not (0.0 < self.width < np.inf and 0.0 < self.radius < np.inf):  # NaN fails too
+            raise ConfigurationError("width and support radius must be finite and > 0")
         if self.classification not in (SPACELIKE, TIMELIKE, GENERIC):
             raise ConfigurationError(f"unknown classification {self.classification!r}")
         if self.classification == SPACELIKE and not _spacelike_ball(c, self.radius):
@@ -105,8 +105,8 @@ class ShellRegularization:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ConfigurationError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigurationError("epsilon must be finite and > 0")
 
     def delta(self, q: np.ndarray) -> np.ndarray:
         e = self.epsilon
@@ -132,16 +132,16 @@ class MassAssignment:
         for leg in legs:
             if not leg:
                 raise ConfigurationError("every leg needs at least one mass node")
-            if any(m2 <= 0.0 for m2, _ in leg):
-                raise ConfigurationError("mass nodes must have m^2 > 0")
-            if any(w <= 0.0 for _, w in leg):
-                raise ConfigurationError("mass node weights must be > 0")
+            if not all(0.0 < m2 < np.inf for m2, _ in leg):
+                raise ConfigurationError("mass nodes must have finite m^2 > 0")
+            if not all(0.0 < w < np.inf for _, w in leg):
+                raise ConfigurationError("mass node weights must be finite and > 0")
         object.__setattr__(self, "legs", legs)
 
     @classmethod
     def fixed(cls, masses) -> "MassAssignment":
-        if any(float(m) <= 0.0 for m in masses):
-            raise ConfigurationError("fixed masses must be > 0")
+        if not all(0.0 < float(m) < np.inf for m in masses):
+            raise ConfigurationError("fixed masses must be finite and > 0")
         return cls(tuple(((float(m) ** 2, 1.0),) for m in masses))
 
     @classmethod

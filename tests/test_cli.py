@@ -429,3 +429,107 @@ def test_ini_config_fuzz(ini_dir, mutations):
                               for sec, body in cfg.items()))
     for command in ("schwinger", "cumulants", "noise-check"):
         assert run_cli(command, str(path), ini_dir) in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# every command: a bad value exits 1 naming its field, before any computation
+
+FUZZ_ALL = {**FUZZ_INI,  # every command's sections: 4^3 sites, 300 Wightman points
+            "basis": {"points": "1,0,0; 1,1,0", "degree": "2"},
+            "scan": {"alphas": "0.5", "lambdas": "0.5, 2.0"},
+            "baumann": {"epsilons": "0.5, 0.05, 0.005", "mass": "1.0",
+                        "h1_center": "0.0, 3.0, 0.0", "h2_center": "0.0, -3.0, 0.0",
+                        "f_center": "1.0, 0.0, 0.0", "g_center": "-1.0, 0.0, 0.0",
+                        "width": "0.4", "radius": "0.8", "n_samples": "300",
+                        "n_strata": "2"}}
+_READS = {  # the sections each command reads
+    "schwinger": {"model", "noise", "lattice", "points"},
+    "cumulants": {"model", "noise", "lattice", "run", "points"},
+    "noise-check": {"noise", "lattice", "run", "noise_check"},
+    "sample": {"model", "noise", "lattice", "run"},
+    "rp-check": {"model", "noise", "lattice", "basis"},
+    "rp-scan": {"model", "noise", "lattice", "run", "basis", "scan"},
+    "baumann": {"baumann"},
+}
+BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
+    "mass_nan": ("baumann", "baumann", "mass", "nan", "[baumann]"),
+    "epsilon_nan": ("baumann", "baumann", "epsilons", "0.5, nan, 0.005", "[baumann]"),
+    "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
+    "alpha_1.5": ("rp-scan", "scan", "alphas", "1.5", "scan.alphas"),
+    "lambda_nan": ("rp-scan", "scan", "lambdas", "nan", "scan.lambdas"),
+    "alphas_empty": ("rp-scan", "scan", "alphas", "", "scan.alphas: empty"),
+    "degree_7": ("rp-check", "basis", "degree", "7", "basis.degree: must be 1 or 2"),
+    "degree_-2": ("rp-scan", "basis", "degree", "-2", "basis.degree: must be 1 or 2"),
+    "seven_points": ("cumulants", "points", "seven",
+                     "0,0,0; 1,0,0; 2,0,0; 3,0,0; 0,1,0; 0,2,0; 0,3,0",
+                     "points.seven: order 7 outside [1, 6]"),
+    "d_30": ("noise-check", "lattice", "d", "30", "L**d = 4**30"),
+}
+# invalid whatever else the config holds (d = 30 is valid with L = 1)
+_ALWAYS_BAD = {(sec, key, value) for _, sec, key, value, _ in BAD_INPUTS.values()
+               if key != "d"}
+
+
+def write_ini(path, cfg):
+    path.write_text("\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                              for sec, body in cfg.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_value_exit_1_names_field(ini_dir, capsys, case):
+    command, sec, key, value, field = BAD_INPUTS[case]
+    cfg = copy.deepcopy(FUZZ_ALL)
+    cfg[sec][key] = value
+    assert run_cli(command, write_ini(ini_dir / "bad.ini", cfg), ini_dir) == 1
+    assert field in capsys.readouterr().err
+
+
+def _must_reject(cfg, command) -> bool:
+    """True if the command reads a value that is invalid whatever else the config holds."""
+    return any((sec, key, value) in _ALWAYS_BAD
+               or (value in ("nan", "inf", "-inf") and key != "jump_params")
+               for sec in _READS[command] & cfg.keys() for key, value in cfg[sec].items())
+
+
+_NEW_KEYS = [(sec, key) for sec in ("basis", "scan", "baumann") for key in FUZZ_ALL[sec]]
+_ALL_MUTATION = st.one_of(
+    _INI_MUTATION,
+    st.tuples(st.just("drop"), st.sampled_from(_NEW_KEYS), st.none()),
+    st.tuples(st.just("set"), st.sampled_from(_NEW_KEYS),
+              st.sampled_from(["x", "", "1.5", "1", "0", "-1", "nan", "inf", "-inf", "1, 2"])),
+    st.sampled_from([("set", (sec, key), value)
+                     for _, sec, key, value, _ in BAD_INPUTS.values()]),
+)
+
+
+@example(mutations=[("set", ("baumann", "mass"), "nan")])
+@example(mutations=[("set", ("baumann", "epsilons"), "0.5, nan, 0.005")])
+@example(mutations=[("set", ("baumann", "width"), "nan")])
+@example(mutations=[("set", ("scan", "alphas"), "1.5")])
+@example(mutations=[("set", ("scan", "lambdas"), "nan")])
+@example(mutations=[("set", ("scan", "alphas"), "")])
+@example(mutations=[("set", ("basis", "degree"), "7")])
+@example(mutations=[("set", ("basis", "degree"), "-2")])
+@example(mutations=[("set", ("points", "seven"), BAD_INPUTS["seven_points"][3])])
+@example(mutations=[("set", ("lattice", "d"), "30")])
+@settings(max_examples=60)
+@given(mutations=st.lists(_ALL_MUTATION, min_size=1, max_size=3))
+def test_ini_config_fuzz_every_command(ini_dir, mutations):
+    cfg = copy.deepcopy(FUZZ_ALL)
+    for op, (sec, key), value in mutations:
+        if op == "drop":
+            cfg[sec].pop(key, None)
+        else:
+            cfg[sec][key] = value
+    path = write_ini(ini_dir / "fuzz_all.ini", cfg)
+    for command in _READS:
+        code = run_cli(command, path, ini_dir)
+        assert code == 1 if _must_reject(cfg, command) else code in (0, 1, 2, 3), command
+
+
+def test_verify_witness_site_cap_exit_1(witness_dir, capsys):
+    record = copy.deepcopy(WITNESS)
+    _mutate(record, "set", ("params", "lattice", "d"), 30)
+    assert run_witness(record, witness_dir) == 1
+    assert "exceed the cap MAX_SITES" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      LevyCharacteristic, ModelParams, RangeError, SpectralDensity,
                      characteristic_functional, noise_cumulant, psi, sample_noise,
                      substream)
-from levylab.noise import MAX_CUMULANT_ORDER
+from levylab.noise import MAX_CUMULANT_ORDER, MAX_SITES
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,16 @@ def test_atom_thinning_characteristic_functional(amp):
     assert abs(exact) > 0.05
     assert abs(z.real.mean() - exact.real) <= 3.0 * z.real.std(ddof=1) / np.sqrt(n_draws)
     assert abs(z.imag.mean() - exact.imag) <= 3.0 * z.imag.std(ddof=1) / np.sqrt(n_draws)
+
+
+def test_lattice_site_cap():
+    assert LatticeSpec(3, 256, 0.5).n_sites == MAX_SITES  # the cap is inclusive
+    with pytest.raises(ConfigurationError, match=r"L\*\*d = 257\*\*3 .* MAX_SITES"):
+        LatticeSpec(3, 257, 0.5)
+    with pytest.raises(ConfigurationError, match=r"L\*\*d = 4\*\*30"):
+        LatticeSpec(30, 4, 0.5)
+    with pytest.raises(ConfigurationError, match="MAX_SITES"):
+        LatticeSpec(np.int64(2), np.int64(2**40), 0.5)  # no int64 overflow
 
 
 def test_lattice_spec_validation():

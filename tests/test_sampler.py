@@ -2,11 +2,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from levylab import (ConfigurationError, LatticeField, LatticeSpec,
+from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      LevyCharacteristic, ModelParams, SingularityError,
                      apply_forward_symbol, green_real_fft, read_ensemble,
                      sample_ensemble, sample_point_values, solve_spde,
@@ -243,3 +243,57 @@ def test_lflb_rejects_bad_version(tmp_path, model_half, small_spec, gaussian_chi
     path.write_bytes(bytes(data))
     with pytest.raises(ConfigurationError):
         read_ensemble(path)
+
+
+def test_lflb_site_cap(tmp_path, model_half, small_spec, gaussian_chi):
+    good = tmp_path / "good.lflb"
+    write_ensemble(good, sample_ensemble(model_half, gaussian_chi, small_spec, 1, 0))
+    data = good.read_bytes()
+    path = tmp_path / "big.lflb"
+    path.write_bytes(data[:8] + struct.pack("<II", 30, 4) + data[16:])
+    with pytest.raises(ConfigurationError, match=r"L\*\*d = 4\*\*30 .* MAX_SITES"):
+        read_ensemble(path)
+
+
+# LFLB v2 header slots of an atoms file with two atoms, in file order
+_LFLB_SLOTS = ["<I"] * 3 + ["<d"] * 6 + ["<I"] * 2 + ["<d"] * 4 + ["<I", "<Q", "<Q"]
+_LFLB_OFFSETS = [4 + sum(struct.calcsize(f) for f in _LFLB_SLOTS[:i])
+                 for i in range(len(_LFLB_SLOTS))]
+_SLOT_VALUES = {"<I": st.integers(0, 2**32 - 1), "<Q": st.integers(0, 2**64 - 1),
+                "<d": st.floats(allow_nan=True, allow_infinity=True)}
+_LFLB_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 200), st.none()),
+    *[st.tuples(st.just("set"), st.sampled_from([i for i, f in enumerate(_LFLB_SLOTS)
+                                                 if f == fmt]), values)
+      for fmt, values in _SLOT_VALUES.items()],
+)
+
+
+@pytest.fixture(scope="module")
+def lflb_file(tmp_path_factory):
+    chi = LevyCharacteristic(b=0.1, sigma2=0.5, lam=1.0,
+                             jump_law=JumpLaw.atoms([(1.0, 0.5), (-2.0, 0.5)]))
+    path = tmp_path_factory.mktemp("lflb") / "e.lflb"
+    write_ensemble(path, sample_ensemble(ModelParams(0.5, 1.0, "discrete"), chi,
+                                         LatticeSpec(2, 4, 0.5), 3, 9))
+    return path
+
+
+@example(mutations=[("set", 1, 30), ("set", 2, 4)])  # d = 30, L = 4
+@example(mutations=[("set", 10, 2**32 - 1)])  # jump parameter count
+@settings(max_examples=200)
+@given(mutations=st.lists(_LFLB_MUTATION, min_size=1, max_size=3))
+def test_lflb_header_fuzz(lflb_file, mutations):
+    """A mutated or truncated header is read back or rejected, never a crash."""
+    data = bytearray(lflb_file.read_bytes())
+    for op, where, value in mutations:
+        if op == "truncate":
+            del data[where:]
+        elif _LFLB_OFFSETS[where] + struct.calcsize(_LFLB_SLOTS[where]) <= len(data):
+            struct.pack_into(_LFLB_SLOTS[where], data, _LFLB_OFFSETS[where], value)
+    path = lflb_file.with_name("fuzz.lflb")
+    path.write_bytes(bytes(data))
+    try:
+        read_ensemble(path)
+    except ConfigurationError:
+        pass

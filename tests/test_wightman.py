@@ -71,6 +71,26 @@ def test_regularization_validation():
         IntegratorSpec(n_samples=3, n_strata=4)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ShellRegularization(NAN), "epsilon"),
+    (lambda: ShellRegularization(INF), "epsilon"),
+    (lambda: MassAssignment.fixed([1.0, NAN, 1.0, 1.0]), "fixed masses"),
+    (lambda: MassAssignment.fixed([INF] * 4), "fixed masses"),
+    (lambda: MassAssignment((((NAN, 1.0),),)), "m\\^2"),
+    (lambda: MassAssignment((((1.0, NAN),),)), "weights"),
+    (lambda: make_test((1.0, 0.0, 0.0), NAN, 0.8), "width"),
+    (lambda: make_test((1.0, 0.0, 0.0), 0.4, INF), "radius"),
+    (lambda: make_test((NAN, 0.0, 0.0), 0.4, 0.8), "finite components"),
+], ids=["epsilon_nan", "epsilon_inf", "mass_nan", "mass_inf", "node_m2_nan",
+        "node_weight_nan", "width_nan", "radius_inf", "center_nan"])
+def test_non_finite_wightman_inputs_rejected(build, field):
+    with pytest.raises(ConfigurationError, match=field):
+        build()
+
+
 def test_mass_superposition_nodes():
     ma = MassAssignment.superposed(0.5, 1.0, n_nodes=8)
     assert ma.n_legs == 4
