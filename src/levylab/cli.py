@@ -2,9 +2,9 @@
 
 One artifact format per artifact class: INI for configs, JSON for reports,
 CSV for scan tables, the LFLB binary for ensembles.  Every report embeds the
-canonical config (minus the worker count, which never affects results) and
-the effective seed, so artifacts are self-describing and byte-identical
-across reruns and worker counts.
+parsed config as a JSON snapshot (minus the worker count, which never affects
+results) and the effective seed, so artifacts are self-describing and
+byte-identical across reruns and worker counts.
 
 Every command runs one pipeline: parse the config, check it and build the
 model, noise and lattice once (_validate), run the command's runner, write
@@ -83,10 +83,7 @@ _SCHEMA = {
     ("spectral", "alphas"): "floats",
 }
 
-_SECTION_ORDER = []
-for _sec, _ in _SCHEMA:
-    if _sec not in _SECTION_ORDER:
-        _SECTION_ORDER.append(_sec)
+_SECTIONS = {sec for sec, _ in _SCHEMA}
 
 
 def _parse_value(tag: str, raw: str):
@@ -113,22 +110,6 @@ def _parse_value(tag: str, raw: str):
     raise ValueError(f"unknown schema tag {tag}")
 
 
-def _format_value(tag: str, value) -> str:
-    if tag == "float":
-        return repr(float(value))
-    if tag == "int":
-        return str(int(value))
-    if tag == "bool":
-        return "true" if value else "false"
-    if tag == "str":
-        return str(value)
-    if tag == "floats":
-        return ", ".join(repr(float(v)) for v in value)
-    if tag == "points":
-        return "; ".join(",".join(str(int(c)) for c in p) for p in value)
-    raise ValueError(f"unknown schema tag {tag}")
-
-
 def parse_config(text: str) -> dict:
     """Parse an INI config into {section: {key: typed value}}.
 
@@ -144,7 +125,7 @@ def parse_config(text: str) -> dict:
     out: dict = {}
     problems = []
     for sec in cp.sections():
-        if sec not in _SECTION_ORDER:
+        if sec not in _SECTIONS:
             problems.append(f"[{sec}]: unknown section")
             continue
         out[sec] = {}
@@ -160,20 +141,6 @@ def parse_config(text: str) -> dict:
     if problems:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
     return out
-
-
-def serialize_config(cfg: dict) -> str:
-    """Canonical INI serialization; parse(serialize(cfg)) == cfg."""
-    lines = []
-    for sec in _SECTION_ORDER:
-        if sec not in cfg:
-            continue
-        lines.append(f"[{sec}]")
-        for key in sorted(cfg[sec]):
-            tag = _SCHEMA.get((sec, key)) or _SCHEMA[(sec, "*")]
-            lines.append(f"{key} = {_format_value(tag, cfg[sec][key])}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def build_model(cfg: dict) -> ModelParams:
@@ -271,8 +238,6 @@ def _jsonify(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -448,10 +413,16 @@ def _cmd_spectral(cfg, p, chi, spec, args):
     sec = cfg.get("spectral", {})
     q2_grid = sec.get("q2_grid", (0.0, 1.0, 10.0))
     alphas = sec.get("alphas", (0.3, 0.5, 0.75))
+    # every grid value, before any quadrature runs
+    with _named("spectral.alphas"):
+        models = [ModelParams(alpha, p.m0) for alpha in alphas]
+    for q2 in q2_grid:
+        if not 0.0 <= q2 < np.inf:  # NaN fails too
+            raise ConfigurationError(f"spectral.q2_grid: must be finite and >= 0, got {q2}")
     rows = []
     worst = 0.0
-    for alpha in alphas:
-        model = ModelParams(alpha, p.m0)
+    for model in models:
+        alpha = model.alpha
         sd = SpectralDensity(alpha, p.m0, ANALYTIC)
         sd_paper = SpectralDensity(alpha, p.m0, PAPER)
         for q2 in q2_grid:

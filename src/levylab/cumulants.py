@@ -13,16 +13,18 @@ first use from the Green rows the point sampler also uses, so every noise law
 on the same points (an rp-scan over lambda, a witness re-check) shares it.
 Full moments are the set-partition sum of products of c_|B| * K(B) over that
 table.  Empirical joint cumulants are estimated from ensembles by the
-set-partition Moebius formula over sample moments.  Every standard error comes
-from one delete-block jackknife (_jackknife); the leave-one-out jackknife is
-the same with blocks of one sample.
+set-partition Moebius formula over sample moments; translation-averaged ones
+from subset sums, made by one kernel (_subset_rows) on stored fields or inside
+the sampler's workers (sample_subset_sums).  Every standard error comes from
+one delete-block jackknife (_jackknife); the leave-one-out jackknife is the
+same with blocks of one sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -31,11 +33,13 @@ from .errors import ConfigurationError, RangeError
 # green_real_fft stays a module attribute: bench/tracer patches it by name
 from .greens import ModelParams, green_real_fft  # noqa: F401
 from .noise import LatticeSpec, LevyCharacteristic, _check_points, noise_cumulant
+from . import sampler
 from .sampler import Ensemble, _green_rows
 
 MAX_ANALYTIC_ORDER = 6
 MAX_EMPIRICAL_ORDER = 4
 TWO_POINT_BLOCKS = 50
+SUM_BLOCK = 250  # samples per block of sample_subset_sums
 
 
 @dataclass(frozen=True)
@@ -195,15 +199,32 @@ def _subset_keys(n: int):
             for idx in combinations(range(n), size)]
 
 
-def _subset_products(cols) -> list:
-    """Product of cols[j] over j in S for every subset S, in _subset_keys order;
-    each is its parent's product (S minus its largest index) times cols[max S]."""
-    prods = {}
-    for key in _subset_keys(len(cols)):
-        top = max(key)
-        parent = key - {top}
-        prods[key] = prods[parent] * cols[top] if parent else cols[top]
-    return list(prods.values())
+@lru_cache(maxsize=32)
+def _product_steps(configs: tuple) -> tuple:
+    """Plan of the subset products of point configurations.  Each product is
+    its parent's (S minus its largest index) times the column of the point at
+    max S, a step (parent row or -1, point); equal steps make one row.
+    Returns (the distinct steps in row order, per configuration the row of
+    every subset in _subset_keys order)."""
+    steps, rows = {}, []
+    for pts in configs:
+        if not pts:
+            raise RangeError("a point configuration needs at least one point")
+        row = {}
+        for key in _subset_keys(len(pts)):
+            top = max(key)
+            row[key] = steps.setdefault((row.get(key - {top}, -1), pts[top]), len(steps))
+        rows.append(tuple(row.values()))
+    return tuple(steps), tuple(rows)
+
+
+def _subset_products(cols, steps) -> np.ndarray:
+    """The rows of a _product_steps plan, with cols[point] the point's column."""
+    out = np.empty((len(steps) + 1,) + cols[steps[0][1]].shape)
+    out[-1] = 1.0  # the parent of the singletons
+    for k, (parent, q) in enumerate(steps):
+        np.multiply(out[parent], cols[q], out=out[k])
+    return out[:-1]
 
 
 def _jackknife(block_sums, counts, estimate):
@@ -255,8 +276,8 @@ def joint_cumulant_jackknife(values: np.ndarray) -> tuple[float, float]:
     leave-one-out jackknife standard error."""
     x = np.asarray(values, dtype=float)
     # (n_subsets, N) in memory, so sums over samples stay pairwise
-    prods = np.stack(_subset_products(list(x.T))).T[:, :, None]
-    est = cumulant_from_subset_sums(prods, np.ones(len(x)), x.shape[1])
+    prods = _subset_products(x.T, _product_steps((tuple(range(x.shape[1])),))[0])
+    est = cumulant_from_subset_sums(prods.T[:, :, None], np.ones(len(x)), x.shape[1])
     return est.value, est.stderr
 
 
@@ -274,21 +295,47 @@ def empirical_cumulant(e: Ensemble, pts) -> CumulantEstimate:
     return CumulantEstimate(value, stderr, e.n_samples, n)
 
 
+def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray) -> np.ndarray:
+    """The subset-sum kernel: the rows of a _product_steps plan over the
+    lattice translations tau of one field, point x standing for phi(tau + x).
+    Each distinct point is rolled once."""
+    axes = tuple(range(spec.d))
+    rolled = {q: np.roll(field, shift=tuple(-c for c in q), axis=axes).ravel()
+              for q in {q for _, q in steps}}
+    return _subset_products(rolled, steps)
+
+
+def _solved_subset_rows(p: ModelParams, spec: LatticeSpec, steps, eta) -> np.ndarray:
+    return _subset_rows(spec, steps, sampler.solve_spde(p, eta).values)
+
+
 def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.ndarray:
     """Sum over samples of prod_{j in S} phi(tau + x_j), for every subset S.
 
     Returns shape (n_subsets, V); tau runs over all lattice translations.
     Used by the translation-averaged cumulant estimator.
     """
-    pts = _check_points(spec, pts)
-    axes = tuple(range(spec.d))
-    sums = np.zeros((2 ** len(pts) - 1, spec.n_sites))
+    steps, (rows,) = _product_steps((tuple(_check_points(spec, pts)),))
+    sums = np.zeros((len(steps), spec.n_sites))
     for f in fields:
-        rolled = {p: np.roll(f, shift=tuple(-c for c in p), axis=axes).ravel()
-                  for p in set(pts)}
-        for total, prod in zip(sums, _subset_products([rolled[p] for p in pts])):
-            total += prod
-    return sums
+        sums += _subset_rows(spec, steps, f)
+    return sums[list(rows)]
+
+
+def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
+                       configs, n_samples: int, master_seed: int,
+                       workers: int = 1) -> list:
+    """accumulate_subset_sums of each configuration, one (n_subsets, V) array
+    each, over the fields sample_ensemble would draw; no field leaves its
+    worker.  Blocks of SUM_BLOCK samples merged in block order make the sums
+    bit-identical for any worker count and equal to the stored-field ones to
+    rounding."""
+    steps, rows = _product_steps(tuple(tuple(_check_points(spec, pts)) for pts in configs))
+    blocks = sampler._sample_blocks(chi, spec, n_samples, master_seed,
+                                    partial(_solved_subset_rows, p, spec, steps),
+                                    (len(steps), spec.n_sites), SUM_BLOCK, workers)
+    total = blocks.sum(axis=0)
+    return [total[list(r)] for r in rows]
 
 
 def empirical_two_point(e: Ensemble):

@@ -165,7 +165,10 @@ def spectral_integral(sd: SpectralDensity, kernel, quad_spec: QuadratureSpec | N
     pwr = 1.0 / (1.0 - alpha)
 
     def integrand(u):
-        return kernel(m0sq + u**pwr)
+        try:
+            return kernel(m0sq + u**pwr)
+        except OverflowError:  # s past the float range (alpha near 1): the kernels vanish there
+            return 0.0
 
     val, err = quad(integrand, 0.0, np.inf, epsrel=qs.rel_tol, epsabs=qs.abs_tol,
                     limit=qs.limit)

@@ -137,13 +137,20 @@ def params_from_snapshot(snap: dict):
     return p, chi, spec, bool(snap.get("centered", True))
 
 
+def _reflected(basis: MonomialBasis):
+    """(theta monomials, sorted distinct points of the basis and its
+    reflection, point -> index into them)."""
+    mons = basis.monomials
+    theta = tuple(tuple(basis.reflect(pt) for pt in mon) for mon in mons)
+    points = tuple(sorted({pt for mon in mons + theta for pt in mon}))
+    return theta, points, {pt: i for i, pt in enumerate(points)}
+
+
 def build_reflection_gram(p: ModelParams, chi: LevyCharacteristic,
                           basis: MonomialBasis, centered: bool = True) -> np.ndarray:
     """Gram matrix of reflected-times-unreflected monomial moments."""
     mons = basis.monomials
-    theta = tuple(tuple(basis.reflect(pt) for pt in mon) for mon in mons)
-    points = tuple(sorted({pt for mon in mons + theta for pt in mon}))
-    index = {pt: i for i, pt in enumerate(points)}
+    theta, points, index = _reflected(basis)
     moment = schwinger_moments(p, chi, basis.spec, points, centered=centered)
     n = len(mons)
     m = np.empty((n, n))
@@ -219,9 +226,6 @@ def _monomial_values(values: np.ndarray, index_of, mons, shift: float):
     """Per-sample values of sum_a w_a prod_{pt in mon_a}(phi(pt) - shift)."""
     out = []
     for mon in mons:
-        if not mon:
-            out.append(np.ones(values.shape[0]))
-            continue
         prod = np.ones(values.shape[0])
         for pt in mon:
             prod = prod * (values[:, index_of[pt]] - shift)
@@ -236,9 +240,7 @@ def witness_quadratic_form_mc(p: ModelParams, chi: LevyCharacteristic,
     """Monte-Carlo estimate of w^T M w from a fresh ensemble."""
     w = np.asarray(coefficients, dtype=float)
     mons = basis.monomials
-    theta_mons = tuple(tuple(basis.reflect(pt) for pt in mon) for mon in mons)
-    needed = sorted({pt for mon in mons + theta_mons for pt in mon})
-    index_of = {pt: i for i, pt in enumerate(needed)}
+    theta_mons, needed, index_of = _reflected(basis)
     values = sample_point_values(p, chi, basis.spec, needed, n_samples, seed,
                                  workers=workers)
     shift = analytic_truncated_schwinger(p, chi, basis.spec,

@@ -6,8 +6,11 @@ periodic lattice and O(V log V).  The solve plan is the half-spectrum symbol
 that rfftn/irfftn work on, cached per (ModelParams, LatticeSpec), so the field
 is real by construction.  Point-only sampling skips the solve:
 phi(x) = a^d * sum_y G(x - y) eta_y is one product per sample with a cached
-matrix of Green rows.  Ensemble sample i always draws from the counter-based
-stream (master_seed, i), making results bit-identical for any worker count.
+matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
+draws from the counter-based stream (master_seed, i), one per-sample map turns
+the noise into a result (solved field, point values, or cumulants' subset
+rows) and the results are summed over fixed blocks of samples in sample
+order, so sums are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -111,66 +114,65 @@ def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
     return rows
 
 
+def _solved(p: ModelParams, eta: LatticeField) -> np.ndarray:
+    return solve_spde(p, eta).values
+
+
+def _point_values(p: ModelParams, spec: LatticeSpec, points: tuple, eta) -> np.ndarray:
+    # one matrix-vector product per sample: no BLAS blocking across samples
+    return spec.cell_volume * (_green_rows(p, spec, points) @ eta.values.ravel())
+
+
 def _sample_chunk(args):
-    p, chi, spec, master_seed, indices, points = args
-    if points is None:
-        out = np.empty((len(indices),) + spec.shape)
-        for j, i in enumerate(indices):
-            eta = sample_noise(chi, spec, substream(master_seed, i))
-            out[j] = solve_spde(p, eta).values
-    else:
-        # one matrix-vector product per sample: no BLAS blocking across
-        # samples, so a value never depends on how samples are chunked
-        rows = _green_rows(p, spec, points)
-        out = np.empty((len(indices), len(points)))
-        for j, i in enumerate(indices):
-            eta = sample_noise(chi, spec, substream(master_seed, i))
-            out[j] = spec.cell_volume * (rows @ eta.values.ravel())
+    """Sums from zero of fn(eta_i), in sample order, per block of `size` in lo..hi-1."""
+    chi, spec, master_seed, lo, hi, size, shape, fn = args
+    out = np.zeros((-(-(hi - lo) // size),) + shape)
+    for i in range(lo, hi):
+        out[(i - lo) // size] += fn(sample_noise(chi, spec, substream(master_seed, i)))
     return out
 
 
-def _run_chunks(p, chi, spec, n_samples, master_seed, points, workers):
-    indices = np.arange(n_samples)
+def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
+                   master_seed: int, fn, shape: tuple, size: int = 1,
+                   workers: int = 1) -> np.ndarray:
+    """Sums of fn(eta_i) (a module-level function, so it pickles) over blocks
+    of `size` samples, shape (n_blocks,) + shape; eta_i draws from
+    substream(master_seed, i).  Chunks are runs of whole blocks, so the sums
+    are bit-identical for any worker count; at most os.cpu_count() workers."""
+    if n_samples < 1:
+        raise ConfigurationError("n_samples must be >= 1")
     # a fork pool starts all its processes at once: never more than the cores
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        return _sample_chunk((p, chi, spec, master_seed, indices, points))
-    chunks = np.array_split(indices, 4 * workers)
-    chunks = [c for c in chunks if len(c)]
-    args = [(p, chi, spec, master_seed, c, points) for c in chunks]
+        return _sample_chunk((chi, spec, master_seed, 0, n_samples, size, shape, fn))
+    n_blocks = -(-n_samples // size)
+    chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
+    args = [(chi, spec, master_seed, int(c[0]) * size, min(n_samples, int(c[-1] + 1) * size),
+             size, shape, fn) for c in chunks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(_sample_chunk, args))
-    return np.concatenate(parts, axis=0)
+        return np.concatenate(list(ex.map(_sample_chunk, args)), axis=0)
 
 
 def sample_ensemble(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                     n_samples: int, master_seed: int, workers: int = 1) -> Ensemble:
-    """Generate an ensemble; bit-identical for any worker count.
-
-    At most os.cpu_count() worker processes are started, whatever is asked.
-    """
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
-    fields = _run_chunks(p, chi, spec, n_samples, master_seed, None, workers)
+    """Generate an ensemble; bit-identical for any worker count, and never
+    more worker processes than os.cpu_count()."""
+    fields = _sample_blocks(chi, spec, n_samples, master_seed, partial(_solved, p),
+                            spec.shape, workers=workers)
     return Ensemble(p, chi, spec, master_seed, fields)
 
 
 def sample_point_values(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                         points, n_samples: int, master_seed: int,
                         workers: int = 1) -> np.ndarray:
-    """Stream an ensemble, keeping only phi at the given lattice points.
-
-    Returns shape (n_samples, n_points).  Memory stays O(n_samples * n_points)
-    instead of O(n_samples * V).  Each value is a^d * sum_y G(x - y) eta_y, a
-    product of the noise with cached Green rows, not a full solve; the
-    per-sample streams are the same as in sample_ensemble, so values agree
-    with a stored ensemble at equal seed to rounding (not bit for bit), and
-    they are bit-identical for any worker count.
-    """
-    if n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1")
+    """phi at the given lattice points of the ensemble sample_ensemble would
+    draw, shape (n_samples, n_points), as a^d * sum_y G(x - y) eta_y with
+    cached Green rows: no solve, equal to the stored fields to rounding, and
+    bit-identical for any worker count."""
     points = tuple(_check_points(spec, points))
-    return _run_chunks(p, chi, spec, n_samples, master_seed, points, workers)
+    return _sample_blocks(chi, spec, n_samples, master_seed,
+                          partial(_point_values, p, spec, points), (len(points),),
+                          workers=workers)
 
 
 def write_ensemble(path, e: Ensemble) -> None:

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ClassificationError, ConfigurationError
+from .greens import SpectralDensity
 from .streams import substream, substream_seed
 
 SPACELIKE = "spacelike"
@@ -146,20 +147,19 @@ class MassAssignment:
 
     @classmethod
     def superposed(cls, alpha: float, m0: float, n_nodes: int = 8) -> "MassAssignment":
-        """Gauss-Legendre nodes of the mass density on all 4 legs (analytic norm).
+        """Gauss-Legendre nodes of the mass density (greens.SpectralDensity,
+        analytic norm) on all 4 legs.
 
         The endpoint singularity is absorbed by u = (s - m0^2)^(1-alpha); the
         density integrated to s = m0^2 + 25.
         """
-        if not 0.0 < alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
+        const = SpectralDensity(alpha, m0).constant / (1.0 - alpha)
         if n_nodes < 1 or n_nodes > 8:
             raise ConfigurationError("superposed mode supports 1..8 nodes per leg")
         u_max = 25.0 ** (1.0 - alpha)
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         u = 0.5 * u_max * (x + 1.0)
         du = 0.5 * u_max * w
-        const = np.sin(np.pi * alpha) / np.pi / (1.0 - alpha)
         nodes = tuple((float(m0**2 + ui ** (1.0 / (1.0 - alpha))), float(const * dui))
                       for ui, dui in zip(u, du))
         return cls((nodes,) * 4)

@@ -18,7 +18,7 @@ from levylab import (IntegratorSpec, JumpLaw, LatticeField, LatticeSpec,
                      make_spacelike_test, make_test, moments_from_cumulants,
                      rp_scan, sample_ensemble, sample_noise, substream,
                      verify_witness, witness_record)
-from levylab.cumulants import (accumulate_subset_sums, cumulant_from_subset_sums)
+from levylab.cumulants import cumulant_from_subset_sums, sample_subset_sums
 from levylab.wightman import substream_seed
 
 DESK_SPEC = LatticeSpec(3, 16, 0.5)
@@ -99,16 +99,12 @@ def test_criterion_3_four_point_poisson():
         [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
     ]
     n_blocks, per_block = 20, 5_000  # 1e5 samples total
-    block_sums = {i: [] for i in range(len(configs))}
-    counts = []
-    for b in range(n_blocks):
-        e = sample_ensemble(ALPHA_HALF, POISSON, DESK_SPEC, per_block,
-                            substream_seed(301, b), workers=4)
-        for i, cfg in enumerate(configs):
-            block_sums[i].append(accumulate_subset_sums(e.fields, DESK_SPEC, cfg))
-        counts.append(per_block)
+    block_sums = [sample_subset_sums(ALPHA_HALF, POISSON, DESK_SPEC, configs, per_block,
+                                     substream_seed(301, b), workers=4)
+                  for b in range(n_blocks)]
+    counts = [per_block] * n_blocks
     for i, cfg in enumerate(configs):
-        est = cumulant_from_subset_sums(np.stack(block_sums[i]), counts, 4)
+        est = cumulant_from_subset_sums(np.stack([s[i] for s in block_sums]), counts, 4)
         an = analytic_truncated_schwinger(ALPHA_HALF, POISSON, DESK_SPEC, cfg)
         assert an > 0.0
         assert abs(est.value - an) / an <= 0.15

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levylab.cli import main, parse_config, serialize_config
+from levylab.cli import main, parse_config
 from levylab.errors import ConfigurationError
 
 BASE_CONFIG = """\
@@ -53,13 +53,6 @@ def run_cli(command, config_path, out, *extra):
 
 # ---------------------------------------------------------------------------
 # config handling
-
-
-def test_config_round_trip_fixed_point():
-    cfg = parse_config(BASE_CONFIG)
-    text = serialize_config(cfg)
-    assert parse_config(text) == cfg
-    assert serialize_config(parse_config(text)) == text
 
 
 def test_config_unknown_fields_listed():
@@ -140,6 +133,15 @@ def test_spectral_report(config_path, tmp_path):
     assert run_cli("spectral", config_path, tmp_path) == 0
     report = json.loads((tmp_path / "spectral.json").read_text())
     assert report["results"]["worst_rel_error"] < 1e-6
+
+
+def test_spectral_alpha_near_one(tmp_path, capsys):
+    # pwr = 1/(1 - alpha) = 1e6 overflowed u**pwr in the substituted integrand
+    path = tmp_path / "near_one.ini"
+    path.write_text("[model]\nalpha = 0.5\nm0 = 1.0\n\n[spectral]\nalphas = 0.999999\n")
+    assert run_cli("spectral", str(path), tmp_path) == 0
+    report = json.loads((tmp_path / "spectral.json").read_text())
+    assert report["results"]["worst_rel_error"] < 1e-4
 
 
 def test_seed_override(config_path, tmp_path):
@@ -441,7 +443,8 @@ FUZZ_ALL = {**FUZZ_INI,  # every command's sections: 4^3 sites, 300 Wightman poi
                         "h1_center": "0.0, 3.0, 0.0", "h2_center": "0.0, -3.0, 0.0",
                         "f_center": "1.0, 0.0, 0.0", "g_center": "-1.0, 0.0, 0.0",
                         "width": "0.4", "radius": "0.8", "n_samples": "300",
-                        "n_strata": "2"}}
+                        "n_strata": "2"},
+            "spectral": {"q2_grid": "0.0, 1.0", "alphas": "0.5"}}
 _READS = {  # the sections each command reads
     "schwinger": {"model", "noise", "lattice", "points"},
     "cumulants": {"model", "noise", "lattice", "run", "points"},
@@ -450,6 +453,7 @@ _READS = {  # the sections each command reads
     "rp-check": {"model", "noise", "lattice", "basis"},
     "rp-scan": {"model", "noise", "lattice", "run", "basis", "scan"},
     "baumann": {"baumann"},
+    "spectral": {"model", "spectral"},
 }
 BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "mass_nan": ("baumann", "baumann", "mass", "nan", "[baumann]"),
@@ -464,6 +468,9 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
                      "0,0,0; 1,0,0; 2,0,0; 3,0,0; 0,1,0; 0,2,0; 0,3,0",
                      "points.seven: order 7 outside [1, 6]"),
     "d_30": ("noise-check", "lattice", "d", "30", "L**d = 4**30"),
+    "q2_nan": ("spectral", "spectral", "q2_grid", "0.0, nan", "spectral.q2_grid"),
+    "q2_negative": ("spectral", "spectral", "q2_grid", "-5.0", "spectral.q2_grid"),
+    "spectral_alpha_1.5": ("spectral", "spectral", "alphas", "0.5, 1.5", "spectral.alphas"),
 }
 # invalid whatever else the config holds (d = 30 is valid with L = 1)
 _ALWAYS_BAD = {(sec, key, value) for _, sec, key, value, _ in BAD_INPUTS.values()
@@ -492,7 +499,8 @@ def _must_reject(cfg, command) -> bool:
                for sec in _READS[command] & cfg.keys() for key, value in cfg[sec].items())
 
 
-_NEW_KEYS = [(sec, key) for sec in ("basis", "scan", "baumann") for key in FUZZ_ALL[sec]]
+_NEW_KEYS = [(sec, key) for sec in ("basis", "scan", "baumann", "spectral")
+             for key in FUZZ_ALL[sec]]
 _ALL_MUTATION = st.one_of(
     _INI_MUTATION,
     st.tuples(st.just("drop"), st.sampled_from(_NEW_KEYS), st.none()),
@@ -513,6 +521,9 @@ _ALL_MUTATION = st.one_of(
 @example(mutations=[("set", ("basis", "degree"), "-2")])
 @example(mutations=[("set", ("points", "seven"), BAD_INPUTS["seven_points"][3])])
 @example(mutations=[("set", ("lattice", "d"), "30")])
+@example(mutations=[("set", ("spectral", "q2_grid"), "0.0, nan")])
+@example(mutations=[("set", ("spectral", "q2_grid"), "-5.0")])
+@example(mutations=[("set", ("spectral", "alphas"), "0.5, 1.5")])
 @settings(max_examples=60)
 @given(mutations=st.lists(_ALL_MUTATION, min_size=1, max_size=3))
 def test_ini_config_fuzz_every_command(ini_dir, mutations):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
-                     LevyCharacteristic, ModelParams, SingularityError,
+                     LevyCharacteristic, ModelParams, RangeError, SingularityError,
                      apply_forward_symbol, green_real_fft, read_ensemble,
                      sample_ensemble, sample_point_values, solve_spde,
                      write_ensemble)
 from levylab import sampler
+from levylab.cumulants import accumulate_subset_sums, sample_subset_sums
 from levylab.greens import green_momentum_sq, squared_momentum
 
 
@@ -90,33 +91,69 @@ def test_point_values_worker_count_independence(model_half, small_spec, poisson_
     assert np.array_equal(serial.view(np.uint64), parallel.view(np.uint64))
 
 
-@pytest.mark.parametrize("cpus, pools", [(3, [(3, 12)]), (None, [])])
-def test_worker_pool_capped_at_cpu_count(monkeypatch, model_half, small_spec, poisson_chi,
-                                         cpus, pools):
-    started = []
+class RecordingPool:  # records (max_workers, chunks) and runs them in-process
+    started = None
 
-    class RecordingPool:  # records (max_workers, chunks) and runs them in-process
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, args):
-            args = list(args)
-            started.append((self.max_workers, len(args)))
-            return map(fn, args)
+    def map(self, fn, args):
+        args = list(args)
+        self.started.append((self.max_workers, len(args)))
+        return map(fn, args)
 
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Returns set_cpus(n); the pools started are recorded in RecordingPool.started."""
+    monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(sampler, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    return lambda cpus: monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [(3, 12)]), (None, [])])
+def test_worker_pool_capped_at_cpu_count(recording_pool, model_half, small_spec, poisson_chi,
+                                         cpus, pools):
+    recording_pool(cpus)
     pts = [(0, 0, 0), (1, 2, 3)]
     many = sample_point_values(model_half, poisson_chi, small_spec, pts, 20, 7, workers=5000)
-    assert started == pools
+    assert RecordingPool.started == pools
     serial = sample_point_values(model_half, poisson_chi, small_spec, pts, 20, 7, workers=1)
     assert np.array_equal(many.view(np.uint64), serial.view(np.uint64))
+
+
+SUM_CONFIGS = [[(0, 0), (0, 0), (1, 0), (1, 0)], [(0, 0), (1, 0), (0, 1), (3, 3)], [(2, 1)]]
+
+
+def test_subset_sums_worker_count_independence(recording_pool, model_half, poisson_chi):
+    # 1100 samples are 5 blocks of SUM_BLOCK = 250 or fewer, so 5 chunks on 3 cores
+    recording_pool(3)
+    spec = LatticeSpec(2, 4, 0.5)
+    many = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7,
+                              workers=5000)
+    assert RecordingPool.started == [(3, 5)]
+    serial = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7)
+    for a, b in zip(many, serial):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
+    # equal products; only the grouping of the sums differs (blocks of 250)
+    spec = LatticeSpec(2, 4, 0.5)
+    e = sample_ensemble(model_half, poisson_chi, spec, 600, 11)
+    sums = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 600, 11)
+    for cfg, s in zip(SUM_CONFIGS, sums):
+        ref = accumulate_subset_sums(e.fields, spec, cfg)
+        assert s.shape == ref.shape == (2 ** len(cfg) - 1, spec.n_sites)
+        assert np.all(np.abs(s - ref) <= 1e-12 * np.abs(ref))
+    with pytest.raises(RangeError, match="at least one point"):
+        accumulate_subset_sums(e.fields, spec, [])
 
 
 def test_point_values_reject_non_integer_points(model_half, small_spec, gaussian_chi):

@@ -5,7 +5,7 @@ from scipy.special import ndtr, ndtri
 
 from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      MassAssignment, MomentumTestFunction, ShellRegularization,
-                     baumann_check, make_spacelike_test, make_test,
+                     SpectralDensity, baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
 from levylab.wightman import (_sample_energy, _sample_spatial, _shell_energies, minkowski_sq,
@@ -100,6 +100,14 @@ def test_mass_superposition_nodes():
             assert m2 > 1.0 and w > 0.0
     with pytest.raises(ConfigurationError):
         MassAssignment.superposed(0.5, 1.0, n_nodes=9)
+
+
+@pytest.mark.parametrize("alpha, n_nodes", [(0.3, 8), (0.5, 1), (0.75, 5)])
+def test_mass_superposition_weights_use_spectral_constant(alpha, n_nodes):
+    # the nodes integrate rho(s) ds = C/(1-alpha) du over u in [0, 25^(1-alpha)]
+    expected = SpectralDensity(alpha, 1.0).constant * 25.0 ** (1.0 - alpha) / (1.0 - alpha)
+    for leg in MassAssignment.superposed(alpha, 1.0, n_nodes=n_nodes).legs:
+        assert sum(w for _, w in leg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_term_structure(masses):
