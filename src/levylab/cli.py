@@ -168,6 +168,7 @@ _REQUIRED = {"model": ("alpha", "m0"), "lattice": ("d", "L", "a"), "run": ("n_sa
              "baumann": ("epsilons", "mass", "h1_center", "h2_center", "f_center",
                          "g_center", "n_samples")}
 _BUILDERS = {"model": build_model, "noise": build_chi, "lattice": build_lattice}
+_OPTIONAL = {"spectral"}  # may be missing; its lists are still checked when given
 
 
 def _validate(cfg: dict, sections) -> tuple:
@@ -178,7 +179,8 @@ def _validate(cfg: dict, sections) -> tuple:
     built = {}
     for section in sections:
         if section not in cfg:
-            problems.append(f"[{section}]: missing section")
+            if section not in _OPTIONAL:
+                problems.append(f"[{section}]: missing section")
             continue
         found = [f"{section}.{key}: missing"
                  for key in _REQUIRED.get(section, ()) if key not in cfg[section]]
@@ -463,7 +465,7 @@ _COMMANDS = {
     "rp-check": (_cmd_rp_check, _MODEL + ("basis",), "rp_check.json"),
     "rp-scan": (_cmd_rp_scan, _MODEL + ("basis", "scan", "run"), "rp_scan_witnesses.json"),
     "baumann": (_cmd_baumann, ("baumann",), "baumann.json"),
-    "spectral": (_cmd_spectral, ("model",), "spectral.json"),
+    "spectral": (_cmd_spectral, ("model", "spectral"), "spectral.json"),
     "verify-witness": (_cmd_verify_witness, ("run",), "verify_witness.json"),
 }
 

@@ -37,6 +37,14 @@ PAPER = "paper"
 IMAG_TOL = 1e-10  # inverse_transform: largest relative imaginary residue
 
 
+def _check_alpha_m0(alpha: float, m0: float) -> None:
+    """Range policy for the exponent and mass of every model object."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
+    if not 0.0 <= m0 < np.inf:  # NaN fails too
+        raise ConfigurationError("m0 must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Exponent alpha in (0,1), mass m0 >= 0 and the lattice momentum symbol."""
@@ -46,10 +54,7 @@ class ModelParams:
     symbol: str = CONTINUUM
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
-        if not 0.0 <= self.m0 < np.inf:  # NaN fails too
-            raise ConfigurationError("m0 must be finite and >= 0")
+        _check_alpha_m0(self.alpha, self.m0)
         if self.symbol not in (CONTINUUM, DISCRETE):
             raise ConfigurationError(f"unknown momentum symbol {self.symbol!r}")
 
@@ -63,10 +68,7 @@ class SpectralDensity:
     normalization: str = ANALYTIC
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError("alpha must lie in (0, 1)")
-        if not 0.0 <= self.m0 < np.inf:  # NaN fails too
-            raise ConfigurationError("m0 must be finite and >= 0")
+        _check_alpha_m0(self.alpha, self.m0)
         if self.normalization not in (ANALYTIC, PAPER):
             raise ConfigurationError(f"unknown normalization {self.normalization!r}")
 

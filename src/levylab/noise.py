@@ -23,6 +23,12 @@ from .errors import ConfigurationError, ContractViolation, RangeError
 
 MAX_CUMULANT_ORDER = 8
 MAX_SITES = 2**24  # a 256^3 lattice: 128 MiB per float64 field
+# Per-site Poisson mean below which sample_noise scatters a jump component
+# (Poisson(mean * V) jumps at uniform sites, bincount: O(N)) instead of one
+# count per site (O(V); numpy's per-site draw is O(1) per site from mean 10).
+# Sweep on 4096 sites (Philox, min of 5), per-site vs scattered in us: mean
+# 0.125 82 vs 12, 1.25 208 vs 49, 5 348 vs 171, 9.9 619 vs 348, 12.5 392 vs 508.
+SCATTER_MAX_MEAN = 10.0
 
 _ATOMS = "atoms"
 _UNIFORM = "uniform"
@@ -80,10 +86,7 @@ class JumpLaw:
 
     @classmethod
     def atoms(cls, positions_weights) -> "JumpLaw":
-        flat = []
-        for s, w in positions_weights:
-            flat += [s, w]
-        return cls(_ATOMS, tuple(flat))
+        return cls(_ATOMS, tuple(v for s, w in positions_weights for v in (s, w)))
 
     @classmethod
     def atom(cls, position: float) -> "JumpLaw":
@@ -134,14 +137,12 @@ class JumpLaw:
         return 1.0 / (1.0 + scale**2 * t**2) - 1.0 + 0.0j
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size i.i.d. jumps from a density law; sample_noise draws atom laws
-        per atom instead, so they have no per-jump sampler."""
+        """size i.i.d. jumps from a density law; sample_noise draws an atom
+        law as one Poisson count per atom, so it has no per-jump sampler."""
         if self.kind == _UNIFORM:
-            lo, hi = self.params
-            return rng.uniform(lo, hi, size=size)
+            return rng.uniform(*self.params, size=size)
         if self.kind == _TWO_SIDED_EXP:
-            (scale,) = self.params
-            return rng.laplace(0.0, scale, size=size)
+            return rng.laplace(0.0, self.params[0], size=size)
         raise ContractViolation(f"{self.kind} jump laws are not sampled jump by jump")
 
 
@@ -279,26 +280,25 @@ def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
                  rng: np.random.Generator) -> LatticeField:
     """Draw one lattice noise realization.
 
-    Site value: b + sigma*a^(-d/2)*N(0,1) + a^(-d) * sum of N jumps,
-    N ~ Poisson(lam * a^d), jumps i.i.d. from the jump law.  Sites are
-    independent; no approximation for small Poisson means.  For an atom law
-    the jumps are counted per atom instead: atom j (position s_j, weight w_j)
-    adds s_j * a^(-d) * N_j with independent N_j ~ Poisson(lam * a^d * w_j),
-    which is the same law (marking theorem) at O(n_atoms * V) cost instead of
-    one draw per jump.
+    Site value: b + sigma*a^(-d/2)*N(0,1) + a^(-d) * sum of N jumps, with
+    independent N ~ Poisson(lam * a^d) per site and i.i.d. jumps from the jump
+    law, exactly.  A density law scatters Poisson(lam * a^d * V) jumps over
+    uniform sites (superposition).  Atom j (position s_j, weight w_j) adds
+    s_j * a^(-d) * N_j, N_j ~ Poisson(mu_j), mu_j = lam * a^d * w_j (marking):
+    scattered if mu_j < SCATTER_MAX_MEAN, else one rng.poisson count per site.
     """
-    vol = spec.cell_volume
-    values = np.full(spec.n_sites, chi.b)
+    vol, n = spec.cell_volume, spec.n_sites
+    values = np.full(n, chi.b)
     if chi.sigma2 > 0.0:
-        values += np.sqrt(chi.sigma2 / vol) * rng.standard_normal(spec.n_sites)
+        values += np.sqrt(chi.sigma2 / vol) * rng.standard_normal(n)
     if chi.lam > 0.0 and chi.jump_law.kind == _ATOMS:
         for s, w in zip(*chi.jump_law.positions_weights()):
-            values += (s / vol) * rng.poisson(chi.lam * vol * w, size=spec.n_sites)
+            mean = chi.lam * vol * w
+            counts = (rng.poisson(mean, size=n) if mean >= SCATTER_MAX_MEAN else
+                      np.bincount(rng.integers(n, size=rng.poisson(mean * n)), minlength=n))
+            values += (s / vol) * counts
     elif chi.lam > 0.0:
-        counts = rng.poisson(chi.lam * vol, size=spec.n_sites)
-        total = int(counts.sum())
-        if total:
-            site = np.repeat(np.arange(spec.n_sites), counts)
-            jumps = chi.jump_law.sample(rng, total)
-            values += np.bincount(site, weights=jumps, minlength=spec.n_sites) / vol
+        sites = rng.integers(n, size=rng.poisson(chi.lam * vol * n))
+        jumps = chi.jump_law.sample(rng, sites.size)
+        values += np.bincount(sites, weights=jumps, minlength=n) / vol
     return LatticeField(spec, values.reshape(spec.shape))

@@ -471,6 +471,8 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "q2_nan": ("spectral", "spectral", "q2_grid", "0.0, nan", "spectral.q2_grid"),
     "q2_negative": ("spectral", "spectral", "q2_grid", "-5.0", "spectral.q2_grid"),
     "spectral_alpha_1.5": ("spectral", "spectral", "alphas", "0.5, 1.5", "spectral.alphas"),
+    "spectral_alphas_empty": ("spectral", "spectral", "alphas", "", "spectral.alphas: empty"),
+    "q2_grid_empty": ("spectral", "spectral", "q2_grid", "", "spectral.q2_grid: empty"),
 }
 # invalid whatever else the config holds (d = 30 is valid with L = 1)
 _ALWAYS_BAD = {(sec, key, value) for _, sec, key, value, _ in BAD_INPUTS.values()
@@ -524,6 +526,8 @@ _ALL_MUTATION = st.one_of(
 @example(mutations=[("set", ("spectral", "q2_grid"), "0.0, nan")])
 @example(mutations=[("set", ("spectral", "q2_grid"), "-5.0")])
 @example(mutations=[("set", ("spectral", "alphas"), "0.5, 1.5")])
+@example(mutations=[("set", ("spectral", "alphas"), "")])
+@example(mutations=[("set", ("spectral", "q2_grid"), "")])
 @settings(max_examples=60)
 @given(mutations=st.lists(_ALL_MUTATION, min_size=1, max_size=3))
 def test_ini_config_fuzz_every_command(ini_dir, mutations):

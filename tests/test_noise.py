@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import poisson
 
 from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      LevyCharacteristic, ModelParams, RangeError, SpectralDensity,
                      characteristic_functional, noise_cumulant, psi, sample_noise,
                      substream)
-from levylab.noise import MAX_CUMULANT_ORDER, MAX_SITES
+from levylab.noise import MAX_CUMULANT_ORDER, MAX_SITES, SCATTER_MAX_MEAN
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +251,84 @@ def test_empirical_characteristic_functional(small_spec, poisson_chi):
 
 @pytest.mark.parametrize("amp", [0.5, 6.0])
 def test_atom_thinning_characteristic_functional(amp):
-    # atom laws are drawn as one Poisson count per atom and site; two atoms of
-    # opposite sign plus drift and diffusion must still give E exp(i eta(f))
+    # atom laws are drawn as one Poisson count per atom; two atoms of opposite
+    # sign plus drift and diffusion must still give E exp(i eta(f))
     spec = LatticeSpec(3, 4, 0.5)
     chi = LevyCharacteristic(b=0.2, sigma2=0.1, lam=1.5,
                              jump_law=JumpLaw.atoms([(1.0, 0.6), (-0.5, 0.4)]))
     f = np.zeros(spec.shape)  # one line of sites keeps |E| well above 0
     f[:, 0, 0] = amp * (np.cos(2 * np.pi * np.arange(spec.L) / spec.L) + 0.5)
+    assert_empirical_cf(chi, spec, f, substream(2002, int(amp * 10)), 3.0)
+
+
+def assert_empirical_cf(chi, spec, f, rng, n_stderr, n_draws=40_000):
+    """The mean of exp(i eta(f)) over n_draws noise draws is within n_stderr
+    standard errors of the characteristic functional, per component."""
     exact = characteristic_functional(chi, LatticeField(spec, f))
-    rng = substream(2002, int(amp * 10))
-    n_draws = 40_000
     z = np.array([np.exp(1j * pairing(spec, f, sample_noise(chi, spec, rng)))
                   for _ in range(n_draws)])
     assert abs(exact) > 0.05
-    assert abs(z.real.mean() - exact.real) <= 3.0 * z.real.std(ddof=1) / np.sqrt(n_draws)
-    assert abs(z.imag.mean() - exact.imag) <= 3.0 * z.imag.std(ddof=1) / np.sqrt(n_draws)
+    assert abs(z.real.mean() - exact.real) <= n_stderr * z.real.std(ddof=1) / np.sqrt(n_draws)
+    assert abs(z.imag.mean() - exact.imag) <= n_stderr * z.imag.std(ddof=1) / np.sqrt(n_draws)
+
+
+CF_CASES = {  # case -> (lam, jump law, amplitude of f); per-site means lam * a^d * w_j
+    "atom_mean_25": (200.0, JumpLaw.atom(1.0), 0.2),  # 25: per-site counts
+    "atoms_mean_23.75_and_1.25": (200.0, JumpLaw.atoms([(0.5, 0.95), (-3.0, 0.05)]), 0.2),
+    "two_sided_exponential": (2.0, JumpLaw.two_sided_exponential(0.7), 6.0),  # scattered
+}
+
+
+@pytest.mark.parametrize("case", CF_CASES)
+def test_jump_route_characteristic_functional(case):
+    # both draws of a Poisson component, and a law drawn jump by jump, must
+    # give E exp(i eta(f)) with drift and diffusion added
+    lam, law, amp = CF_CASES[case]
+    spec = LatticeSpec(3, 4, 0.5)
+    if law.kind == "atoms":
+        means = lam * spec.cell_volume * law.positions_weights()[1]
+        assert means[0] > SCATTER_MAX_MEAN and (means.size == 1 or means[1] < SCATTER_MAX_MEAN)
+    chi = LevyCharacteristic(b=0.2, sigma2=0.1, lam=lam, jump_law=law)
+    f = np.zeros(spec.shape)  # one line of sites keeps |E| well above 0
+    f[:, 0, 0] = amp * (np.cos(2 * np.pi * np.arange(spec.L) / spec.L) + 0.5)
+    assert_empirical_cf(chi, spec, f, substream(2003, list(CF_CASES).index(case)), 4.0)
+
+
+@pytest.mark.parametrize("mean", [SCATTER_MAX_MEAN - 0.5, SCATTER_MAX_MEAN + 0.5],
+                         ids=["scattered", "per_site"])
+def test_atom_counts_are_independent_poisson(mean):
+    # one atom at 1 adds a^(-d) per jump, so a^d * eta counts the jumps per site
+    spec = LatticeSpec(3, 4, 0.5)
+    chi = LevyCharacteristic(lam=mean / spec.cell_volume, jump_law=JumpLaw.atom(1.0))
+    rng = substream(8101, int(10 * mean))
+    counts = np.array([sample_noise(chi, spec, rng).values.ravel() * spec.cell_volume
+                       for _ in range(1000)])
+    assert np.array_equal(counts, np.rint(counts))
+    # marginal: histogram against the Poisson pmf, one bin per count with >= 20
+    # expected sites and one bin per tail, 5 binomial stderr per bin
+    flat = counts.ravel()
+    k = np.flatnonzero(poisson.pmf(np.arange(100), mean) * flat.size >= 20)
+    freq = np.array([np.mean(flat < k[0]), *(np.mean(flat == j) for j in k),
+                     np.mean(flat > k[-1])])
+    prob = np.array([poisson.cdf(k[0] - 1, mean), *poisson.pmf(k, mean),
+                     poisson.sf(k[-1], mean)])
+    assert np.all(np.abs(freq - prob) <= 5.0 * np.sqrt(prob * (1 - prob) / flat.size))
+    # independence: the total over V sites has variance mean * V (4.4 stderr)
+    totals = counts.sum(axis=1)
+    assert abs(totals.var(ddof=1) / (mean * spec.n_sites) - 1.0) <= 0.2
+
+
+def test_high_mean_atom_draw_is_o_of_sites(desk_spec):
+    # mean 1000 per site: a scattered draw would hold 4e6 site indices (32 MB)
+    chi = LevyCharacteristic(lam=1000.0 / desk_spec.cell_volume, jump_law=JumpLaw.atom(1.0))
+    rng = substream(5)
+    tracemalloc.start()
+    try:
+        sample_noise(chi, desk_spec, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * desk_spec.n_sites * 8
 
 
 def test_lattice_site_cap():

@@ -91,6 +91,26 @@ def test_point_values_worker_count_independence(model_half, small_spec, poisson_
     assert np.array_equal(serial.view(np.uint64), parallel.view(np.uint64))
 
 
+ROUTE_LAWS = {  # a density law, and two atoms at per-site means 23.75 and 1.25 (a = 0.5)
+    "two_sided_exponential": LevyCharacteristic(lam=2.0,
+                                                jump_law=JumpLaw.two_sided_exponential(0.7)),
+    "atoms_straddling": LevyCharacteristic(
+        lam=200.0, jump_law=JumpLaw.atoms([(0.5, 0.95), (-3.0, 0.05)])),
+}
+
+
+@pytest.mark.parametrize("law", ROUTE_LAWS)
+def test_noise_routes_worker_count_independence(model_half, small_spec, law):
+    chi = ROUTE_LAWS[law]
+    pts = [(0, 0, 0), (1, 2, 3), (7, 7, 7)]
+    vals = [sample_point_values(model_half, chi, small_spec, pts, 6, 7, workers=w)
+            for w in (1, 2)]
+    assert np.array_equal(vals[0].view(np.uint64), vals[1].view(np.uint64))
+    fields = [sample_ensemble(model_half, chi, small_spec, 6, 7, workers=w).fields
+              for w in (1, 2)]
+    assert np.array_equal(fields[0].view(np.uint64), fields[1].view(np.uint64))
+
+
 class RecordingPool:  # records (max_workers, chunks) and runs them in-process
     started = None
 
