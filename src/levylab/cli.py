@@ -197,12 +197,13 @@ def _validate(cfg: dict, sections) -> tuple:
 
 
 @contextmanager
-def _named(field: str):
-    """Re-raise a rejected input value as a ConfigurationError naming its field."""
+def _named(field: str, sep: str = ": "):
+    """Re-raise a rejected input value as a ConfigurationError naming its field
+    (sep "." when the message starts with the key)."""
     try:
         yield
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{field}: {exc}") from exc
+        raise ConfigurationError(f"{field}{sep}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +404,11 @@ def _cmd_baumann(cfg, p, chi, spec, args):
         f = make_test(b["f_center"], width, radius)
         g = make_test(b["g_center"], width, radius)
         masses = MassAssignment.fixed([b["mass"]] * 4)
-        ispec = IntegratorSpec(n_samples=b["n_samples"],
-                               n_strata=b.get("n_strata", 8), seed=args.seed)
         for eps in b["epsilons"]:  # every shell scale, before any pairing runs
             ShellRegularization(eps)
+    with _named("baumann", sep="."):  # the message starts with n_samples or n_strata
+        ispec = IntegratorSpec(n_samples=b["n_samples"],
+                               n_strata=b.get("n_strata", 8), seed=args.seed)
     report = baumann_check(masses, h1, h2, f, g, b["epsilons"], ispec)
     return report.to_dict(), 0 if report.verdict == "PASS" else 3
 

@@ -29,6 +29,10 @@ MAX_SITES = 2**24  # a 256^3 lattice: 128 MiB per float64 field
 # Sweep on 4096 sites (Philox, min of 5), per-site vs scattered in us: mean
 # 0.125 82 vs 12, 1.25 208 vs 49, 5 348 vs 171, 9.9 619 vs 348, 12.5 392 vs 508.
 SCATTER_MAX_MEAN = 10.0
+# Scattered atom sites are drawn and counted this many lattices' worth at a
+# time, so the int64 indices never outgrow a few fields (chunked integers()
+# calls continue the stream exactly; integer counts add exactly).
+SCATTER_CHUNK = 4
 
 _ATOMS = "atoms"
 _UNIFORM = "uniform"
@@ -276,6 +280,16 @@ def characteristic_functional(chi: LevyCharacteristic, f: LatticeField) -> compl
     return complex(np.exp(f.spec.cell_volume * np.sum(psi(chi, f.values))))
 
 
+def _scatter_counts(rng: np.random.Generator, n: int, total: int) -> np.ndarray:
+    """Per-site counts of total uniform site indices, drawn in chunks of
+    SCATTER_CHUNK * n."""
+    chunk = SCATTER_CHUNK * n
+    counts = np.bincount(rng.integers(n, size=min(total, chunk)), minlength=n)
+    for start in range(chunk, total, chunk):
+        counts += np.bincount(rng.integers(n, size=min(total - start, chunk)), minlength=n)
+    return counts
+
+
 def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
                  rng: np.random.Generator) -> LatticeField:
     """Draw one lattice noise realization.
@@ -285,7 +299,8 @@ def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
     law, exactly.  A density law scatters Poisson(lam * a^d * V) jumps over
     uniform sites (superposition).  Atom j (position s_j, weight w_j) adds
     s_j * a^(-d) * N_j, N_j ~ Poisson(mu_j), mu_j = lam * a^d * w_j (marking):
-    scattered if mu_j < SCATTER_MAX_MEAN, else one rng.poisson count per site.
+    scattered (sites drawn SCATTER_CHUNK * V at a time) if mu_j <
+    SCATTER_MAX_MEAN, else one rng.poisson count per site.
     """
     vol, n = spec.cell_volume, spec.n_sites
     values = np.full(n, chi.b)
@@ -295,7 +310,7 @@ def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
         for s, w in zip(*chi.jump_law.positions_weights()):
             mean = chi.lam * vol * w
             counts = (rng.poisson(mean, size=n) if mean >= SCATTER_MAX_MEAN else
-                      np.bincount(rng.integers(n, size=rng.poisson(mean * n)), minlength=n))
+                      _scatter_counts(rng, n, rng.poisson(mean * n)))
             values += (s / vol) * counts
     elif chi.lam > 0.0:
         sites = rng.integers(n, size=rng.poisson(chi.lam * vol * n))

@@ -17,10 +17,21 @@ stratified, importance-sampled Monte Carlo: legs 1, 3, 4 are sampled inside
 their hard-support balls (radially stratified), leg 2 is fixed by momentum
 conservation.  Each energy is drawn once from the chosen component of one
 proposal: the uniform slab mixed with truncated normals at the shell energies
-(for leg 1 also where the conserved leg 2 is on shell).  If both middle test
-functions have purely space-like support, every j-term carries at least one
-shell delta at a bounded distance from its shell, so the pairing vanishes as
-epsilon -> 0; a matched on-shell (time-like) control does not.
+(for leg 1 also where the conserved leg 2 is on shell).
+
+Each stratum is evaluated support first, so that beyond its draws the work
+goes to points whose integrand can be nonzero.  Every uniform is drawn for every
+point, in stream order, so the results are bit-identical to evaluating all
+points.  Energies are formed only where the spatial part of leg 2 lies within
+h1's support radius (about half the points in the Baumann geometries), the
+kernel only where leg 2 lies inside h1's support ball (about a quarter), and
+proposal weights and test functions only where the kernel is nonzero; the
+integrand is exactly 0 at every other point.
+
+If both middle test functions have purely space-like support, every j-term
+carries at least one shell delta at a bounded distance from its shell, so the
+pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control does
+not.
 """
 
 from __future__ import annotations
@@ -70,9 +81,15 @@ class MomentumTestFunction:
                 "support ball is not certifiably space-like; refusing the label")
         object.__setattr__(self, "center", c)
 
+    def _dsq(self, k: np.ndarray) -> np.ndarray:
+        return np.sum((np.asarray(k, dtype=float) - np.asarray(self.center)) ** 2, axis=-1)
+
+    def support(self, k: np.ndarray) -> np.ndarray:
+        """True where k lies in the closed support ball."""
+        return self._dsq(k) <= self.radius**2
+
     def __call__(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        dsq = np.sum((k - np.asarray(self.center)) ** 2, axis=-1)
+        dsq = self._dsq(k)
         return self.amplitude * np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
 
     def scaled(self, c: float) -> "MomentumTestFunction":
@@ -171,17 +188,21 @@ class MassAssignment:
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    """Stratified Monte-Carlo budget: n_strata^2 radial strata, fixed seed."""
+    """Stratified Monte-Carlo budget: n_strata^2 radial strata, fixed seed.
+
+    Each stratum needs two points for its sample variance."""
 
     n_samples: int = 1_000_000
     n_strata: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < self.n_strata**2:
-            raise ConfigurationError("need at least one sample per stratum")
         if self.n_strata < 1:
-            raise ConfigurationError("n_strata must be >= 1")
+            raise ConfigurationError(f"n_strata: must be >= 1, got {self.n_strata}")
+        if self.n_samples < 2 * self.n_strata**2:
+            raise ConfigurationError(
+                f"n_samples: {self.n_samples} is below 2 * n_strata**2 = "
+                f"{2 * self.n_strata**2} (two points per stratum)")
 
 
 @dataclass(frozen=True)
@@ -189,6 +210,7 @@ class WightmanEstimate:
     value: float
     stderr: float
     n_samples: int
+    n_nonzero: int  # points whose integrand is nonzero
 
 
 def _leg_factors(k: np.ndarray, leg_nodes, reg: ShellRegularization):
@@ -218,52 +240,126 @@ def truncated_kernel(ks, masses: MassAssignment, reg: ShellRegularization) -> np
 
 
 def _sample_spatial(test: MomentumTestFunction, rng, n: int, u_lo: float, u_hi: float):
-    """(spatial, lo, hi): n spatial momenta uniform in the support disk, the
-    radial CDF variable restricted to [u_lo, u_hi) (stratification), and the
-    energy slab [lo, hi] of the ball above each."""
+    """(x, y, half): n spatial momenta uniform in the support disk, the radial
+    CDF variable restricted to [u_lo, u_hi) (stratification), and the half
+    height of the ball above each (its energy slab is center[0] -/+ half)."""
     c = np.asarray(test.center)
     R = test.radius
     u = rng.uniform(u_lo, u_hi, size=n)
     rho = R * np.sqrt(np.maximum(0.0, 1.0 - (1.0 - u) ** (2.0 / 3.0)))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    spatial = np.stack([c[1] + rho * np.cos(phi), c[2] + rho * np.sin(phi)], axis=1)
     half = np.sqrt(np.maximum(R**2 - rho**2, 1e-300))
-    return spatial, c[0] - half, c[0] + half
+    return c[1] + rho * np.cos(phi), c[2] + rho * np.sin(phi), half
 
 
-def _shell_energies(spatial: np.ndarray, nodes) -> list:
+def _shell_energies(x, y, nodes) -> list:
     """The +/- shell energies sqrt(|kvec|^2 + m^2) of every mass node."""
-    ssq = np.sum(spatial**2, axis=1)
+    ssq = x**2 + y**2
     return [sign * np.sqrt(ssq + m2) for m2, _ in nodes for sign in (1.0, -1.0)]
 
 
-def _sample_energy(rng, spatial, lo, hi, peaks, sd: float):
-    """Energies on the slabs [lo, hi]: each sample picks one component of a
-    mixture of the uniform slab and truncated normals of width sd at the peaks
-    (one (n,) array per peak) and draws once from it.  Returns (k, weight),
-    weight the uniform over the proposal density, so that vol * mean(weight *
-    f) is unbiased for the ball integral of f."""
-    n = len(lo)
+P_UNIFORM = 0.4  # proposal share of the uniform slab; the peaks split the rest
+
+
+def _draw_energy(u, lo, hi, peaks, sd: float) -> np.ndarray:
+    """Energies on the slabs [lo, hi] from the uniforms u = (comp, u_slab,
+    u_norm), each (n,): each point picks one component of a mixture of the
+    uniform slab and truncated normals of width sd at the peaks (one (n,) array
+    per peak) and draws once from it.  ndtr/ndtri run at the chosen peak only."""
+    comp, u_slab, u_norm = u
     mu = np.array(peaks)
-    p_uniform = 0.4
-    p_peak = (1.0 - p_uniform) / len(mu)
-    comp, u_slab, u_norm = rng.uniform(size=(3, n))  # three draws of n, in this order
-    a = ndtr((lo - mu) / sd)
-    mass = np.maximum(ndtr((hi - mu) / sd) - a, 1e-300)
-    # peak i owns [p_uniform + i p_peak, p_uniform + (i+1) p_peak); the rest is the slab
-    edges = p_uniform + np.arange(len(mu) + 1) * p_peak
+    p_peak = (1.0 - P_UNIFORM) / len(mu)
+    # peak i owns [P_UNIFORM + i p_peak, P_UNIFORM + (i+1) p_peak); the rest is the slab
+    edges = P_UNIFORM + np.arange(len(mu) + 1) * p_peak
     pick = np.searchsorted(edges, comp, side="right") - 1
     chosen = np.flatnonzero((pick >= 0) & (pick < len(mu)))
-    at = (pick[chosen], chosen)
+    mu_c, lo_c, hi_c = mu[pick[chosen], chosen], lo[chosen], hi[chosen]
+    a = ndtr((lo_c - mu_c) / sd)
+    mass = np.maximum(ndtr((hi_c - mu_c) / sd) - a, 1e-300)
     k0 = lo + (hi - lo) * u_slab
-    u = np.clip(a[at] + mass[at] * u_norm[chosen], 1e-300, 1.0 - 1e-16)
-    k0[chosen] = np.clip(mu[at] + sd * ndtri(u), lo[chosen], hi[chosen])
-    dens = np.full(n, p_uniform) / (hi - lo)
-    for mu_i, mass_i in zip(mu, mass):  # peak by peak, in order
-        pdf = np.exp(-0.5 * ((k0 - mu_i) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-        dens = dens + p_peak * pdf / mass_i
-    weight = (1.0 / (hi - lo)) / dens
-    return np.concatenate([k0[:, None], spatial], axis=1), weight
+    u_c = np.clip(a + mass * u_norm[chosen], 1e-300, 1.0 - 1e-16)
+    k0[chosen] = np.clip(mu_c + sd * ndtri(u_c), lo_c, hi_c)
+    return k0
+
+
+def _energy_weight(k0, lo, hi, peaks, sd: float) -> np.ndarray:
+    """The uniform over the proposal density of _draw_energy at the energies k0,
+    so that vol * mean(weight * f) is unbiased for the ball integral of f.
+    Elementwise: weights on an index subset are the full weights there."""
+    p_peak = (1.0 - P_UNIFORM) / len(peaks)
+    dens = np.full(len(k0), P_UNIFORM) / (hi - lo)
+    for mu in peaks:  # peak by peak, in order
+        mass = np.maximum(ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd), 1e-300)
+        pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+        dens = dens + p_peak * pdf / mass
+    return (1.0 / (hi - lo)) / dens
+
+
+class _Leg:
+    """One sampled leg of a stratum: the uniforms of every point, narrowed by
+    keep() to the points still in play, then their energies and weights."""
+
+    def __init__(self, test: MomentumTestFunction, rng, n: int, radial):
+        self.x, self.y, half = _sample_spatial(test, rng, n, *radial)
+        self.u = rng.uniform(size=(3, n))
+        self.lo, self.hi = test.center[0] - half, test.center[0] + half
+
+    def keep(self, idx) -> None:
+        self.x, self.y, self.u = self.x[idx], self.y[idx], self.u[:, idx]
+        self.lo, self.hi = self.lo[idx], self.hi[idx]
+
+    def draw(self, peaks, sd: float) -> np.ndarray:
+        """(n, 3) momenta with energies drawn from the proposal at the peaks."""
+        self.peaks = peaks
+        k0 = _draw_energy(self.u, self.lo, self.hi, peaks, sd)
+        return np.stack([k0, self.x, self.y], axis=1)
+
+    def weight(self, k0, idx, sd: float) -> np.ndarray:
+        """Proposal weights of the drawn energies k0 of the points idx."""
+        return _energy_weight(k0, self.lo[idx], self.hi[idx],
+                              [p[idx] for p in self.peaks], sd)
+
+
+def _stratum(tests, masses: MassAssignment, reg: ShellRegularization, rng, per: int,
+             radial3, radial4, sd: float):
+    """(vals, n_nonzero): the integrand at the per points of one stratum,
+    evaluated support first (module docstring), and its nonzero count."""
+    f, h1, h2, g = tests
+    legs = masses.legs
+    # every uniform of the stratum, in stream order: legs 3, 4, 1, each its
+    # spatial then its energy uniforms
+    leg3 = _Leg(h2, rng, per, radial3)
+    leg4 = _Leg(g, rng, per, radial4)
+    leg1 = _Leg(f, rng, per, (0.0, 1.0))
+    # x + y, the spatial squares of h1's distance to k2 = -(k1 + k3 + k4)
+    # rounded as h1 rounds them; h1 sums (e + x) + y with an energy square
+    # e >= 0, never below x + y as rounding is monotone, so no point in its
+    # ball is dropped
+    c = h1.center
+    dsq = ((-((leg1.x + leg3.x) + leg4.x) - c[1]) ** 2
+           + (-((leg1.y + leg3.y) + leg4.y) - c[2]) ** 2)
+    near = np.flatnonzero(dsq <= h1.radius**2)
+    for leg in (leg3, leg4, leg1):
+        leg.keep(near)
+    k3 = leg3.draw(_shell_energies(leg3.x, leg3.y, legs[2]), sd)
+    k4 = leg4.draw(_shell_energies(leg4.x, leg4.y, legs[3]), sd)
+    # leg 1 also peaks where the conserved leg 2 hits its shells
+    a0 = k3[:, 0] + k4[:, 0]
+    x2, y2 = leg1.x + (k3[:, 1] + k4[:, 1]), leg1.y + (k3[:, 2] + k4[:, 2])
+    k1 = leg1.draw(_shell_energies(leg1.x, leg1.y, legs[0])
+                   + [-a0 + e for e in _shell_energies(x2, y2, legs[1])], sd)
+    k2 = -(k1 + k3 + k4)
+    on = np.flatnonzero(h1.support(k2))
+    ks = [k1[on], k2[on], k3[on], k4[on]]
+    kernel = truncated_kernel(ks, masses, reg)
+    live = np.flatnonzero(kernel)  # every other factor is finite: 0 where the kernel is
+    at = on[live]
+    k1, k2, k3, k4 = (k[live] for k in ks)
+    vals = (leg1.weight(k1[:, 0], at, sd) * leg3.weight(k3[:, 0], at, sd)
+            * leg4.weight(k4[:, 0], at, sd) * f(k1) * h1(k2) * h2(k3) * g(k4) * kernel[live])
+    out = np.zeros(per)
+    out[near[at]] = vals
+    return out, int(np.count_nonzero(vals))
 
 
 def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularization,
@@ -276,39 +372,27 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     """
     if len(tests) != 4 or masses.n_legs != 4:
         raise ConfigurationError("the integrator supports exactly n = 4 legs")
-    f, h1, h2, g = tests
+    f, _, h2, g = tests
     S = integrator.n_strata
     per = integrator.n_samples // (S * S)
     vol = 1.0
     for t in (f, h2, g):
         vol *= 4.0 / 3.0 * np.pi * t.radius**3
     sd = max(reg.epsilon / 2.0, 1e-9)
-    legs = masses.legs
 
     means = np.empty((S, S))
     variances = np.empty((S, S))
+    n_nonzero = 0
     for s3 in range(S):
         for s4 in range(S):
-            rng = substream(integrator.seed, s3, s4)
-            sp3, lo3, hi3 = _sample_spatial(h2, rng, per, s3 / S, (s3 + 1) / S)
-            k3, w3 = _sample_energy(rng, sp3, lo3, hi3, _shell_energies(sp3, legs[2]), sd)
-            sp4, lo4, hi4 = _sample_spatial(g, rng, per, s4 / S, (s4 + 1) / S)
-            k4, w4 = _sample_energy(rng, sp4, lo4, hi4, _shell_energies(sp4, legs[3]), sd)
-            sp1, lo1, hi1 = _sample_spatial(f, rng, per, 0.0, 1.0)
-            # leg 1 also peaks where the conserved leg 2 hits its shells
-            a0 = k3[:, 0] + k4[:, 0]
-            sp2 = sp1 + (k3[:, 1:] + k4[:, 1:])
-            peaks = (_shell_energies(sp1, legs[0])
-                     + [-a0 + e for e in _shell_energies(sp2, legs[1])])
-            k1, w1 = _sample_energy(rng, sp1, lo1, hi1, peaks, sd)
-            k2 = -(k1 + k3 + k4)
-            vals = (w1 * w3 * w4 * f(k1) * h1(k2) * h2(k3) * g(k4)
-                    * truncated_kernel([k1, k2, k3, k4], masses, reg))
+            vals, nz = _stratum(tests, masses, reg, substream(integrator.seed, s3, s4), per,
+                                (s3 / S, (s3 + 1) / S), (s4 / S, (s4 + 1) / S), sd)
             means[s3, s4] = vals.mean()
             variances[s3, s4] = vals.var(ddof=1) / per
+            n_nonzero += nz
     value = float(vol * means.mean())
     stderr = float(vol * np.sqrt(variances.sum()) / (S * S))
-    return WightmanEstimate(value, stderr, per * S * S)
+    return WightmanEstimate(value, stderr, per * S * S, n_nonzero)
 
 
 def shell_control_tests(m: float, width: float = 0.4, radius: float = 0.6):
@@ -375,30 +459,37 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     magnitudes decaying at >= 100x per epsilon decade; the smallest-epsilon
     space-like magnitude below 1e-3 of the matched control; and statistical
     errors small enough to resolve both thresholds (otherwise INCONCLUSIVE).
+    details["nonzero_fraction"] holds, per branch and epsilon, the share of
+    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows).
     """
     if h1.classification != SPACELIKE or h2.classification != SPACELIKE:
         raise ClassificationError("h1 and h2 must be certified space-like")
     eps = [float(e) for e in epsilons]
-    space, ctrl = [], []
-    ctests = shell_control_tests(float(np.sqrt(masses.legs[0][0][0])))
+    branches = {"spacelike": (f, h1, h2, g),
+                "control": shell_control_tests(float(np.sqrt(masses.legs[0][0][0])))}
+    pairs = {name: [] for name in branches}
+    nonzero = {name: [] for name in branches}
     for i, e in enumerate(eps):
         reg = ShellRegularization(e)
-        for branch, (tests, out) in enumerate((((f, h1, h2, g), space), (ctests, ctrl))):
+        for branch, (name, tests) in enumerate(branches.items()):
             spec = replace(integrator, seed=substream_seed(integrator.seed, branch, i))
             est = wightman_n_regularized(tests, masses, reg, spec)
-            out.append((est.value, est.stderr))
+            pairs[name].append((est.value, est.stderr))
+            nonzero[name].append(est.n_nonzero / est.n_samples)
+    space, ctrl = pairs["spacelike"], pairs["control"]
 
     pairings = (tuple(eps), tuple(space), tuple(ctrl))
+    details = {"nonzero_fraction": nonzero}
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
         return BaumannReport(*pairings, "INCONCLUSIVE", False,
-                             {"reason": "need >= 3 strictly decreasing epsilons"})
+                             {"reason": "need >= 3 strictly decreasing epsilons", **details})
     c_val = abs(ctrl[-1][0])
     if c_val <= 10.0 * ctrl[-1][1]:
         return BaumannReport(*pairings, "INCONCLUSIVE", False,
-                             {"reason": "control scale not statistically resolved"})
+                             {"reason": "control scale not statistically resolved", **details})
     eff, decay_ok, small_ok = _vanishing(space, eps, c_val)
     _, ctrl_decays, ctrl_small = _vanishing(ctrl, eps, c_val)
-    details = {"control_scale": c_val, "decay_ok": decay_ok,
-               "smallness_ok": small_ok, "effective_spacelike": eff}
+    details.update({"control_scale": c_val, "decay_ok": decay_ok,
+                    "smallness_ok": small_ok, "effective_spacelike": eff})
     return BaumannReport(*pairings, "PASS" if decay_ok and small_ok else "FAIL",
                          ctrl_decays and ctrl_small, details)

@@ -208,6 +208,25 @@ n_strata = 2
     assert report["results"]["verdict"] == "INCONCLUSIVE"
 
 
+def test_baumann_one_point_per_stratum_exit_1(tmp_path, capsys):
+    # 64 points over the default 8 x 8 strata: one point each, no variance
+    text = """\
+[baumann]
+epsilons = 0.5, 0.05, 0.005
+mass = 1.0
+h1_center = 0.0, 3.0, 0.0
+h2_center = 0.0, -3.0, 0.0
+f_center = 1.0, 0.0, 0.0
+g_center = -1.0, 0.0, 0.0
+n_samples = 64
+"""
+    path = tmp_path / "b.ini"
+    path.write_text(text)
+    assert run_cli("baumann", str(path), tmp_path) == 1
+    assert "baumann.n_samples: 64 is below 2 * n_strata**2 = 128" in capsys.readouterr().err
+    assert not (tmp_path / "baumann.json").exists()
+
+
 def test_reports_are_atomic_no_tmp_left(config_path, tmp_path):
     run_cli("schwinger", config_path, tmp_path)
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
@@ -459,6 +478,7 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "mass_nan": ("baumann", "baumann", "mass", "nan", "[baumann]"),
     "epsilon_nan": ("baumann", "baumann", "epsilons", "0.5, nan, 0.005", "[baumann]"),
     "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
+    "n_samples_1": ("baumann", "baumann", "n_samples", "1", "baumann.n_samples"),
     "alpha_1.5": ("rp-scan", "scan", "alphas", "1.5", "scan.alphas"),
     "lambda_nan": ("rp-scan", "scan", "lambdas", "nan", "scan.lambdas"),
     "alphas_empty": ("rp-scan", "scan", "alphas", "", "scan.alphas: empty"),
@@ -516,6 +536,7 @@ _ALL_MUTATION = st.one_of(
 @example(mutations=[("set", ("baumann", "mass"), "nan")])
 @example(mutations=[("set", ("baumann", "epsilons"), "0.5, nan, 0.005")])
 @example(mutations=[("set", ("baumann", "width"), "nan")])
+@example(mutations=[("set", ("baumann", "n_samples"), "1")])
 @example(mutations=[("set", ("scan", "alphas"), "1.5")])
 @example(mutations=[("set", ("scan", "lambdas"), "nan")])
 @example(mutations=[("set", ("scan", "alphas"), "")])

@@ -11,7 +11,7 @@ from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      LevyCharacteristic, ModelParams, RangeError, SpectralDensity,
                      characteristic_functional, noise_cumulant, psi, sample_noise,
                      substream)
-from levylab.noise import MAX_CUMULANT_ORDER, MAX_SITES, SCATTER_MAX_MEAN
+from levylab.noise import MAX_CUMULANT_ORDER, MAX_SITES, SCATTER_CHUNK, SCATTER_MAX_MEAN
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,35 @@ def test_high_mean_atom_draw_is_o_of_sites(desk_spec):
     finally:
         tracemalloc.stop()
     assert peak < 16 * desk_spec.n_sites * 8
+
+
+def test_chunked_scatter_matches_one_draw():
+    # mean 9.5 per site: each draw crosses two chunk boundaries of SCATTER_CHUNK * V
+    spec = LatticeSpec(3, 4, 1.0)
+    n = spec.n_sites
+    chi = LevyCharacteristic(lam=9.5, jump_law=JumpLaw.atom(1.0))
+    for i in range(5):
+        ref, rng = substream(77, i), substream(77, i)
+        total = ref.poisson(9.5 * n)
+        assert total > 2 * SCATTER_CHUNK * n
+        counts = np.bincount(ref.integers(n, size=total), minlength=n)
+        assert np.array_equal(sample_noise(chi, spec, rng).values.ravel(), 1.0 * counts)
+        assert rng.random() == ref.random()  # the stream goes on where one draw leaves it
+
+
+def test_scattered_atom_draw_memory_is_a_few_fields():
+    # just below SCATTER_MAX_MEAN on 64^3 one scattered draw held 2.5e6 int64
+    # site indices (11.5 fields, 23 MiB); chunks of SCATTER_CHUNK * V hold 7
+    spec = LatticeSpec(3, 64, 1.0)
+    chi = LevyCharacteristic(lam=9.5, jump_law=JumpLaw.atom(1.0))
+    rng = substream(6)
+    tracemalloc.start()
+    try:
+        sample_noise(chi, spec, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.n_sites * 8
 
 
 def test_lattice_site_cap():

@@ -8,8 +8,8 @@ from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      SpectralDensity, baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
-from levylab.wightman import (_sample_energy, _sample_spatial, _shell_energies, minkowski_sq,
-                              truncated_kernel)
+from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _sample_spatial,
+                              _shell_energies, minkowski_sq, truncated_kernel)
 
 
 @pytest.fixture
@@ -71,6 +71,15 @@ def test_regularization_validation():
         IntegratorSpec(n_samples=3, n_strata=4)
 
 
+def test_integrator_needs_two_points_per_stratum():
+    # one point per stratum would leave var(ddof=1) undefined (NaN)
+    with pytest.raises(ConfigurationError, match=r"n_samples: 64 is below 2 \* n_strata\*\*2 = 128"):
+        IntegratorSpec(n_samples=64, n_strata=8)
+    with pytest.raises(ConfigurationError, match="n_strata: must be >= 1"):
+        IntegratorSpec(n_samples=64, n_strata=0)
+    assert IntegratorSpec(n_samples=128, n_strata=8).n_samples == 128
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -130,6 +139,7 @@ def test_zero_test_function_gives_zero(masses, control):
                                  ShellRegularization(0.1), quick_spec())
     assert est.value == 0.0
     assert est.stderr == 0.0
+    assert est.n_nonzero == 0
 
 
 def test_multilinearity_at_fixed_seed(masses, control):
@@ -168,6 +178,8 @@ def test_control_scale_is_order_one(masses, control):
                                  quick_spec(7, 100_000))
     assert abs(est.value) > 10.0 * est.stderr
     assert 1e-4 < abs(est.value) < 1.0
+    # the integrand vanishes off h1's support ball, ~3/4 of the points
+    assert 0 < est.n_nonzero < est.n_samples // 2
 
 
 def test_baumann_requires_spacelike_labels(masses):
@@ -200,38 +212,76 @@ def test_report_round_trip(masses):
     d = rep.to_dict()
     assert set(d) >= {"epsilons", "spacelike", "control", "verdict",
                       "control_vanishes"}
+    fractions = d["details"]["nonzero_fraction"]
+    assert set(fractions) == {"spacelike", "control"}
+    assert all(len(fr) == 3 and all(0.0 <= x <= 1.0 for x in fr) for fr in fractions.values())
+    assert fractions["control"][0] > 0.0
     import json
     json.dumps(d)  # JSON-serializable
 
 
-def _energy_reference(rng, spatial, lo, hi, peaks, sd):
+def _energy_reference(rng, lo, hi, peaks, sd):
     # the per-peak loop the integrator's proposal must reproduce bit for bit:
     # every peak draws for all samples, the chosen one is kept
     n = len(lo)
-    p_uniform = 0.4
-    p_peak = (1.0 - p_uniform) / len(peaks)
+    p_peak = (1.0 - P_UNIFORM) / len(peaks)
     comp, u_slab, u_norm = (rng.uniform(size=n) for _ in range(3))
     k0 = lo + (hi - lo) * u_slab
     trunc = [(ndtr((lo - mu) / sd), np.maximum(ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd),
                                                1e-300)) for mu in peaks]
     for i, (mu, (a, mass)) in enumerate(zip(peaks, trunc)):
-        in_comp = (comp >= p_uniform + i * p_peak) & (comp < p_uniform + (i + 1) * p_peak)
+        in_comp = (comp >= P_UNIFORM + i * p_peak) & (comp < P_UNIFORM + (i + 1) * p_peak)
         draw = mu + sd * ndtri(np.clip(a + mass * u_norm, 1e-300, 1.0 - 1e-16))
         k0 = np.where(in_comp, np.clip(draw, lo, hi), k0)
-    dens = np.full(n, p_uniform) / (hi - lo)
+    dens = np.full(n, P_UNIFORM) / (hi - lo)
     for mu, (a, mass) in zip(peaks, trunc):
         pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
         dens = dens + p_peak * pdf / mass
-    return np.concatenate([k0[:, None], spatial], axis=1), (1.0 / (hi - lo)) / dens
+    return k0, (1.0 / (hi - lo)) / dens
 
 
 @pytest.mark.parametrize("n_nodes", [1, 3])
 def test_energy_proposal_matches_per_peak_reference(n_nodes):
     test = make_test((1.0, 0.5, 0.0), 0.4, 0.8)
-    spatial, lo, hi = _sample_spatial(test, np.random.default_rng(4), 5000, 0.0, 1.0)
+    x, y, half = _sample_spatial(test, np.random.default_rng(4), 5000, 0.0, 1.0)
+    lo, hi = test.center[0] - half, test.center[0] + half
     nodes = MassAssignment.superposed(0.5, 1.0, n_nodes=n_nodes).legs[0]
-    peaks = _shell_energies(spatial, nodes) + [-0.3 + e for e in _shell_energies(spatial, nodes)]
+    peaks = _shell_energies(x, y, nodes) + [-0.3 + e for e in _shell_energies(x, y, nodes)]
+    sub = np.flatnonzero(np.random.default_rng(5).uniform(size=5000) < 0.3)
     for sd in (0.25, 0.025):
-        k, w = _sample_energy(np.random.default_rng(9), spatial, lo, hi, peaks, sd)
-        k_ref, w_ref = _energy_reference(np.random.default_rng(9), spatial, lo, hi, peaks, sd)
-        assert np.array_equal(k, k_ref) and np.array_equal(w, w_ref)
+        u = np.random.default_rng(9).uniform(size=(3, 5000))
+        k0 = _draw_energy(u, lo, hi, peaks, sd)
+        w = _energy_weight(k0, lo, hi, peaks, sd)
+        k_ref, w_ref = _energy_reference(np.random.default_rng(9), lo, hi, peaks, sd)
+        assert np.array_equal(k0, k_ref) and np.array_equal(w, w_ref)
+        # the stratum draws and weighs only the points still in play
+        sub_peaks = [p[sub] for p in peaks]
+        assert np.array_equal(_draw_energy(u[:, sub], lo[sub], hi[sub], sub_peaks, sd), k0[sub])
+        assert np.array_equal(_energy_weight(k0[sub], lo[sub], hi[sub], sub_peaks, sd), w[sub])
+
+
+# (value, stderr) hex of each pairing at 20000 points, 4 x 4 strata, seed 2024,
+# recorded before support-first evaluation: skipping the points off h1's
+# support must not move a bit
+PINNED = {
+    ("spacelike", "fixed", 2.0): ("-0x1.e4e379530376ap-34", "0x1.8c7497efe925ap-37"),
+    ("spacelike", "fixed", 0.05): ("0x0.0p+0", "0x0.0p+0"),
+    ("spacelike", "superposed", 2.0): ("-0x1.c201a21f5141fp-35", "0x1.c57213fc7fc4ap-38"),
+    ("spacelike", "superposed", 0.05): ("0x0.0p+0", "0x0.0p+0"),
+    ("control", "fixed", 2.0): ("0x1.533bff3a665cep-14", "0x1.7fddce589705cp-20"),
+    ("control", "fixed", 0.05): ("0x1.2759d311dd465p-9", "0x1.2feeaf8546be7p-12"),
+    ("control", "superposed", 2.0): ("-0x1.4f56a7cccc448p-14", "0x1.82b25f7c735dcp-20"),
+    ("control", "superposed", 0.05): ("-0x1.41df902164255p-15", "0x1.e1f994017046fp-15"),
+}
+
+
+@pytest.mark.parametrize("tests_name, masses_name, eps", PINNED)
+def test_pairing_bits_pinned(tests_name, masses_name, eps):
+    tests = shell_control_tests(1.0) if tests_name == "control" else (
+        make_test((1.0, 0.0, 0.0), 0.4, 0.8), make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8),
+        make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8), make_test((-1.0, 0.0, 0.0), 0.4, 0.8))
+    masses = (MassAssignment.fixed([1.0] * 4) if masses_name == "fixed"
+              else MassAssignment.superposed(0.5, 1.0, 3))
+    est = wightman_n_regularized(tests, masses, ShellRegularization(eps),
+                                 IntegratorSpec(n_samples=20_000, n_strata=4, seed=2024))
+    assert (est.value.hex(), est.stderr.hex()) == PINNED[tests_name, masses_name, eps]
