@@ -35,7 +35,8 @@ from .errors import (ConfigurationError, ContractViolation, LevyLabError,
 from .greens import (ANALYTIC, PAPER, ModelParams, SpectralDensity,
                      green_momentum_sq, kl_momentum)
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
-                    _check_points, characteristic_functional, sample_noise)
+                    _check_points, characteristic_functional, check_site_mean,
+                    sample_noise)
 from .rp import MonomialBasis, gram_report, rp_scan, verify_witness, witness_record
 from .sampler import sample_ensemble, sample_point_values, write_ensemble
 from .streams import substream, substream_seed
@@ -173,7 +174,8 @@ _OPTIONAL = {"spectral"}  # may be missing; its lists are still checked when giv
 
 def _validate(cfg: dict, sections) -> tuple:
     """Check each section the command reads for missing keys and empty lists,
-    then build the model, noise and lattice once.  Returns (ModelParams,
+    then build the model, noise and lattice once and check the per-site jump
+    mean against noise.MAX_SITE_MEAN.  Returns (ModelParams,
     LevyCharacteristic, LatticeSpec), None for a section not read."""
     problems: list = []
     built = {}
@@ -191,6 +193,11 @@ def _validate(cfg: dict, sections) -> tuple:
                 built[section] = _BUILDERS[section](cfg)
             except LevyLabError as exc:
                 problems.append(f"[{section}]: {exc}")
+    if "noise" in built and "lattice" in built:
+        try:
+            check_site_mean(built["noise"], built["lattice"])
+        except ConfigurationError as exc:
+            problems.append(f"noise.{exc}")
     if problems:
         raise ConfigurationError("invalid config:\n  " + "\n  ".join(problems))
     return built.get("model"), built.get("noise"), built.get("lattice")
@@ -369,7 +376,7 @@ def _cmd_rp_scan(cfg, p, chi, spec, args):
             replace(p, alpha=alpha)
     with _named("scan.lambdas"):
         for lam in scan["lambdas"]:
-            replace(chi, lam=lam)
+            check_site_mean(replace(chi, lam=lam), spec)
     rows = rp_scan(scan["alphas"], scan["lambdas"], p.m0, chi, basis,
                    symbol=p.symbol, centered=cfg["basis"].get("centered", True))
     buf = io.StringIO()

@@ -14,24 +14,29 @@ cumulants converge to their continuum integrals as a -> 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.special import factorial
+from scipy.special import factorial, pdtr
 
 from .errors import ConfigurationError, ContractViolation, RangeError
 
 MAX_CUMULANT_ORDER = 8
 MAX_SITES = 2**24  # a 256^3 lattice: 128 MiB per float64 field
+# Cap on the per-site jump mean lam * a^d: one inverse-CDF table of a mean mu
+# holds 3 * (80 sqrt(mu) + 11) int64/float64 entries, 0.6 MB at the cap.
+MAX_SITE_MEAN = 1e5
 # Per-site Poisson mean below which sample_noise scatters a jump component
 # (Poisson(mean * V) jumps at uniform sites, bincount: O(N)) instead of one
-# count per site (O(V); numpy's per-site draw is O(1) per site from mean 10).
-# Sweep on 4096 sites (Philox, min of 5), per-site vs scattered in us: mean
-# 0.125 82 vs 12, 1.25 208 vs 49, 5 348 vs 171, 9.9 619 vs 348, 12.5 392 vs 508.
-SCATTER_MAX_MEAN = 10.0
-# Scattered atom sites are drawn and counted this many lattices' worth at a
-# time, so the int64 indices never outgrow a few fields (chunked integers()
-# calls continue the stream exactly; integer counts add exactly).
+# inverse-CDF count per site (O(V), flat in the mean).  Sweep on 4096 sites
+# (Philox, min of 7), scattered vs per-site table in us: mean 1 34 vs 56,
+# 1.5 47 vs 51, 2 69 vs 77, 2.5 80 vs 55, 4 118 vs 55, 9.5 257 vs 65, 12.5
+# 323 vs 55 (rng.poisson per site: 170-475 us from mean 1 to 12.5).
+SCATTER_MAX_MEAN = 2.0
+# Scattered sites (and their jumps) are drawn and summed this many lattices'
+# worth at a time, so the int64 indices never outgrow a few fields (chunked
+# integers() calls continue the stream exactly; integer counts add exactly).
 SCATTER_CHUNK = 4
 
 _ATOMS = "atoms"
@@ -280,14 +285,63 @@ def characteristic_functional(chi: LevyCharacteristic, f: LatticeField) -> compl
     return complex(np.exp(f.spec.cell_volume * np.sum(psi(chi, f.values))))
 
 
-def _scatter_counts(rng: np.random.Generator, n: int, total: int) -> np.ndarray:
-    """Per-site counts of total uniform site indices, drawn in chunks of
-    SCATTER_CHUNK * n."""
+def check_site_mean(chi: LevyCharacteristic, spec: LatticeSpec) -> None:
+    """Reject a per-site jump mean lam * a^d above MAX_SITE_MEAN."""
+    mean = chi.lam * spec.cell_volume
+    if mean > MAX_SITE_MEAN:
+        raise ConfigurationError(
+            f"lambda: per-site jump mean lambda * a^d = {mean:g} exceeds the cap "
+            f"MAX_SITE_MEAN = {MAX_SITE_MEAN:g}")
+
+
+def _scatter(rng: np.random.Generator, n: int, total: int, jump_law=None) -> np.ndarray:
+    """Per-site sums over total uniform site indices, drawn in chunks of
+    SCATTER_CHUNK * n: int64 counts, or with a jump law the sums of jumps drawn
+    right after each chunk's sites (one chunk: all sites, then all jumps)."""
     chunk = SCATTER_CHUNK * n
-    counts = np.bincount(rng.integers(n, size=min(total, chunk)), minlength=n)
+
+    def part(start):
+        size = min(total - start, chunk)
+        # arguments evaluate left to right: the sites are drawn before the jumps
+        return np.bincount(rng.integers(n, size=size), minlength=n,
+                           weights=None if jump_law is None else jump_law.sample(rng, size))
+
+    out = part(0)
     for start in range(chunk, total, chunk):
-        counts += np.bincount(rng.integers(n, size=min(total - start, chunk)), minlength=n)
-    return counts
+        out += part(start)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _poisson_table(mean: float):
+    """(lo, cdf, guide) for Poisson(mean) by inverse CDF, both arrays read-only.
+    cdf[i] = P(N <= lo + i) for lo + i in [max(0, mean - 40 sqrt(mean)),
+    mean + 40 sqrt(mean) + 10], its last entry set to 1 so that every u < 1
+    lands inside; guide[j] is the first i with cdf[i] > j / m over m =
+    2 len(cdf) equal cells, each threshold shaved by 2^-50 so that rounding in
+    u * m never lifts a cell's guide past its answer."""
+    half = 40.0 * np.sqrt(mean)
+    lo = int(max(0.0, mean - half))
+    cdf = pdtr(np.arange(lo, int(mean + half) + 11, dtype=float), mean)
+    cdf[-1] = 1.0
+    m = 2 * cdf.size
+    guide = np.searchsorted(cdf, np.arange(m) * ((1.0 - 2.0**-50) / m), side="right")
+    cdf.setflags(write=False)
+    guide.setflags(write=False)
+    return lo, cdf, guide
+
+
+def _poisson_counts(rng: np.random.Generator, mean: float, n: int) -> np.ndarray:
+    """n Poisson(mean) counts from one rng.random(n): the first i with cdf[i] > u,
+    found from u's guide cell, one vectorized step, and a binary search for
+    the few sites still short."""
+    lo, cdf, guide = _poisson_table(mean)
+    u = rng.random(n)
+    k = guide[(u * guide.size).astype(np.intp)]
+    k += cdf[k] <= u
+    short = np.flatnonzero(cdf[k] <= u)
+    k[short] = np.searchsorted(cdf, u[short], side="right")
+    return k + lo
 
 
 def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
@@ -297,11 +351,14 @@ def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
     Site value: b + sigma*a^(-d/2)*N(0,1) + a^(-d) * sum of N jumps, with
     independent N ~ Poisson(lam * a^d) per site and i.i.d. jumps from the jump
     law, exactly.  A density law scatters Poisson(lam * a^d * V) jumps over
-    uniform sites (superposition).  Atom j (position s_j, weight w_j) adds
-    s_j * a^(-d) * N_j, N_j ~ Poisson(mu_j), mu_j = lam * a^d * w_j (marking):
-    scattered (sites drawn SCATTER_CHUNK * V at a time) if mu_j <
-    SCATTER_MAX_MEAN, else one rng.poisson count per site.
+    uniform sites (superposition), sites and jumps SCATTER_CHUNK * V at a
+    time.  Atom j (position s_j, weight w_j) adds s_j * a^(-d) * N_j,
+    N_j ~ Poisson(mu_j), mu_j = lam * a^d * w_j (marking): scattered the same
+    way if mu_j < SCATTER_MAX_MEAN, else one count per site by inverse CDF
+    through a cached table (one rng.random(V)).  A per-site mean lam * a^d
+    above MAX_SITE_MEAN raises ConfigurationError naming lambda.
     """
+    check_site_mean(chi, spec)
     vol, n = spec.cell_volume, spec.n_sites
     values = np.full(n, chi.b)
     if chi.sigma2 > 0.0:
@@ -309,11 +366,9 @@ def sample_noise(chi: LevyCharacteristic, spec: LatticeSpec,
     if chi.lam > 0.0 and chi.jump_law.kind == _ATOMS:
         for s, w in zip(*chi.jump_law.positions_weights()):
             mean = chi.lam * vol * w
-            counts = (rng.poisson(mean, size=n) if mean >= SCATTER_MAX_MEAN else
-                      _scatter_counts(rng, n, rng.poisson(mean * n)))
+            counts = (_poisson_counts(rng, mean, n) if mean >= SCATTER_MAX_MEAN else
+                      _scatter(rng, n, rng.poisson(mean * n)))
             values += (s / vol) * counts
     elif chi.lam > 0.0:
-        sites = rng.integers(n, size=rng.poisson(chi.lam * vol * n))
-        jumps = chi.jump_law.sample(rng, sites.size)
-        values += np.bincount(sites, weights=jumps, minlength=n) / vol
+        values += _scatter(rng, n, rng.poisson(chi.lam * vol * n), chi.jump_law) / vol
     return LatticeField(spec, values.reshape(spec.shape))

@@ -32,7 +32,7 @@ from .cumulants import (analytic_truncated_schwinger, full_schwinger_moment,  # 
                         schwinger_moments)
 from .errors import ConfigurationError, ContractViolation, LevyLabError, RangeError
 from .greens import ModelParams
-from .noise import JumpLaw, LatticeSpec, LevyCharacteristic, _check_points
+from .noise import JumpLaw, LatticeSpec, LevyCharacteristic, _check_points, check_site_mean
 from .sampler import sample_point_values
 
 MAX_MOMENT_ORDER = 4
@@ -267,6 +267,10 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
         raise ConfigurationError(f"witness: {exc.args[0]}: missing") from exc
     except (AttributeError, TypeError, ValueError) as exc:  # e.g. a list for an object
         raise ConfigurationError(f"witness: malformed entry ({exc})") from exc
+    try:
+        check_site_mean(chi, spec)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"witness: params.{exc}") from exc
     if w.ndim != 1:
         raise ConfigurationError("witness: coefficients: must be a flat list")
     if not np.all(np.isfinite(w)):

@@ -274,12 +274,21 @@ def _draw_energy(u, lo, hi, peaks, sd: float) -> np.ndarray:
     pick = np.searchsorted(edges, comp, side="right") - 1
     chosen = np.flatnonzero((pick >= 0) & (pick < len(mu)))
     mu_c, lo_c, hi_c = mu[pick[chosen], chosen], lo[chosen], hi[chosen]
-    a = ndtr((lo_c - mu_c) / sd)
-    mass = np.maximum(ndtr((hi_c - mu_c) / sd) - a, 1e-300)
+    sd_s, a, mass = _truncated_mass(lo_c, hi_c, mu_c, sd)
     k0 = lo + (hi - lo) * u_slab
     u_c = np.clip(a + mass * u_norm[chosen], 1e-300, 1.0 - 1e-16)
-    k0[chosen] = np.clip(mu_c + sd * ndtri(u_c), lo_c, hi_c)
+    k0[chosen] = np.clip(mu_c + sd_s * ndtri(u_c), lo_c, hi_c)
     return k0
+
+
+def _truncated_mass(lo, hi, mu, sd: float):
+    """(sd_s, a, mass): the normal of mean mu and width sd on [lo, hi] spans
+    [a, a + mass] of the standard normal CDF in z = (k - mu) / sd_s.  sd_s =
+    -sd where the slab lies above its peak, so the mass is always taken in a
+    lower tail: there ndtr(z_hi) - ndtr(z_lo) cancels to 0 beyond ~8.3 sd."""
+    sd_s = np.where(lo > mu, -sd, sd)
+    p_lo, p_hi = ndtr((lo - mu) / sd_s), ndtr((hi - mu) / sd_s)
+    return sd_s, np.minimum(p_lo, p_hi), np.maximum(np.abs(p_hi - p_lo), 1e-300)
 
 
 def _energy_weight(k0, lo, hi, peaks, sd: float) -> np.ndarray:
@@ -289,7 +298,7 @@ def _energy_weight(k0, lo, hi, peaks, sd: float) -> np.ndarray:
     p_peak = (1.0 - P_UNIFORM) / len(peaks)
     dens = np.full(len(k0), P_UNIFORM) / (hi - lo)
     for mu in peaks:  # peak by peak, in order
-        mass = np.maximum(ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd), 1e-300)
+        mass = _truncated_mass(lo, hi, mu, sd)[2]
         pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
         dens = dens + p_peak * pdf / mass
     return (1.0 / (hi - lo)) / dens

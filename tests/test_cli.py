@@ -488,6 +488,9 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
                      "0,0,0; 1,0,0; 2,0,0; 3,0,0; 0,1,0; 0,2,0; 0,3,0",
                      "points.seven: order 7 outside [1, 6]"),
     "d_30": ("noise-check", "lattice", "d", "30", "L**d = 4**30"),
+    "lambda_1e21": ("sample", "noise", "lambda", "1e21", "noise.lambda: per-site jump mean"),
+    "scan_lambda_1e21": ("rp-scan", "scan", "lambdas", "0.5, 1e21",
+                         "scan.lambdas: lambda: per-site jump mean"),
     "q2_nan": ("spectral", "spectral", "q2_grid", "0.0, nan", "spectral.q2_grid"),
     "q2_negative": ("spectral", "spectral", "q2_grid", "-5.0", "spectral.q2_grid"),
     "spectral_alpha_1.5": ("spectral", "spectral", "alphas", "0.5, 1.5", "spectral.alphas"),
@@ -544,6 +547,7 @@ _ALL_MUTATION = st.one_of(
 @example(mutations=[("set", ("basis", "degree"), "-2")])
 @example(mutations=[("set", ("points", "seven"), BAD_INPUTS["seven_points"][3])])
 @example(mutations=[("set", ("lattice", "d"), "30")])
+@example(mutations=[("set", ("noise", "lambda"), "1e21")])
 @example(mutations=[("set", ("spectral", "q2_grid"), "0.0, nan")])
 @example(mutations=[("set", ("spectral", "q2_grid"), "-5.0")])
 @example(mutations=[("set", ("spectral", "alphas"), "0.5, 1.5")])
@@ -569,3 +573,10 @@ def test_verify_witness_site_cap_exit_1(witness_dir, capsys):
     _mutate(record, "set", ("params", "lattice", "d"), 30)
     assert run_witness(record, witness_dir) == 1
     assert "exceed the cap MAX_SITES" in capsys.readouterr().err
+
+
+def test_verify_witness_site_mean_cap_exit_1(witness_dir, capsys):
+    record = copy.deepcopy(WITNESS)
+    _mutate(record, "set", ("params", "lambda"), 1e21)
+    assert run_witness(record, witness_dir) == 1
+    assert "witness: params.lambda: per-site jump mean" in capsys.readouterr().err

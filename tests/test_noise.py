@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import pdtr
 from scipy.stats import poisson
 
+import levylab
 from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      LevyCharacteristic, ModelParams, RangeError, SpectralDensity,
                      characteristic_functional, noise_cumulant, psi, sample_noise,
                      substream)
-from levylab.noise import MAX_CUMULANT_ORDER, MAX_SITES, SCATTER_CHUNK, SCATTER_MAX_MEAN
+from levylab.noise import (MAX_CUMULANT_ORDER, MAX_SITE_MEAN, MAX_SITES, SCATTER_CHUNK,
+                           SCATTER_MAX_MEAN, _poisson_table, _scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +300,8 @@ def test_jump_route_characteristic_functional(case):
     assert_empirical_cf(chi, spec, f, substream(2003, list(CF_CASES).index(case)), 4.0)
 
 
-@pytest.mark.parametrize("mean", [SCATTER_MAX_MEAN - 0.5, SCATTER_MAX_MEAN + 0.5],
-                         ids=["scattered", "per_site"])
+@pytest.mark.parametrize("mean", [SCATTER_MAX_MEAN - 0.5, SCATTER_MAX_MEAN + 0.5, 12.5, 1000.0],
+                         ids=["scattered", "per_site", "per_site_12.5", "per_site_1000"])
 def test_atom_counts_are_independent_poisson(mean):
     # one atom at 1 adds a^(-d) per jump, so a^d * eta counts the jumps per site
     spec = LatticeSpec(3, 4, 0.5)
@@ -307,7 +313,7 @@ def test_atom_counts_are_independent_poisson(mean):
     # marginal: histogram against the Poisson pmf, one bin per count with >= 20
     # expected sites and one bin per tail, 5 binomial stderr per bin
     flat = counts.ravel()
-    k = np.flatnonzero(poisson.pmf(np.arange(100), mean) * flat.size >= 20)
+    k = np.flatnonzero(poisson.pmf(np.arange(2 * mean + 100), mean) * flat.size >= 20)
     freq = np.array([np.mean(flat < k[0]), *(np.mean(flat == j) for j in k),
                      np.mean(flat > k[-1])])
     prob = np.array([poisson.cdf(k[0] - 1, mean), *poisson.pmf(k, mean),
@@ -318,46 +324,133 @@ def test_atom_counts_are_independent_poisson(mean):
     assert abs(totals.var(ddof=1) / (mean * spec.n_sites) - 1.0) <= 0.2
 
 
+@pytest.mark.parametrize("mean", [12.5, 100.0, 1e4])
+def test_table_draw_is_inverse_cdf(mean):
+    # per-site counts are the inverse Poisson CDF at one rng.random(V), bit for
+    # bit, and the stream goes on exactly as after that one call
+    spec = LatticeSpec(3, 16, 1.0)
+    chi = LevyCharacteristic(lam=mean, jump_law=JumpLaw.atom(1.0))
+    for i in range(3):
+        ref, rng = substream(91, i), substream(91, i)
+        u = ref.random(spec.n_sites)
+        lo = int(max(0.0, mean - 50.0 * np.sqrt(mean)))
+        k = np.arange(lo, mean + 50.0 * np.sqrt(mean) + 20.0)
+        expected = np.searchsorted(pdtr(k, mean), u, side="right") + lo
+        assert np.array_equal(sample_noise(chi, spec, rng).values.ravel(), 1.0 * expected)
+        assert rng.random() == ref.random()
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_poisson_table_is_small_and_read_only():
+    (lo, cdf, guide), peak = traced_peak(_poisson_table.__wrapped__, MAX_SITE_MEAN)  # uncached
+    assert cdf.nbytes + guide.nbytes <= 1_000_000 and peak <= 2_000_000
+    assert cdf[-1] == 1.0 and not cdf.flags.writeable and not guide.flags.writeable
+
+
+def test_site_mean_cap():
+    spec = LatticeSpec(3, 4, 0.5)
+    for law in (JumpLaw.atom(1.0), JumpLaw.uniform(0.5, 2.0)):
+        chi = LevyCharacteristic(lam=1e21, jump_law=law)  # numpy: "lam value too large"
+        with pytest.raises(ConfigurationError, match=r"^lambda: .* MAX_SITE_MEAN"):
+            sample_noise(chi, spec, substream(3))
+    at_cap = LevyCharacteristic(lam=MAX_SITE_MEAN / spec.cell_volume, jump_law=JumpLaw.atom(1.0))
+    values = sample_noise(at_cap, spec, substream(3)).values * spec.cell_volume
+    assert abs(values.mean() / MAX_SITE_MEAN - 1.0) < 0.01
+
+
+def test_noise_draws_import_no_scipy_stats():
+    # a forked sampler worker starts with its parent's resident pages, so an
+    # import made for the noise draw would count in every worker's RSS
+    code = ("import sys\n"
+            "import levylab.cli\n"
+            "from levylab import JumpLaw, LatticeSpec, LevyCharacteristic, sample_noise, substream\n"
+            "spec = LatticeSpec(3, 4, 0.5)\n"
+            "for mean in (0.25, 12.5):\n"
+            "    chi = LevyCharacteristic(lam=mean / spec.cell_volume, jump_law=JumpLaw.atom(1.0))\n"
+            "    sample_noise(chi, spec, substream(1))\n"
+            "print('scipy.stats' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(levylab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_high_mean_atom_draw_is_o_of_sites(desk_spec):
     # mean 1000 per site: a scattered draw would hold 4e6 site indices (32 MB)
     chi = LevyCharacteristic(lam=1000.0 / desk_spec.cell_volume, jump_law=JumpLaw.atom(1.0))
     rng = substream(5)
-    tracemalloc.start()
-    try:
-        sample_noise(chi, desk_spec, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(sample_noise, chi, desk_spec, rng)[1]
     assert peak < 16 * desk_spec.n_sites * 8
 
 
 def test_chunked_scatter_matches_one_draw():
-    # mean 9.5 per site: each draw crosses two chunk boundaries of SCATTER_CHUNK * V
+    # a scattered atom draw at SCATTER_MAX_MEAN - 0.5 is one chunk: one
+    # integers() call and its bincount.  Below SCATTER_MAX_MEAN < SCATTER_CHUNK
+    # an atom draw never fills a chunk, so the chunks are crossed at mean 9.5
+    # on _scatter itself: each draw crosses two chunk boundaries
     spec = LatticeSpec(3, 4, 1.0)
     n = spec.n_sites
-    chi = LevyCharacteristic(lam=9.5, jump_law=JumpLaw.atom(1.0))
+    mean = SCATTER_MAX_MEAN - 0.5
+    chi = LevyCharacteristic(lam=mean, jump_law=JumpLaw.atom(1.0))
     for i in range(5):
         ref, rng = substream(77, i), substream(77, i)
+        counts = np.bincount(ref.integers(n, size=ref.poisson(mean * n)), minlength=n)
+        assert np.array_equal(sample_noise(chi, spec, rng).values.ravel(), 1.0 * counts)
+        assert rng.random() == ref.random()  # the stream goes on where one draw leaves it
+        ref, rng = substream(78, i), substream(78, i)
         total = ref.poisson(9.5 * n)
         assert total > 2 * SCATTER_CHUNK * n
         counts = np.bincount(ref.integers(n, size=total), minlength=n)
-        assert np.array_equal(sample_noise(chi, spec, rng).values.ravel(), 1.0 * counts)
-        assert rng.random() == ref.random()  # the stream goes on where one draw leaves it
+        assert np.array_equal(_scatter(rng, n, rng.poisson(9.5 * n)), counts)
+        assert rng.random() == ref.random()
+
+
+def test_density_scatter_draws_sites_then_jumps_per_chunk():
+    # one chunk (mean 3.5 < SCATTER_CHUNK) is all sites, then all jumps; at mean
+    # 9.5 each chunk of SCATTER_CHUNK * V draws its sites, then its jumps
+    spec = LatticeSpec(3, 4, 1.0)
+    n, chunk = spec.n_sites, SCATTER_CHUNK * spec.n_sites
+    for mean, crossings in ((3.5, 0), (9.5, 2)):
+        chi = LevyCharacteristic(b=0.3, lam=mean, jump_law=JumpLaw.uniform(0.5, 2.0))
+        for i in range(3):
+            ref, rng = substream(79, i), substream(79, i)
+            total = ref.poisson(mean * n)
+            assert total // chunk == crossings
+            sums = np.zeros(n)
+            for start in range(0, total, chunk):
+                sites = ref.integers(n, size=min(total - start, chunk))
+                sums += np.bincount(sites, weights=ref.uniform(0.5, 2.0, sites.size),
+                                    minlength=n)
+            assert np.array_equal(sample_noise(chi, spec, rng).values.ravel(), 0.3 + sums)
+            assert rng.random() == ref.random()
 
 
 def test_scattered_atom_draw_memory_is_a_few_fields():
-    # just below SCATTER_MAX_MEAN on 64^3 one scattered draw held 2.5e6 int64
-    # site indices (11.5 fields, 23 MiB); chunks of SCATTER_CHUNK * V hold 7
+    # just below SCATTER_MAX_MEAN on 64^3 the int64 site indices of one chunk
+    # hold at most SCATTER_CHUNK fields
     spec = LatticeSpec(3, 64, 1.0)
-    chi = LevyCharacteristic(lam=9.5, jump_law=JumpLaw.atom(1.0))
+    chi = LevyCharacteristic(lam=SCATTER_MAX_MEAN - 0.5, jump_law=JumpLaw.atom(1.0))
     rng = substream(6)
-    tracemalloc.start()
-    try:
-        sample_noise(chi, spec, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(sample_noise, chi, spec, rng)[1]
     assert peak < 8 * spec.n_sites * 8
+
+
+def test_density_scatter_memory_is_a_few_fields():
+    # mean 50 on 32^3: one unchunked draw held 1.6e6 int64 sites and as many
+    # float jumps (100 fields); a chunk holds SCATTER_CHUNK fields of each
+    spec = LatticeSpec(3, 32, 1.0)
+    chi = LevyCharacteristic(lam=50.0, jump_law=JumpLaw.uniform(0.5, 2.0))
+    rng = substream(7)
+    peak = traced_peak(sample_noise, chi, spec, rng)[1]
+    assert peak < 16 * spec.n_sites * 8
 
 
 def test_lattice_site_cap():
