@@ -203,6 +203,18 @@ def _validate(cfg: dict, sections) -> tuple:
     return built.get("model"), built.get("noise"), built.get("lattice")
 
 
+def _read_text(path, field: str) -> str:
+    """The UTF-8 text of an input file; a file that is missing, a directory,
+    unreadable or not UTF-8 raises ConfigurationError naming the field."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"{field}: {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{field}: {path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 @contextmanager
 def _named(field: str, sep: str = ": "):
     """Re-raise a rejected input value as a ConfigurationError naming its field
@@ -452,11 +464,10 @@ def _cmd_spectral(cfg, p, chi, spec, args):
 def _cmd_verify_witness(cfg, p, chi, spec, args):
     if not args.witness:
         raise ConfigurationError("verify-witness requires --witness PATH")
-    with open(args.witness) as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"witness: invalid JSON ({exc})") from exc
+    try:
+        record = json.loads(_read_text(args.witness, "witness"))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"witness: invalid JSON ({exc})") from exc
     verdict = verify_witness(record, args.seed, n_samples=cfg["run"]["n_samples"],
                              workers=args.workers)
     return ({"witness": record, "verdict": verdict},
@@ -497,9 +508,11 @@ def main(argv=None) -> int:
 
     args.out = args.out or os.environ.get("LFL_OUT") or os.getcwd()
     try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"out: {args.out}: {exc.strerror or exc}") from exc
+        cfg = parse_config(_read_text(args.config, "config"))
         run = cfg.get("run", {})
         args.seed = args.seed if args.seed is not None else run.get("seed", 0)
         if args.seed < 0:
@@ -511,7 +524,7 @@ def main(argv=None) -> int:
             _write_report(os.path.join(args.out, report), args.command, cfg,
                           args.seed, results)
         return code
-    except (ConfigurationError, RangeError, FileNotFoundError) as exc:
+    except (ConfigurationError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, SingularityError, ContractViolation) as exc:

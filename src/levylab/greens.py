@@ -15,6 +15,9 @@ with rho(s) = C * (s - m0^2)^(-alpha).  The working normalization is
 C = sin(pi*alpha)/pi, which makes the identity exact; the alternative
 constant 2*sin(pi*alpha) is kept as an option (it differs by the factor
 2*pi and only affects overall positive scales downstream).
+
+The FFT route needs numpy only.  scipy.integrate (quad) is loaded at the first
+spectral_integral, and scipy.special (kv) at the first yukawa call.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import kv
 
 from .errors import ConfigurationError, NumericalError, SingularityError
 from .noise import LatticeField, LatticeSpec
@@ -162,6 +163,8 @@ def spectral_integral(sd: SpectralDensity, kernel, quad_spec: QuadratureSpec | N
     measure constant/(1-alpha) du, eliminating the (s-m0^2)^(-alpha)
     singularity exactly.
     """
+    from scipy.integrate import quad  # loaded by the quadrature routes only
+
     qs = quad_spec or QuadratureSpec()
     alpha, m0sq = sd.alpha, sd.m0**2
     pwr = 1.0 / (1.0 - alpha)
@@ -192,6 +195,8 @@ def yukawa(m: float, r: float, d: int) -> float:
         raise SingularityError("Yukawa kernel evaluated at r = 0")
     if m <= 0.0:
         raise SingularityError("Yukawa kernel requires m > 0")
+    from scipy.special import kv
+
     nu = d / 2.0 - 1.0
     return float((2.0 * np.pi) ** (-d / 2.0) * m**nu * r**(-nu) * kv(nu, m * r))
 

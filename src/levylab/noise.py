@@ -9,16 +9,20 @@ a probability measure on the reals excluding 0 with finite moments.  On a
 periodic lattice with spacing a the smeared pairing is the Riemann sum
 eta(f) = a^d * sum_x eta_x f_x, and site values are scaled so that lattice
 cumulants converge to their continuum integrals as a -> 0.
+
+Only numpy is imported with the module: scipy.special (pdtr) is loaded when
+the first inverse-CDF table is built, that is at the first draw of an atom
+component with per-site mean >= SCATTER_MAX_MEAN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.special import factorial, pdtr
 
 from .errors import ConfigurationError, ContractViolation, RangeError
 
@@ -126,7 +130,7 @@ class JumpLaw:
         (scale,) = self.params
         if n % 2 == 1:
             return 0.0
-        return float(factorial(n) * scale**n)
+        return float(math.factorial(n) * scale**n)
 
     def char_minus_one(self, t):
         """integral (exp(i*s*t) - 1) dr(s), vectorized over t, closed form."""
@@ -320,6 +324,8 @@ def _poisson_table(mean: float):
     lands inside; guide[j] is the first i with cdf[i] > j / m over m =
     2 len(cdf) equal cells, each threshold shaved by 2^-50 so that rounding in
     u * m never lifts a cell's guide past its answer."""
+    from scipy.special import pdtr  # loaded at the first table-route draw only
+
     half = 40.0 * np.sqrt(mean)
     lo = int(max(0.0, mean - half))
     cdf = pdtr(np.arange(lo, int(mean + half) + 11, dtype=float), mean)

@@ -10,14 +10,14 @@ matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
 draws from the counter-based stream (master_seed, i), one per-sample map turns
 the noise into a result (solved field, point values, or cumulants' subset
 rows) and the results are summed over fixed blocks of samples in sample
-order, so sums are bit-identical for any worker count.
+order, so sums are bit-identical for any worker count.  concurrent.futures
+is imported only when a worker pool starts.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -149,6 +149,8 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
     chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
     args = [(chi, spec, master_seed, int(c[0]) * size, min(n_samples, int(c[-1] + 1) * size),
              size, shape, fn) for c in chunks]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return np.concatenate(list(ex.map(_sample_chunk, args)), axis=0)
 
@@ -192,7 +194,8 @@ def write_ensemble(path, e: Ensemble) -> None:
             fh.write(struct.pack(f"<{len(params)}d", *params))
         fh.write(struct.pack("<IQ", _SYMBOL_TAGS[e.params.symbol], e.master_seed))
         fh.write(struct.pack("<Q", e.n_samples))
-        fh.write(np.ascontiguousarray(e.fields, dtype="<f8").tobytes())
+        # the array's own buffer (a copy only on a big-endian host): no bytes copy
+        fh.write(np.ascontiguousarray(e.fields, dtype="<f8").data)
 
 
 def _unpack(buf: bytes, pos: int, fmt: str, path, field: str):

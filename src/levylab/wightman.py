@@ -32,6 +32,9 @@ If both middle test functions have purely space-like support, every j-term
 carries at least one shell delta at a bounded distance from its shell, so the
 pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control does
 not.
+
+scipy.special (ndtr, ndtri) is loaded at the first stratum, not with the
+module.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ClassificationError, ConfigurationError
 from .greens import SpectralDensity
@@ -266,6 +268,8 @@ def _draw_energy(u, lo, hi, peaks, sd: float) -> np.ndarray:
     u_norm), each (n,): each point picks one component of a mixture of the
     uniform slab and truncated normals of width sd at the peaks (one (n,) array
     per peak) and draws once from it.  ndtr/ndtri run at the chosen peak only."""
+    from scipy.special import ndtri
+
     comp, u_slab, u_norm = u
     mu = np.array(peaks)
     p_peak = (1.0 - P_UNIFORM) / len(mu)
@@ -286,6 +290,8 @@ def _truncated_mass(lo, hi, mu, sd: float):
     [a, a + mass] of the standard normal CDF in z = (k - mu) / sd_s.  sd_s =
     -sd where the slab lies above its peak, so the mass is always taken in a
     lower tail: there ndtr(z_hi) - ndtr(z_lo) cancels to 0 beyond ~8.3 sd."""
+    from scipy.special import ndtr  # loaded at the first stratum only
+
     sd_s = np.where(lo > mu, -sd, sd)
     p_lo, p_hi = ndtr((lo - mu) / sd_s), ndtr((hi - mu) / sd_s)
     return sd_s, np.minimum(p_lo, p_hi), np.maximum(np.abs(p_hi - p_lo), 1e-300)

@@ -1,11 +1,15 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import levylab
 from levylab.cli import main, parse_config
 from levylab.errors import ConfigurationError
 
@@ -249,6 +253,46 @@ def test_verify_witness_malformed_exit_1(config_path, tmp_path, capsys,
     assert run_cli("verify-witness", config_path, tmp_path,
                    "--witness", str(witness)) == 1
     assert field in capsys.readouterr().err
+
+
+def _deny_reading(monkeypatch, path):
+    """Reading path raises PermissionError (a file mode does not stop a superuser)."""
+    read_text = Path.read_text
+
+    def read(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read)
+
+
+INPUT_FILES = {  # case -> how the input file at path is made unusable
+    "missing": lambda path, mp: None,
+    "directory": lambda path, mp: path.mkdir(),
+    "not_utf8": lambda path, mp: path.write_bytes(b"[run]\nseed = 1\n# \xff\xfe\n"),
+    "unreadable": lambda path, mp: (path.write_text("{}"), _deny_reading(mp, path)),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_FILES)
+@pytest.mark.parametrize("field", ["config", "witness"])
+def test_unusable_input_file_exit_1(tmp_path, capsys, monkeypatch, field, case):
+    path = tmp_path / "input"
+    INPUT_FILES[case](path, monkeypatch)
+    config = tmp_path / "witness.ini"
+    config.write_text(WITNESS_INI)
+    argv = ["--config", str(path)] if field == "config" else [
+        "--config", str(config), "--witness", str(path)]
+    assert main(["verify-witness", *argv, "--out", str(tmp_path)]) == 1
+    assert f"error: {field}: {path}: " in capsys.readouterr().err
+
+
+def test_out_path_is_a_file_exit_1(config_path, tmp_path, capsys):
+    out = tmp_path / "afile"
+    out.write_text("")
+    assert run_cli("schwinger", config_path, out) == 1
+    assert f"error: out: {out}: " in capsys.readouterr().err
 
 
 RP_INI = """\
@@ -580,3 +624,69 @@ def test_verify_witness_site_mean_cap_exit_1(witness_dir, capsys):
     _mutate(record, "set", ("params", "lambda"), 1e21)
     assert run_witness(record, witness_dir) == 1
     assert "witness: params.lambda: per-site jump mean" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# cold start: a command loads only the scipy submodules its code path calls
+
+IMPORT_INI = {**FUZZ_ALL,  # 8^3 sites; the basis has a negative witness at both lambdas
+              "noise": {"sigma2": "1.0", "lambda": "1.0", "jump_kind": "atoms",
+                        "jump_params": "1.0, 1.0"},
+              "lattice": {"d": "3", "L": "8", "a": "0.5"},
+              "basis": {"points": "1,0,0; 2,0,0; 3,0,0; 1,1,0; 2,1,0; 3,1,0", "degree": "2"},
+              "scan": {"alphas": "0.5", "lambdas": "1.0"}}
+_SPECIAL = ("scipy.special",)
+_INTEGRATE = ("scipy.integrate", "scipy.special")  # scipy.integrate imports scipy.special
+# case -> (command, changed INI values, witness lambda, scipy modules loaded)
+# per-site atom mean lambda * a^3: 0.125 at lambda 1 (scattered), 2.5 at 20 (table route)
+COLD_START = {
+    "sample": ("sample", {}, None, ()),
+    "cumulants": ("cumulants", {}, None, ()),
+    "schwinger": ("schwinger", {}, None, ()),
+    "rp-check": ("rp-check", {}, None, ()),
+    "noise-check": ("noise-check", {}, None, ()),
+    "rp-scan_scattered": ("rp-scan", {}, None, ()),
+    "rp-scan_table": ("rp-scan", {("scan", "lambdas"): "1.0, 20.0"}, None, _SPECIAL),
+    "verify-witness_scattered": ("verify-witness", {}, 1.0, ()),
+    "verify-witness_table": ("verify-witness", {}, 20.0, _SPECIAL),
+    "baumann": ("baumann", {}, None, _SPECIAL),
+    "spectral": ("spectral", {}, None, _INTEGRATE),
+}
+
+
+def _fresh_modules(tmp_path, code: str) -> list:
+    """The lines code prints when run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(levylab.__file__))}
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], capture_output=True,
+                         text=True, env=env, cwd=tmp_path, check=True, timeout=120)
+    return out.stdout.splitlines()
+
+
+def test_import_loads_no_scipy(tmp_path):
+    code = ("import levylab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'concurrent')))\n")
+    assert _fresh_modules(tmp_path, code) == ["[]"]
+
+
+@pytest.mark.parametrize("case", COLD_START)
+def test_command_loads_only_its_scipy(tmp_path, case):
+    command, changes, witness_lam, expected = COLD_START[case]
+    cfg = copy.deepcopy(IMPORT_INI)
+    for (sec, key), value in changes.items():
+        cfg[sec][key] = value
+    argv = [command, "--config", write_ini(tmp_path / "cfg.ini", cfg), "--out", str(tmp_path)]
+    if witness_lam is not None:
+        record = copy.deepcopy(WITNESS)
+        record["params"]["lambda"] = witness_lam
+        (tmp_path / "witness.json").write_text(json.dumps(record))
+        argv += ["--witness", str(tmp_path / "witness.json")]
+    code = ("from levylab.cli import main\n"
+            f"print(main({argv!r}))\n"
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    exit_code, loaded = _fresh_modules(tmp_path, code)[-2:]
+    assert exit_code in ("0", "3")
+    loaded = loaded.split()
+    assert [m for m in ("scipy.integrate", "scipy.special") if m in loaded] == list(expected)
+    assert bool(loaded) == bool(expected)
+    assert "scipy.stats" not in loaded

@@ -126,6 +126,28 @@ def test_jump_moment_order_cap():
         JumpLaw.atom(1.0).moment(MAX_CUMULANT_ORDER + 1)
 
 
+# n! s^n with n! from scipy.special.factorial, the float64 values of scale 0.7 and 1.3
+LAPLACE_MOMENT_PINS = {
+    0.7: ["0x1.0000000000000p+0", "0x0.0p+0", "0x1.f5c28f5c28f5bp-1", "0x0.0p+0",
+          "0x1.70cb295e9e1afp+2", "0x0.0p+0", "0x1.52d4413554758p+6", "0x0.0p+0",
+          "0x1.228bc4b754956p+11"],
+    1.3: ["0x1.0000000000000p+0", "0x0.0p+0", "0x1.b0a3d70a3d70bp+1", "0x0.0p+0",
+          "0x1.122f837b4a234p+6", "0x0.0p+0", "0x1.b269adea89765p+11", "0x0.0p+0",
+          "0x1.4131a81bf8842p+18"],
+}
+
+
+@pytest.mark.parametrize("scale", LAPLACE_MOMENT_PINS)
+def test_laplace_moments_pinned(scale):
+    # math.factorial is exact up to MAX_CUMULANT_ORDER: the bits of scipy's float factorial
+    from scipy.special import factorial
+
+    law = JumpLaw.two_sided_exponential(scale)
+    got = [law.moment(n) for n in range(MAX_CUMULANT_ORDER + 1)]
+    assert [v.hex() for v in got] == LAPLACE_MOMENT_PINS[scale]
+    assert got == [0.0 if n % 2 else float(factorial(n) * scale**n) for n in range(len(got))]
+
+
 # ---------------------------------------------------------------------------
 # psi and cumulants
 

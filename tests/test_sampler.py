@@ -1,4 +1,7 @@
+import concurrent.futures
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,7 +136,8 @@ class RecordingPool:  # records (max_workers, chunks) and runs them in-process
 def recording_pool(monkeypatch):
     """Returns set_cpus(n); the pools started are recorded in RecordingPool.started."""
     monkeypatch.setattr(RecordingPool, "started", [])
-    monkeypatch.setattr(sampler, "ProcessPoolExecutor", RecordingPool)
+    # the sampler imports the executor from concurrent.futures when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return lambda cpus: monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
 
 
@@ -254,6 +258,31 @@ def test_lflb_round_trip(tmp_path, model_half, small_spec, mixed_chi):
     path2 = tmp_path / "e2.lflb"
     write_ensemble(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _writer_ensemble(n_samples, spec=LatticeSpec(3, 4, 0.5)):
+    chi = LevyCharacteristic(b=0.1, sigma2=0.5, lam=1.5, jump_law=JumpLaw.uniform(0.5, 2.0))
+    fields = np.sin(np.arange(n_samples * spec.n_sites)).reshape((n_samples,) + spec.shape)
+    return sampler.Ensemble(ModelParams(0.5, 1.0, "discrete"), chi, spec, 17, fields)
+
+
+def test_lflb_bytes_pinned(tmp_path):
+    # sha256 of the file the writer made when it still copied the samples to bytes
+    path = tmp_path / "pin.lflb"
+    write_ensemble(path, _writer_ensemble(3))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "a961573baaec116f8c946fd676e3688780f51aa9b14d9ba311c25c62a1279de3")
+
+
+def test_lflb_write_makes_no_copy_of_the_samples(tmp_path):
+    e = _writer_ensemble(64, LatticeSpec(3, 16, 0.5))  # 2 MiB of samples
+    tracemalloc.start()
+    try:
+        write_ensemble(tmp_path / "big.lflb", e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < e.fields.nbytes / 2
 
 
 HEADER = 4 + 4 + 8 + 8 + 40 + 8  # magic .. jump tag and parameter count
