@@ -518,6 +518,8 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigurationError("run.seed: must be >= 0")
         args.workers = args.workers if args.workers is not None else run.get("workers", 1)
+        if args.workers < 1:
+            raise ConfigurationError(f"run.workers: must be >= 1, got {args.workers}")
         runner, sections, report = _COMMANDS[args.command]
         results, code = runner(cfg, *_validate(cfg, sections), args)
         if report:

@@ -218,9 +218,11 @@ def _product_steps(configs: tuple) -> tuple:
     return tuple(steps), tuple(rows)
 
 
-def _subset_products(cols, steps) -> np.ndarray:
-    """The rows of a _product_steps plan, with cols[point] the point's column."""
-    out = np.empty((len(steps) + 1,) + cols[steps[0][1]].shape)
+def _subset_products(cols, steps, out=None) -> np.ndarray:
+    """The rows of a _product_steps plan, with cols[point] the point's column;
+    out, if given, is a (len(steps) + 1, n) buffer to fill."""
+    if out is None:
+        out = np.empty((len(steps) + 1,) + cols[steps[0][1]].shape)
     out[-1] = 1.0  # the parent of the singletons
     for k, (parent, q) in enumerate(steps):
         np.multiply(out[parent], cols[q], out=out[k])
@@ -295,14 +297,25 @@ def empirical_cumulant(e: Ensemble, pts) -> CumulantEstimate:
     return CumulantEstimate(value, stderr, e.n_samples, n)
 
 
-def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _translation_index(spec: LatticeSpec, q: tuple) -> np.ndarray:
+    """Flat site indices of tau + q over the lattice translations tau, so that
+    field.ravel()[index] is np.roll(field, -q).ravel(); read-only."""
+    grids = np.indices(spec.shape, sparse=True)
+    index = np.ravel_multi_index([(g + c) % spec.L for g, c in zip(grids, q)],
+                                 spec.shape).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.ndarray:
     """The subset-sum kernel: the rows of a _product_steps plan over the
     lattice translations tau of one field, point x standing for phi(tau + x).
-    Each distinct point is rolled once."""
-    axes = tuple(range(spec.d))
-    rolled = {q: np.roll(field, shift=tuple(-c for c in q), axis=axes).ravel()
-              for q in {q for _, q in steps}}
-    return _subset_products(rolled, steps)
+    Each distinct point's column is one gather; out as in _subset_products."""
+    # a gather from unaligned data (an LFLB read-back) is several times slower
+    flat = np.require(field, float, "CA").ravel()
+    cols = {q: flat[_translation_index(spec, q)] for q in {q for _, q in steps}}
+    return _subset_products(cols, steps, out)
 
 
 def _solved_subset_rows(p: ModelParams, spec: LatticeSpec, steps, eta) -> np.ndarray:
@@ -317,8 +330,9 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
     """
     steps, (rows,) = _product_steps((tuple(_check_points(spec, pts)),))
     sums = np.zeros((len(steps), spec.n_sites))
+    products = np.empty((len(steps) + 1, spec.n_sites))  # one buffer for every sample
     for f in fields:
-        sums += _subset_rows(spec, steps, f)
+        sums += _subset_rows(spec, steps, f, products)
     return sums[list(rows)]
 
 

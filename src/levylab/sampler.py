@@ -10,12 +10,16 @@ matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
 draws from the counter-based stream (master_seed, i), one per-sample map turns
 the noise into a result (solved field, point values, or cumulants' subset
 rows) and the results are summed over fixed blocks of samples in sample
-order, so sums are bit-identical for any worker count.  concurrent.futures
-is imported only when a worker pool starts.
+order, so sums are bit-identical for any worker count.  A worker pool forks
+its workers from an explicit fork context after the block sums are allocated
+as one anonymous shared mapping; each worker adds its blocks into its own rows
+of it, so no result is pickled back or concatenated.  concurrent.futures,
+multiprocessing and mmap are imported only when a pool starts.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -123,13 +127,23 @@ def _point_values(p: ModelParams, spec: LatticeSpec, points: tuple, eta) -> np.n
     return spec.cell_volume * (_green_rows(p, spec, points) @ eta.values.ravel())
 
 
-def _sample_chunk(args):
-    """Sums from zero of fn(eta_i), in sample order, per block of `size` in lo..hi-1."""
-    chi, spec, master_seed, lo, hi, size, shape, fn = args
-    out = np.zeros((-(-(hi - lo) // size),) + shape)
+def _sample_chunk(chi, spec, master_seed, lo, hi, size, fn, out):
+    """Add fn(eta_i), from zero and in sample order, into out[i // size] for
+    i in lo..hi-1."""
     for i in range(lo, hi):
-        out[(i - lo) // size] += fn(sample_noise(chi, spec, substream(master_seed, i)))
-    return out
+        out[i // size] += fn(sample_noise(chi, spec, substream(master_seed, i)))
+
+
+_shared = None  # in a pool worker: the parent's output array, in shared memory
+
+
+def _share(out) -> None:
+    global _shared
+    _shared = out
+
+
+def _pool_chunk(args) -> None:
+    _sample_chunk(*args, _shared)
 
 
 def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
@@ -138,21 +152,39 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
     """Sums of fn(eta_i) (a module-level function, so it pickles) over blocks
     of `size` samples, shape (n_blocks,) + shape; eta_i draws from
     substream(master_seed, i).  Chunks are runs of whole blocks, so the sums
-    are bit-identical for any worker count; at most os.cpu_count() workers."""
+    are bit-identical for any worker count; at most os.cpu_count() workers.
+    A pool allocates the sums as one anonymous shared mapping and forks its
+    workers (an explicit fork context, so they inherit it); each worker adds
+    its chunks straight into their rows and returns nothing."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
+    n_blocks = -(-n_samples // size)
     # a fork pool starts all its processes at once: never more than the cores
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        return _sample_chunk((chi, spec, master_seed, 0, n_samples, size, shape, fn))
-    n_blocks = -(-n_samples // size)
+        out = np.zeros((n_blocks,) + shape)
+        _sample_chunk(chi, spec, master_seed, 0, n_samples, size, fn, out)
+        return out
+    import mmap  # only a pool needs these
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    count = n_blocks * math.prod(shape)
+    # zero-filled and shared with the forked workers (MAP_SHARED).  The parent
+    # reads every page in the end; MAP_POPULATE (Linux) maps them in one call
+    # here, not one page fault each later.  A mapping cannot be empty, and an
+    # empty point set gives count 0.
+    flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+    out = np.frombuffer(mmap.mmap(-1, max(8 * count, 8), flags=flags), count=count)
+    out = out.reshape((n_blocks,) + shape)
     chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
     args = [(chi, spec, master_seed, int(c[0]) * size, min(n_samples, int(c[-1] + 1) * size),
-             size, shape, fn) for c in chunks]
-    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return np.concatenate(list(ex.map(_sample_chunk, args)), axis=0)
+             size, fn) for c in chunks]
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
+                             initializer=_share, initargs=(out,)) as ex:
+        list(ex.map(_pool_chunk, args))  # re-raises a worker's error
+    return out
 
 
 def sample_ensemble(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,

@@ -540,6 +540,10 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "spectral_alpha_1.5": ("spectral", "spectral", "alphas", "0.5, 1.5", "spectral.alphas"),
     "spectral_alphas_empty": ("spectral", "spectral", "alphas", "", "spectral.alphas: empty"),
     "q2_grid_empty": ("spectral", "spectral", "q2_grid", "", "spectral.q2_grid: empty"),
+    "workers_-7": ("sample", "run", "workers", "-7", "run.workers: must be >= 1"),
+}
+BAD_FLAGS = {  # case -> (command, command-line flags, text of the message)
+    "workers_flag_0": ("sample", ("--workers", "0"), "run.workers: must be >= 1"),
 }
 # invalid whatever else the config holds (d = 30 is valid with L = 1)
 _ALWAYS_BAD = {(sec, key, value) for _, sec, key, value, _ in BAD_INPUTS.values()
@@ -552,12 +556,15 @@ def write_ini(path, cfg):
     return str(path)
 
 
-@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("case", [*BAD_INPUTS, *BAD_FLAGS])
 def test_bad_value_exit_1_names_field(ini_dir, capsys, case):
-    command, sec, key, value, field = BAD_INPUTS[case]
     cfg = copy.deepcopy(FUZZ_ALL)
-    cfg[sec][key] = value
-    assert run_cli(command, write_ini(ini_dir / "bad.ini", cfg), ini_dir) == 1
+    if case in BAD_FLAGS:
+        command, flags, field = BAD_FLAGS[case]
+    else:
+        command, sec, key, value, field = BAD_INPUTS[case]
+        cfg[sec][key], flags = value, ()
+    assert run_cli(command, write_ini(ini_dir / "bad.ini", cfg), ini_dir, *flags) == 1
     assert field in capsys.readouterr().err
 
 
@@ -664,8 +671,8 @@ def _fresh_modules(tmp_path, code: str) -> list:
 
 def test_import_loads_no_scipy(tmp_path):
     code = ("import levylab.cli\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('scipy', 'concurrent')))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0]\n"
+            "             in ('scipy', 'concurrent', 'multiprocessing', 'mmap')))\n")
     assert _fresh_modules(tmp_path, code) == ["[]"]
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -117,8 +118,10 @@ def test_noise_routes_worker_count_independence(model_half, small_spec, law):
 class RecordingPool:  # records (max_workers, chunks) and runs them in-process
     started = None
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        assert mp_context.get_start_method() == "fork"
         self.max_workers = max_workers
+        initializer(*initargs)  # what each forked worker runs first
 
     def __enter__(self):
         return self
@@ -136,6 +139,7 @@ class RecordingPool:  # records (max_workers, chunks) and runs them in-process
 def recording_pool(monkeypatch):
     """Returns set_cpus(n); the pools started are recorded in RecordingPool.started."""
     monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(sampler, "_shared", None)  # set in-process by the initializer
     # the sampler imports the executor from concurrent.futures when a pool starts
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return lambda cpus: monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
@@ -165,6 +169,34 @@ def test_subset_sums_worker_count_independence(recording_pool, model_half, poiss
     serial = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7)
     for a, b in zip(many, serial):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                    reason="a real pool needs two cores")
+
+
+@needs_two_cpus
+def test_subset_sums_real_pool_bit_identical(model_half, poisson_chi):
+    spec = LatticeSpec(2, 4, 0.5)
+    pooled = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7,
+                                workers=2)
+    serial = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7)
+    for a, b in zip(pooled, serial):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@needs_two_cpus
+def test_pool_makes_no_copy_of_the_blocks(model_half, poisson_chi):
+    # the workers add into one shared mapping: nothing is unpickled or concatenated
+    spec = LatticeSpec(3, 16, 0.5)
+    sample_ensemble(model_half, poisson_chi, spec, 2, 3, workers=2)  # warm the caches
+    tracemalloc.start()
+    try:
+        e = sample_ensemble(model_half, poisson_chi, spec, 64, 3, workers=2)  # 2 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < e.fields.nbytes / 2
 
 
 def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
