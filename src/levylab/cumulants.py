@@ -312,7 +312,7 @@ def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.nd
     """The subset-sum kernel: the rows of a _product_steps plan over the
     lattice translations tau of one field, point x standing for phi(tau + x).
     Each distinct point's column is one gather; out as in _subset_products."""
-    # a gather from unaligned data (an LFLB read-back) is several times slower
+    # a gather from unaligned data (say a view into file bytes) is several times slower
     flat = np.require(field, float, "CA").ravel()
     cols = {q: flat[_translation_index(spec, q)] for q in {q for _, q in steps}}
     return _subset_products(cols, steps, out)

@@ -230,12 +230,13 @@ def write_ensemble(path, e: Ensemble) -> None:
         fh.write(np.ascontiguousarray(e.fields, dtype="<f8").data)
 
 
-def _unpack(buf: bytes, pos: int, fmt: str, path, field: str):
-    """struct.unpack_from that names the field when the file is too short."""
+def _unpack(fh, size_total: int, fmt: str, path, field: str):
+    """struct.unpack of the next bytes of fh that names the field when the file
+    (size_total bytes) is too short; nothing is read past its end."""
     size = struct.calcsize(fmt)
-    if len(buf) - pos < size:
+    if size_total - fh.tell() < size:
         raise ConfigurationError(f"{path}: {field}: truncated file")
-    return struct.unpack_from(fmt, buf, pos), pos + size
+    return struct.unpack(fmt, fh.read(size))
 
 
 def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
@@ -244,41 +245,44 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
     v2 stores the momentum symbol and the master seed; a master_seed passed
     here must then agree with the stored one.  A v1 file assumes the continuum
     symbol and takes master_seed (default 0).  A truncated file, an unknown
-    tag, trailing bytes or a seed mismatch raise ConfigurationError.
+    tag, trailing bytes or a seed mismatch raise ConfigurationError.  The
+    samples are read straight into a new, aligned array: the header leaves
+    them at a file offset of 4 mod 8, which np.frombuffer would keep.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MAGIC:
-        raise ConfigurationError(f"{path}: not an LFLB ensemble file")
-    (version,), pos = _unpack(buf, 4, "<I", path, "version")
-    if version not in (1, FORMAT_VERSION):
-        raise ConfigurationError(f"{path}: unsupported format version {version}")
-    (d, L, a), pos = _unpack(buf, pos, "<IId", path, "lattice")
-    spec = LatticeSpec(d, L, a)
-    (alpha, m0, b, sigma2, lam), pos = _unpack(buf, pos, "<5d", path, "model and noise")
-    (tag, n_params), pos = _unpack(buf, pos, "<II", path, "jump tag")
-    if tag not in _TAG_KINDS:
-        raise ConfigurationError(f"{path}: jump tag: unknown value {tag}")
-    params, pos = _unpack(buf, pos, f"<{n_params}d", path, "jump params")
-    symbol, seed = CONTINUUM, (0 if master_seed is None else master_seed)
-    if version >= 2:
-        (symbol_tag, seed), pos = _unpack(buf, pos, "<IQ", path, "symbol and seed")
-        if symbol_tag not in _TAG_SYMBOLS:
-            raise ConfigurationError(f"{path}: symbol: unknown value {symbol_tag}")
-        symbol = _TAG_SYMBOLS[symbol_tag]
-        if master_seed is not None and master_seed != seed:
-            raise ConfigurationError(
-                f"{path}: master_seed: {master_seed} passed, file stores {seed}")
-    (n_samples,), pos = _unpack(buf, pos, "<Q", path, "n_samples")
-    n_values = n_samples * spec.n_sites
-    extra = len(buf) - pos - 8 * n_values
-    if extra < 0:
-        raise ConfigurationError(f"{path}: sample data: truncated file")
-    if extra > 0:
-        raise ConfigurationError(f"{path}: sample data: {extra} trailing bytes")
-    data = np.frombuffer(buf, dtype="<f8", count=n_values, offset=pos)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != MAGIC:
+            raise ConfigurationError(f"{path}: not an LFLB ensemble file")
+        unpack = partial(_unpack, fh, size, path=path)
+        (version,) = unpack("<I", field="version")
+        if version not in (1, FORMAT_VERSION):
+            raise ConfigurationError(f"{path}: unsupported format version {version}")
+        d, L, a = unpack("<IId", field="lattice")
+        spec = LatticeSpec(d, L, a)
+        alpha, m0, b, sigma2, lam = unpack("<5d", field="model and noise")
+        tag, n_params = unpack("<II", field="jump tag")
+        if tag not in _TAG_KINDS:
+            raise ConfigurationError(f"{path}: jump tag: unknown value {tag}")
+        params = unpack(f"<{n_params}d", field="jump params")
+        symbol, seed = CONTINUUM, (0 if master_seed is None else master_seed)
+        if version >= 2:
+            symbol_tag, seed = unpack("<IQ", field="symbol and seed")
+            if symbol_tag not in _TAG_SYMBOLS:
+                raise ConfigurationError(f"{path}: symbol: unknown value {symbol_tag}")
+            symbol = _TAG_SYMBOLS[symbol_tag]
+            if master_seed is not None and master_seed != seed:
+                raise ConfigurationError(
+                    f"{path}: master_seed: {master_seed} passed, file stores {seed}")
+        (n_samples,) = unpack("<Q", field="n_samples")
+        extra = size - fh.tell() - 8 * n_samples * spec.n_sites
+        if extra < 0:
+            raise ConfigurationError(f"{path}: sample data: truncated file")
+        if extra > 0:
+            raise ConfigurationError(f"{path}: sample data: {extra} trailing bytes")
+        fields = np.empty((n_samples,) + spec.shape, dtype="<f8")
+        if fh.readinto(fields) != fields.nbytes:  # the file shrank since fstat
+            raise ConfigurationError(f"{path}: sample data: truncated file")
     kind = _TAG_KINDS[tag]
     law = None if kind is None else JumpLaw(kind, params)
     chi = LevyCharacteristic(b=b, sigma2=sigma2, lam=lam, jump_law=law)
-    fields = data.reshape((n_samples,) + spec.shape)
     return Ensemble(ModelParams(alpha, m0, symbol), chi, spec, seed, fields)

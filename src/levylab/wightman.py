@@ -54,10 +54,20 @@ GENERIC = "generic"
 _DIM = 3  # Minkowski dimension supported by the integrator
 
 
+def _sum_sq(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over a short last axis, added left to right, (a + b) + c:
+    the bits np.sum gives there, at about a fifth of its cost per element on
+    a length-3 axis (no reduction loop)."""
+    out = x[..., 0] ** 2
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] ** 2
+    return out
+
+
 def minkowski_sq(k: np.ndarray) -> np.ndarray:
-    """Invariant k^2 = (k0)^2 - |kvec|^2 for (..., d) arrays."""
+    """Invariant k^2 = (k0)^2 - |kvec|^2 for (..., d) arrays, d >= 2."""
     k = np.asarray(k, dtype=float)
-    return k[..., 0] ** 2 - np.sum(k[..., 1:] ** 2, axis=-1)
+    return k[..., 0] ** 2 - _sum_sq(k[..., 1:])
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class MomentumTestFunction:
         object.__setattr__(self, "center", c)
 
     def _dsq(self, k: np.ndarray) -> np.ndarray:
-        return np.sum((np.asarray(k, dtype=float) - np.asarray(self.center)) ** 2, axis=-1)
+        return _sum_sq(np.asarray(k, dtype=float) - np.asarray(self.center))
 
     def support(self, k: np.ndarray) -> np.ndarray:
         """True where k lies in the closed support ball."""

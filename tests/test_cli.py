@@ -652,10 +652,11 @@ COLD_START = {
     "schwinger": ("schwinger", {}, None, ()),
     "rp-check": ("rp-check", {}, None, ()),
     "noise-check": ("noise-check", {}, None, ()),
+    "noise-check_table": ("noise-check", {("noise", "lambda"): "20.0"}, None, ()),
     "rp-scan_scattered": ("rp-scan", {}, None, ()),
-    "rp-scan_table": ("rp-scan", {("scan", "lambdas"): "1.0, 20.0"}, None, _SPECIAL),
+    "rp-scan_table": ("rp-scan", {("scan", "lambdas"): "1.0, 20.0"}, None, ()),
     "verify-witness_scattered": ("verify-witness", {}, 1.0, ()),
-    "verify-witness_table": ("verify-witness", {}, 20.0, _SPECIAL),
+    "verify-witness_table": ("verify-witness", {}, 20.0, ()),
     "baumann": ("baumann", {}, None, _SPECIAL),
     "spectral": ("spectral", {}, None, _INTEGRATE),
 }

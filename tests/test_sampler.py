@@ -306,6 +306,23 @@ def test_lflb_bytes_pinned(tmp_path):
         "a961573baaec116f8c946fd676e3688780f51aa9b14d9ba311c25c62a1279de3")
 
 
+@pytest.mark.parametrize("jump_law", [JumpLaw.uniform(0.5, 2.0),
+                                      JumpLaw.atoms([(1.0, 0.5), (-2.0, 0.5)])])
+def test_lflb_read_back_is_aligned(tmp_path, jump_law):
+    # the samples sit at a file offset of 4 mod 8 (2 or 4 jump parameters);
+    # read-back fields are an aligned array with the written bits
+    spec = LatticeSpec(3, 4, 0.5)
+    chi = LevyCharacteristic(sigma2=0.5, lam=1.5, jump_law=jump_law)
+    e = sample_ensemble(ModelParams(0.5, 1.0, "discrete"), chi, spec, 3, 17)
+    path = tmp_path / "a.lflb"
+    write_ensemble(path, e)
+    assert (path.stat().st_size - e.fields.nbytes) % 8 == 4
+    back = read_ensemble(path)
+    assert back.fields.flags.aligned and back.fields.ctypes.data % 8 == 0
+    assert back.fields.tobytes() == e.fields.tobytes()
+    assert not back.fields.flags.writeable
+
+
 def test_lflb_write_makes_no_copy_of_the_samples(tmp_path):
     e = _writer_ensemble(64, LatticeSpec(3, 16, 0.5))  # 2 MiB of samples
     tracemalloc.start()
