@@ -33,6 +33,12 @@ carries at least one shell delta at a bounded distance from its shell, so the
 pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control does
 not.
 
+One shell mass per leg is enough for the model.  Its truncated Wightman
+function is c_4 times a positive-weight mass integral of fixed-mass kernels,
+one per tuple (m_1..m_4) with every m_l >= m0.  The certified space-like shell
+distance d = m^2 - sup_ball k^2 grows with m^2, so the check at m0 bounds
+every tuple; baumann_check reports d.
+
 scipy.special (ndtr, ndtri) is loaded at the first stratum, not with the
 module.
 """
@@ -44,7 +50,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ClassificationError, ConfigurationError
-from .greens import SpectralDensity
 from .streams import substream, substream_seed
 
 SPACELIKE = "spacelike"
@@ -88,7 +93,8 @@ class MomentumTestFunction:
             raise ConfigurationError("width and support radius must be finite and > 0")
         if self.classification not in (SPACELIKE, TIMELIKE, GENERIC):
             raise ConfigurationError(f"unknown classification {self.classification!r}")
-        if self.classification == SPACELIKE and not _spacelike_ball(c, self.radius):
+        if self.classification == SPACELIKE and not (
+                np.linalg.norm(c[1:]) > self.radius and _sup_ksq(c, self.radius) < 0.0):
             raise ClassificationError(
                 "support ball is not certifiably space-like; refusing the label")
         object.__setattr__(self, "center", c)
@@ -108,14 +114,13 @@ class MomentumTestFunction:
         return replace(self, amplitude=self.amplitude * c)
 
 
-def _spacelike_ball(center, radius) -> bool:
-    """True iff sup of k^2 over the Euclidean R-ball around the center is < 0.
-
-    Bound: (|c0| + R)^2 < (|cvec| - R)^2 with |cvec| > R.
-    """
+def _sup_ksq(center, radius) -> float:
+    """Upper bound (|c0| + R)^2 - (|cvec| - R)^2 on k^2 over the Euclidean
+    R-ball around the center, valid where |cvec| > R.  A SPACELIKE label
+    certifies it < 0."""
     c0 = abs(center[0])
     cs = float(np.linalg.norm(center[1:]))
-    return cs > radius and (c0 + radius) ** 2 < (cs - radius) ** 2
+    return (c0 + radius) ** 2 - (cs - radius) ** 2
 
 
 def make_spacelike_test(k_c, w: float, R: float) -> MomentumTestFunction:
@@ -149,53 +154,25 @@ class ShellRegularization:
 
 @dataclass(frozen=True)
 class MassAssignment:
-    """Per-leg mass-shell content: tuples of (m^2, weight) quadrature nodes.
+    """The shell mass m_l of each of the four legs, finite and > 0.  A mass
+    superposition needs no more (module docstring): check at m0."""
 
-    Fixed-mass mode has a single unit-weight node per leg; the superposed mode
-    carries the mass-density quadrature (at most 8 nodes per leg).
-    """
-
-    legs: tuple
+    masses: tuple
 
     def __post_init__(self):
-        legs = tuple(tuple((float(m2), float(w)) for m2, w in leg) for leg in self.legs)
-        for leg in legs:
-            if not leg:
-                raise ConfigurationError("every leg needs at least one mass node")
-            if not all(0.0 < m2 < np.inf for m2, _ in leg):
-                raise ConfigurationError("mass nodes must have finite m^2 > 0")
-            if not all(0.0 < w < np.inf for _, w in leg):
-                raise ConfigurationError("mass node weights must be finite and > 0")
-        object.__setattr__(self, "legs", legs)
+        masses = tuple(float(m) for m in self.masses)
+        if len(masses) != 4 or not all(0.0 < m < np.inf for m in masses):
+            raise ConfigurationError(
+                f"fixed masses must be four, finite and > 0, got {self.masses!r}")
+        object.__setattr__(self, "masses", masses)
 
     @classmethod
     def fixed(cls, masses) -> "MassAssignment":
-        if not all(0.0 < float(m) < np.inf for m in masses):
-            raise ConfigurationError("fixed masses must be finite and > 0")
-        return cls(tuple(((float(m) ** 2, 1.0),) for m in masses))
-
-    @classmethod
-    def superposed(cls, alpha: float, m0: float, n_nodes: int = 8) -> "MassAssignment":
-        """Gauss-Legendre nodes of the mass density (greens.SpectralDensity,
-        analytic norm) on all 4 legs.
-
-        The endpoint singularity is absorbed by u = (s - m0^2)^(1-alpha); the
-        density integrated to s = m0^2 + 25.
-        """
-        const = SpectralDensity(alpha, m0).constant / (1.0 - alpha)
-        if n_nodes < 1 or n_nodes > 8:
-            raise ConfigurationError("superposed mode supports 1..8 nodes per leg")
-        u_max = 25.0 ** (1.0 - alpha)
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
-        u = 0.5 * u_max * (x + 1.0)
-        du = 0.5 * u_max * w
-        nodes = tuple((float(m0**2 + ui ** (1.0 / (1.0 - alpha))), float(const * dui))
-                      for ui, dui in zip(u, du))
-        return cls((nodes,) * 4)
+        return cls(tuple(masses))
 
     @property
-    def n_legs(self) -> int:
-        return len(self.legs)
+    def m2(self) -> tuple:
+        return tuple(m**2 for m in self.masses)
 
 
 @dataclass(frozen=True)
@@ -225,21 +202,17 @@ class WightmanEstimate:
     n_nonzero: int  # points whose integrand is nonzero
 
 
-def _leg_factors(k: np.ndarray, leg_nodes, reg: ShellRegularization):
-    """(delta+, delta-, PV) node-weighted factors for one leg, vectorized."""
-    ksq = minkowski_sq(k)
-    shell = np.zeros(ksq.shape)
-    pv = np.zeros(ksq.shape)
-    for m2, w in leg_nodes:
-        shell += w * reg.delta(ksq - m2)
-        pv += w * reg.pv(ksq - m2)
-    return shell * (k[..., 0] > 0.0), shell * (k[..., 0] < 0.0), pv
+def _leg_factors(k: np.ndarray, m2: float, reg: ShellRegularization):
+    """(delta+, delta-, PV) factors for one leg on the shell k^2 = m2, vectorized."""
+    q = minkowski_sq(k) - m2
+    shell = reg.delta(q)
+    return shell * (k[..., 0] > 0.0), shell * (k[..., 0] < 0.0), reg.pv(q)
 
 
 def truncated_kernel(ks, masses: MassAssignment, reg: ShellRegularization) -> np.ndarray:
     """The j-sum kernel for a list of n per-leg momentum arrays."""
     n = len(ks)
-    facs = [_leg_factors(k, masses.legs[l], reg) for l, k in enumerate(ks)]
+    facs = [_leg_factors(k, m2, reg) for k, m2 in zip(ks, masses.m2)]
     total = np.zeros_like(facs[0][0])
     for j in range(n):
         term = facs[j][2]
@@ -264,10 +237,10 @@ def _sample_spatial(test: MomentumTestFunction, rng, n: int, u_lo: float, u_hi: 
     return c[1] + rho * np.cos(phi), c[2] + rho * np.sin(phi), half
 
 
-def _shell_energies(x, y, nodes) -> list:
-    """The +/- shell energies sqrt(|kvec|^2 + m^2) of every mass node."""
-    ssq = x**2 + y**2
-    return [sign * np.sqrt(ssq + m2) for m2, _ in nodes for sign in (1.0, -1.0)]
+def _shell_energies(x, y, m2: float) -> list:
+    """[+E, -E], the shell energies E = sqrt(|kvec|^2 + m2)."""
+    e = np.sqrt(x**2 + y**2 + m2)
+    return [e, -e]
 
 
 P_UNIFORM = 0.4  # proposal share of the uniform slab; the peaks split the rest
@@ -350,7 +323,7 @@ def _stratum(tests, masses: MassAssignment, reg: ShellRegularization, rng, per: 
     """(vals, n_nonzero): the integrand at the per points of one stratum,
     evaluated support first (module docstring), and its nonzero count."""
     f, h1, h2, g = tests
-    legs = masses.legs
+    m2 = masses.m2
     # every uniform of the stratum, in stream order: legs 3, 4, 1, each its
     # spatial then its energy uniforms
     leg3 = _Leg(h2, rng, per, radial3)
@@ -366,13 +339,13 @@ def _stratum(tests, masses: MassAssignment, reg: ShellRegularization, rng, per: 
     near = np.flatnonzero(dsq <= h1.radius**2)
     for leg in (leg3, leg4, leg1):
         leg.keep(near)
-    k3 = leg3.draw(_shell_energies(leg3.x, leg3.y, legs[2]), sd)
-    k4 = leg4.draw(_shell_energies(leg4.x, leg4.y, legs[3]), sd)
+    k3 = leg3.draw(_shell_energies(leg3.x, leg3.y, m2[2]), sd)
+    k4 = leg4.draw(_shell_energies(leg4.x, leg4.y, m2[3]), sd)
     # leg 1 also peaks where the conserved leg 2 hits its shells
     a0 = k3[:, 0] + k4[:, 0]
     x2, y2 = leg1.x + (k3[:, 1] + k4[:, 1]), leg1.y + (k3[:, 2] + k4[:, 2])
-    k1 = leg1.draw(_shell_energies(leg1.x, leg1.y, legs[0])
-                   + [-a0 + e for e in _shell_energies(x2, y2, legs[1])], sd)
+    k1 = leg1.draw(_shell_energies(leg1.x, leg1.y, m2[0])
+                   + [-a0 + e for e in _shell_energies(x2, y2, m2[1])], sd)
     k2 = -(k1 + k3 + k4)
     on = np.flatnonzero(h1.support(k2))
     ks = [k1[on], k2[on], k3[on], k4[on]]
@@ -392,10 +365,10 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     """Regularized pairing of the truncated 4-point kernel with test functions.
 
     tests = (f, h1, h2, g); momentum conservation removes leg 2 analytically
-    (k2 = -(k1 + k3 + k4)).  The result carries an overall positive constant
-    (mass-density normalization) that cancels in every ratio reported here.
+    (k2 = -(k1 + k3 + k4)).  Leg l sits on the single shell k_l^2 = m_l^2 of
+    masses; the pairing carries no mass-density factor.
     """
-    if len(tests) != 4 or masses.n_legs != 4:
+    if len(tests) != 4:
         raise ConfigurationError("the integrator supports exactly n = 4 legs")
     f, _, h2, g = tests
     S = integrator.n_strata
@@ -485,13 +458,19 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     space-like magnitude below 1e-3 of the matched control; and statistical
     errors small enough to resolve both thresholds (otherwise INCONCLUSIVE).
     details["nonzero_fraction"] holds, per branch and epsilon, the share of
-    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows).
+    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows);
+    details["shell_distance"] the certified d = min over h1, h2 of
+    (m^2 - sup_ball k^2), the least distance of a space-like leg from its shell.
+
+    The control puts every leg on one shell, so the four masses must be equal.
     """
+    if len(set(masses.masses)) != 1:
+        raise ConfigurationError(
+            f"masses: baumann_check needs four equal masses, got {masses.masses}")
     if h1.classification != SPACELIKE or h2.classification != SPACELIKE:
         raise ClassificationError("h1 and h2 must be certified space-like")
     eps = [float(e) for e in epsilons]
-    branches = {"spacelike": (f, h1, h2, g),
-                "control": shell_control_tests(float(np.sqrt(masses.legs[0][0][0])))}
+    branches = {"spacelike": (f, h1, h2, g), "control": shell_control_tests(masses.masses[0])}
     pairs = {name: [] for name in branches}
     nonzero = {name: [] for name in branches}
     for i, e in enumerate(eps):
@@ -504,7 +483,8 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     space, ctrl = pairs["spacelike"], pairs["control"]
 
     pairings = (tuple(eps), tuple(space), tuple(ctrl))
-    details = {"nonzero_fraction": nonzero}
+    details = {"nonzero_fraction": nonzero, "shell_distance":
+               masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))}
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
         return BaumannReport(*pairings, "INCONCLUSIVE", False,
                              {"reason": "need >= 3 strictly decreasing epsilons", **details})

@@ -5,7 +5,7 @@ from scipy.special import ndtr, ndtri
 
 from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      MassAssignment, MomentumTestFunction, ShellRegularization,
-                     SpectralDensity, baumann_check, make_spacelike_test, make_test,
+                     baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
 from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _sample_spatial,
@@ -67,6 +67,8 @@ def test_regularization_validation():
         ShellRegularization(0.0)
     with pytest.raises(ConfigurationError):
         MassAssignment.fixed([1.0, -1.0, 1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="four"):
+        MassAssignment.fixed([1.0] * 3)
     with pytest.raises(ConfigurationError):
         IntegratorSpec(n_samples=3, n_strata=4)
 
@@ -88,35 +90,15 @@ NAN, INF = float("nan"), float("inf")
     (lambda: ShellRegularization(INF), "epsilon"),
     (lambda: MassAssignment.fixed([1.0, NAN, 1.0, 1.0]), "fixed masses"),
     (lambda: MassAssignment.fixed([INF] * 4), "fixed masses"),
-    (lambda: MassAssignment((((NAN, 1.0),),)), "m\\^2"),
-    (lambda: MassAssignment((((1.0, NAN),),)), "weights"),
+    (lambda: MassAssignment((1.0, NAN, 1.0, 1.0)), "fixed masses"),
     (lambda: make_test((1.0, 0.0, 0.0), NAN, 0.8), "width"),
     (lambda: make_test((1.0, 0.0, 0.0), 0.4, INF), "radius"),
     (lambda: make_test((NAN, 0.0, 0.0), 0.4, 0.8), "finite components"),
-], ids=["epsilon_nan", "epsilon_inf", "mass_nan", "mass_inf", "node_m2_nan",
-        "node_weight_nan", "width_nan", "radius_inf", "center_nan"])
+], ids=["epsilon_nan", "epsilon_inf", "mass_nan", "mass_inf", "direct_mass_nan",
+        "width_nan", "radius_inf", "center_nan"])
 def test_non_finite_wightman_inputs_rejected(build, field):
     with pytest.raises(ConfigurationError, match=field):
         build()
-
-
-def test_mass_superposition_nodes():
-    ma = MassAssignment.superposed(0.5, 1.0, n_nodes=8)
-    assert ma.n_legs == 4
-    for leg in ma.legs:
-        assert len(leg) == 8
-        for m2, w in leg:
-            assert m2 > 1.0 and w > 0.0
-    with pytest.raises(ConfigurationError):
-        MassAssignment.superposed(0.5, 1.0, n_nodes=9)
-
-
-@pytest.mark.parametrize("alpha, n_nodes", [(0.3, 8), (0.5, 1), (0.75, 5)])
-def test_mass_superposition_weights_use_spectral_constant(alpha, n_nodes):
-    # the nodes integrate rho(s) ds = C/(1-alpha) du over u in [0, 25^(1-alpha)]
-    expected = SpectralDensity(alpha, 1.0).constant * 25.0 ** (1.0 - alpha) / (1.0 - alpha)
-    for leg in MassAssignment.superposed(alpha, 1.0, n_nodes=n_nodes).legs:
-        assert sum(w for _, w in leg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_term_structure(masses):
@@ -202,6 +184,32 @@ def test_baumann_short_sequence_inconclusive(masses):
     assert rep2.verdict == "INCONCLUSIVE"
 
 
+def test_baumann_rejects_unequal_masses():
+    # the control puts every leg on leg 1's shell, so it has no unequal-mass twin
+    h1 = make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8)
+    h2 = make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8)
+    f = make_test((1.0, 0.0, 0.0), 0.4, 0.8)
+    g = make_test((-1.0, 0.0, 0.0), 0.4, 0.8)
+    with pytest.raises(ConfigurationError, match="masses"):
+        baumann_check(MassAssignment.fixed([1.0, 1.0, 1.0, 2.0]), h1, h2, f, g,
+                      (0.5, 0.05, 0.005), quick_spec())
+
+
+@pytest.mark.parametrize("mass, h2_center, d", [
+    (1.0, (0.0, -3.0, 0.0), 5.2),  # criterion 8: sup k^2 = 0.8^2 - 2.2^2 = -4.2
+    (1.0, (0.0, -4.0, 0.0), 5.2),  # h2 farther out: h1 sets the minimum
+    (2.0, (0.0, -3.0, 0.0), 8.2),
+], ids=["criterion8", "h1_nearer", "mass2"])
+def test_baumann_reports_shell_distance(mass, h2_center, d):
+    h1 = make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8)
+    h2 = make_spacelike_test(h2_center, 0.4, 0.8)
+    f = make_test((1.0, 0.0, 0.0), 0.4, 0.8)
+    g = make_test((-1.0, 0.0, 0.0), 0.4, 0.8)
+    rep = baumann_check(MassAssignment.fixed([mass] * 4), h1, h2, f, g, (0.5,),
+                        quick_spec(n=2_000))
+    assert rep.details["shell_distance"] == pytest.approx(d, rel=1e-12)
+
+
 def test_report_round_trip(masses):
     h1 = make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8)
     h2 = make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8)
@@ -248,13 +256,14 @@ def _energy_reference(rng, lo, hi, peaks, sd):
     return k0, (1.0 / (hi - lo)) / dens
 
 
-@pytest.mark.parametrize("n_nodes", [1, 3])
-def test_energy_proposal_matches_per_peak_reference(n_nodes):
+# ids count the shell masses: 2 or 6 peaks, then as many shifted by -0.3
+@pytest.mark.parametrize("m2s", [(1.0,), (1.0, 2.0, 4.0)], ids=lambda m2s: str(len(m2s)))
+def test_energy_proposal_matches_per_peak_reference(m2s):
     test = make_test((1.0, 0.5, 0.0), 0.4, 0.8)
     x, y, half = _sample_spatial(test, np.random.default_rng(4), 5000, 0.0, 1.0)
     lo, hi = test.center[0] - half, test.center[0] + half
-    nodes = MassAssignment.superposed(0.5, 1.0, n_nodes=n_nodes).legs[0]
-    peaks = _shell_energies(x, y, nodes) + [-0.3 + e for e in _shell_energies(x, y, nodes)]
+    shells = [e for m2 in m2s for e in _shell_energies(x, y, m2)]
+    peaks = shells + [-0.3 + e for e in shells]
     sub = np.flatnonzero(np.random.default_rng(5).uniform(size=5000) < 0.3)
     for sd in (0.25, 0.025):
         u = np.random.default_rng(9).uniform(size=(3, 5000))
@@ -268,32 +277,32 @@ def test_energy_proposal_matches_per_peak_reference(n_nodes):
         assert np.array_equal(_energy_weight(k0[sub], lo[sub], hi[sub], sub_peaks, sd), w[sub])
 
 
-# (value, stderr) hex of each pairing at 20000 points, 4 x 4 strata, seed 2024:
-# skipping the points off h1's support must not move a bit.  The six nonzero
-# entries were re-recorded when a slab above its peak took its truncated-normal
-# mass in the upper tail
+# (value, stderr) hex of each pairing at 20000 points, 4 x 4 strata, seed 2024,
+# keyed by the shell mass of all four legs: skipping the points off h1's
+# support must not move a bit.  The mass-1.0 nonzero entries were re-recorded
+# when a slab above its peak took its truncated-normal mass in the upper tail.
+# At mass 0.7 neither m^2 nor sqrt(m^2) is exact, so those rows see how m^2 is
+# stored and recovered
 PINNED = {
-    ("spacelike", "fixed", 2.0): ("-0x1.1f2085423e999p-33", "0x1.c7a2471f585e7p-37"),
-    ("spacelike", "fixed", 0.05): ("0x0.0p+0", "0x0.0p+0"),
-    ("spacelike", "superposed", 2.0): ("-0x1.ace0f12bb0031p-35", "0x1.a5746ecf50b55p-38"),
-    ("spacelike", "superposed", 0.05): ("0x0.0p+0", "0x0.0p+0"),
-    ("control", "fixed", 2.0): ("0x1.51646964db666p-14", "0x1.81f7e9d656482p-20"),
-    ("control", "fixed", 0.05): ("0x1.275b5aeedbea0p-9", "0x1.2feeb102df8dep-12"),
-    ("control", "superposed", 2.0): ("-0x1.464939866c809p-14", "0x1.796aa5cca0409p-20"),
-    ("control", "superposed", 0.05): ("-0x1.41f684586bc0fp-15", "0x1.e1f995300ffd6p-15"),
+    ("spacelike", 1.0, 2.0): ("-0x1.1f2085423e999p-33", "0x1.c7a2471f585e7p-37"),
+    ("spacelike", 1.0, 0.05): ("0x0.0p+0", "0x0.0p+0"),
+    ("spacelike", 0.7, 2.0): ("-0x1.63d4a6f70ab19p-31", "0x1.fff471c7ceb4dp-35"),
+    ("spacelike", 0.7, 0.05): ("0x0.0p+0", "0x0.0p+0"),
+    ("control", 1.0, 2.0): ("0x1.51646964db666p-14", "0x1.81f7e9d656482p-20"),
+    ("control", 1.0, 0.05): ("0x1.275b5aeedbea0p-9", "0x1.2feeb102df8dep-12"),
+    ("control", 0.7, 2.0): ("0x1.2f13dd2e4b247p-14", "0x1.8727b8f000b10p-20"),
+    ("control", 0.7, 0.05): ("0x1.76e863956ea4dp-7", "0x1.5ca4698eebd98p-9"),
 }
 
 
-@pytest.mark.parametrize("tests_name, masses_name, eps", PINNED)
-def test_pairing_bits_pinned(tests_name, masses_name, eps):
-    tests = shell_control_tests(1.0) if tests_name == "control" else (
+@pytest.mark.parametrize("tests_name, mass, eps", PINNED)
+def test_pairing_bits_pinned(tests_name, mass, eps):
+    tests = shell_control_tests(mass) if tests_name == "control" else (
         make_test((1.0, 0.0, 0.0), 0.4, 0.8), make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8),
         make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8), make_test((-1.0, 0.0, 0.0), 0.4, 0.8))
-    masses = (MassAssignment.fixed([1.0] * 4) if masses_name == "fixed"
-              else MassAssignment.superposed(0.5, 1.0, 3))
-    est = wightman_n_regularized(tests, masses, ShellRegularization(eps),
+    est = wightman_n_regularized(tests, MassAssignment.fixed([mass] * 4), ShellRegularization(eps),
                                  IntegratorSpec(n_samples=20_000, n_strata=4, seed=2024))
-    assert (est.value.hex(), est.stderr.hex()) == PINNED[tests_name, masses_name, eps]
+    assert (est.value.hex(), est.stderr.hex()) == PINNED[tests_name, mass, eps]
 
 
 @pytest.mark.parametrize("seed", [1, 2024])
