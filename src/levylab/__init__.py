@@ -15,15 +15,13 @@ from .errors import (ClassificationError, ConfigurationError,
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     characteristic_functional, noise_cumulant, psi,
                     sample_noise)
-from .greens import (ModelParams, QuadratureSpec, SpectralDensity,
-                     green_momentum, green_real_fft, green_real_kl,
-                     kl_momentum, rho, spectral_integral, squared_momentum)
-from .sampler import (Ensemble, apply_forward_symbol, read_ensemble,
-                      sample_ensemble, sample_point_values, solve_spde,
-                      write_ensemble)
+from .greens import (ModelParams, SpectralDensity, green_real_fft,
+                     green_real_kl, kl_momentum, rho, spectral_integral,
+                     squared_momentum)
+from .sampler import (Ensemble, read_ensemble, sample_ensemble,
+                      sample_point_values, solve_spde, write_ensemble)
 from .cumulants import (CumulantEstimate, analytic_truncated_schwinger,
-                        empirical_cumulant, empirical_two_point,
-                        full_schwinger_moment,
+                        empirical_two_point, full_schwinger_moment,
                         moments_from_cumulants, set_partitions)
 from .rp import (GramReport, MonomialBasis, build_reflection_gram,
                  gram_report, min_eigenvalue, rp_scan, verify_witness,
@@ -41,13 +39,11 @@ __all__ = [
     "NumericalError", "ContractViolation", "ClassificationError",
     "JumpLaw", "LevyCharacteristic", "LatticeSpec", "LatticeField",
     "psi", "noise_cumulant", "characteristic_functional", "sample_noise",
-    "ModelParams", "SpectralDensity", "QuadratureSpec", "squared_momentum",
-    "green_momentum", "green_real_fft", "green_real_kl", "kl_momentum",
-    "rho", "spectral_integral",
-    "Ensemble", "solve_spde", "apply_forward_symbol", "sample_ensemble",
-    "sample_point_values", "write_ensemble", "read_ensemble",
-    "CumulantEstimate", "analytic_truncated_schwinger", "empirical_cumulant",
-    "empirical_two_point",
+    "ModelParams", "SpectralDensity", "squared_momentum", "green_real_fft",
+    "green_real_kl", "kl_momentum", "rho", "spectral_integral",
+    "Ensemble", "solve_spde", "sample_ensemble", "sample_point_values",
+    "write_ensemble", "read_ensemble",
+    "CumulantEstimate", "analytic_truncated_schwinger", "empirical_two_point",
     "full_schwinger_moment", "moments_from_cumulants", "set_partitions",
     "MonomialBasis", "GramReport", "build_reflection_gram", "gram_report",
     "min_eigenvalue", "rp_scan", "witness_record", "verify_witness",

@@ -268,6 +268,14 @@ def _jsonify(obj):
 # returns (results for the JSON report, exit code)
 
 
+def _n_samples(cfg, least: int) -> int:
+    """run.n_samples, rejected below least (2 where a standard error is reported)."""
+    n = cfg["run"]["n_samples"]
+    if n < least:
+        raise ConfigurationError(f"run.n_samples: must be >= {least}, got {n}")
+    return n
+
+
 def _cmd_noise_check(cfg, p, chi, spec, args):
     amplitudes = cfg["noise_check"].get("amplitudes", (0.5, 1.0, 8.0))
     n_draws = cfg["noise_check"].get("n_draws", cfg["run"]["n_samples"])
@@ -305,8 +313,7 @@ def _cmd_noise_check(cfg, p, chi, spec, args):
 
 
 def _cmd_sample(cfg, p, chi, spec, args):
-    e = sample_ensemble(p, chi, spec, cfg["run"]["n_samples"],
-                        args.seed, workers=args.workers)
+    e = sample_ensemble(p, chi, spec, _n_samples(cfg, 1), args.seed, workers=args.workers)
     _atomic_write(os.path.join(args.out, "ensemble.lflb"),
                   lambda tmp: write_ensemble(tmp, e))
     return None, 0
@@ -327,11 +334,12 @@ def _point_sets(cfg, spec):
 
 
 def _cmd_cumulants(cfg, p, chi, spec, args):
+    n_samples = _n_samples(cfg, 2)
     sets = _point_sets(cfg, spec)
     needed = sorted({pt for _, pts in sets for pt in pts})
     index_of = {pt: i for i, pt in enumerate(needed)}
-    values = sample_point_values(p, chi, spec, needed, cfg["run"]["n_samples"],
-                                 args.seed, workers=args.workers)
+    values = sample_point_values(p, chi, spec, needed, n_samples, args.seed,
+                                 workers=args.workers)
     rows = []
     for name, pts in sets:
         cols = values[:, [index_of[pt] for pt in pts]]
@@ -380,6 +388,7 @@ def _cmd_rp_check(cfg, p, chi, spec, args):
 
 
 def _cmd_rp_scan(cfg, p, chi, spec, args):
+    n_samples = _n_samples(cfg, 2)
     scan = cfg["scan"]
     basis = _build_basis(cfg, spec)
     # reject a bad grid value here; rp_scan records failures inside the scan
@@ -404,8 +413,7 @@ def _cmd_rp_scan(cfg, p, chi, spec, args):
         if row["min_eig"] < 0.0:
             record = witness_record(row["report"])
             verdict = verify_witness(record, substream_seed(args.seed, i),
-                                     n_samples=cfg["run"]["n_samples"],
-                                     workers=args.workers)
+                                     n_samples=n_samples, workers=args.workers)
             record["verification"] = verdict["status"]
             witnesses.append({"record": record, "verdict": verdict})
     _atomic_write(os.path.join(args.out, "rp_scan.csv"),
@@ -462,14 +470,14 @@ def _cmd_spectral(cfg, p, chi, spec, args):
 
 
 def _cmd_verify_witness(cfg, p, chi, spec, args):
+    n_samples = _n_samples(cfg, 2)
     if not args.witness:
         raise ConfigurationError("verify-witness requires --witness PATH")
     try:
         record = json.loads(_read_text(args.witness, "witness"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"witness: invalid JSON ({exc})") from exc
-    verdict = verify_witness(record, args.seed, n_samples=cfg["run"]["n_samples"],
-                             workers=args.workers)
+    verdict = verify_witness(record, args.seed, n_samples=n_samples, workers=args.workers)
     return ({"witness": record, "verdict": verdict},
             0 if verdict["status"] == "CONFIRMED" else 3)
 

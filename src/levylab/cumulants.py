@@ -12,12 +12,13 @@ are kept in one table per (ModelParams, LatticeSpec, point set), filled on
 first use from the Green rows the point sampler also uses, so every noise law
 on the same points (an rp-scan over lambda, a witness re-check) shares it.
 Full moments are the set-partition sum of products of c_|B| * K(B) over that
-table.  Empirical joint cumulants are estimated from ensembles by the
-set-partition Moebius formula over sample moments; translation-averaged ones
-from subset sums, made by one kernel (_subset_rows) on stored fields or inside
-the sampler's workers (sample_subset_sums).  Every standard error comes from
-one delete-block jackknife (_jackknife); the leave-one-out jackknife is the
-same with blocks of one sample.
+table.  Empirical joint cumulants are estimated by the set-partition Moebius
+formula over sample moments: of point values (joint_cumulant_jackknife), or
+translation-averaged from subset sums, made by one kernel (_subset_rows) on
+stored fields or inside the sampler's workers (sample_subset_sums).  The
+two-point map streams too (empirical_two_point): no field leaves its worker.
+Every standard error comes from one delete-block jackknife (_jackknife); the
+leave-one-out jackknife is the same with blocks of one sample.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ from .errors import ConfigurationError, RangeError
 from .greens import ModelParams, green_real_fft  # noqa: F401
 from .noise import LatticeSpec, LevyCharacteristic, _check_points, noise_cumulant
 from . import sampler
-from .sampler import Ensemble, _green_rows
+from .sampler import _green_rows
 
 MAX_ANALYTIC_ORDER = 6
-MAX_EMPIRICAL_ORDER = 4
 TWO_POINT_BLOCKS = 50
 SUM_BLOCK = 250  # samples per block of sample_subset_sums
 
@@ -283,20 +283,6 @@ def joint_cumulant_jackknife(values: np.ndarray) -> tuple[float, float]:
     return est.value, est.stderr
 
 
-def empirical_cumulant(e: Ensemble, pts) -> CumulantEstimate:
-    """Joint cumulant of (phi(x_1), ..., phi(x_n)) across ensemble samples."""
-    pts = _check_points(e.spec, pts)
-    n = len(pts)
-    if not 1 <= n <= MAX_EMPIRICAL_ORDER:
-        raise RangeError(f"empirical order {n} outside [1, {MAX_EMPIRICAL_ORDER}]")
-    if e.n_samples < 10 * 2**n:
-        raise RangeError(f"need >= {10 * 2**n} samples for order {n}, "
-                         f"have {e.n_samples}")
-    cols = np.stack([e.fields[(slice(None),) + p] for p in pts], axis=1)
-    value, stderr = joint_cumulant_jackknife(cols)
-    return CumulantEstimate(value, stderr, e.n_samples, n)
-
-
 @lru_cache(maxsize=16)
 def _translation_index(spec: LatticeSpec, q: tuple) -> np.ndarray:
     """Flat site indices of tau + q over the lattice translations tau, so that
@@ -352,21 +338,30 @@ def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpe
     return [total[list(r)] for r in rows]
 
 
-def empirical_two_point(e: Ensemble):
-    """Translation-averaged connected two-point map C(x) with jackknife errors
-    over TWO_POINT_BLOCKS blocks of samples.
+def _autocorrelation_row(p: ModelParams, eta) -> np.ndarray:
+    """The solved field's autocorrelation sum_y phi(y) phi(y + x) / V over
+    the separations x, then its mean: one (V + 1,) row."""
+    phi = sampler.solve_spde(p, eta).values
+    axes = tuple(range(phi.ndim))
+    auto = np.fft.irfftn(np.abs(np.fft.rfftn(phi)) ** 2, s=phi.shape, axes=axes)
+    return np.append(auto.ravel() / phi.size, phi.mean())
+
+
+def empirical_two_point(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
+                        n_samples: int, master_seed: int, workers: int = 1):
+    """Translation-averaged connected two-point map C(x) of the fields
+    sample_ensemble would draw, with jackknife errors over blocks of
+    ceil(n_samples / TWO_POINT_BLOCKS) samples; no field leaves its worker,
+    and the map is bit-identical for any worker count.
 
     Returns (values, stderr) arrays of lattice shape; C(x) estimates
-    S_2^T(0, x).  Uses the FFT autocorrelation per sample.
+    S_2^T(0, x).
     """
-    spec = e.spec
-    axes = tuple(range(1, spec.d + 1))
-    chunks = np.array_split(np.arange(e.n_samples), min(TWO_POINT_BLOCKS, e.n_samples))
-    auto = np.empty((len(chunks),) + spec.shape)
-    mean = np.empty((len(chunks),) + (1,) * spec.d)
-    for i, c in enumerate(chunks):
-        f = e.fields[c]
-        fhat = np.fft.fftn(f, axes=axes)
-        auto[i] = (np.fft.ifftn(np.abs(fhat) ** 2, axes=axes).real / spec.n_sites).sum(axis=0)
-        mean[i] = sum(f.mean(axis=axes))  # running total, sample by sample
-    return _jackknife([auto, mean], [len(c) for c in chunks], lambda a, m: a - m ** 2)
+    size = -(-n_samples // TWO_POINT_BLOCKS)
+    blocks = sampler._sample_blocks(chi, spec, n_samples, master_seed,
+                                    partial(_autocorrelation_row, p),
+                                    (spec.n_sites + 1,), size, workers)
+    counts = np.minimum(size, n_samples - size * np.arange(len(blocks)))
+    value, stderr = _jackknife([blocks[:, :-1], blocks[:, -1:]], counts,
+                               lambda auto, mean: auto - mean ** 2)
+    return value.reshape(spec.shape), stderr.reshape(spec.shape)

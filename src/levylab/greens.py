@@ -36,6 +36,10 @@ ANALYTIC = "analytic"
 PAPER = "paper"
 
 IMAG_TOL = 1e-10  # inverse_transform: largest relative imaginary residue
+# spectral_integral: adaptive quadrature budget of the mass superposition
+QUAD_REL_TOL = 1e-10
+QUAD_ABS_TOL = 1e-12
+QUAD_LIMIT = 200
 
 
 def _check_alpha_m0(alpha: float, m0: float) -> None:
@@ -80,15 +84,6 @@ class SpectralDensity:
         return 2.0 * np.sin(np.pi * self.alpha)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive quadrature budget for mass-superposition integrals."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    limit: int = 200
-
-
 def squared_momentum(spec: LatticeSpec, symbol: str = CONTINUUM) -> np.ndarray:
     """|k|^2 symbol on the dual FFT grid, shape (L,)*d.
 
@@ -110,14 +105,8 @@ def squared_momentum(spec: LatticeSpec, symbol: str = CONTINUUM) -> np.ndarray:
     return ksq
 
 
-def green_momentum(p: ModelParams, k) -> float:
-    """Ghat(k) = (|k|^2 + m0^2)^(-alpha) for a momentum vector k."""
-    ksq = float(np.sum(np.asarray(k, dtype=float) ** 2))
-    return green_momentum_sq(p, ksq)
-
-
 def green_momentum_sq(p: ModelParams, ksq):
-    """Ghat as a function of |k|^2 (scalar or array)."""
+    """Ghat = (|k|^2 + m0^2)^(-alpha) as a function of |k|^2 (scalar or array)."""
     ksq = np.asarray(ksq, dtype=float)
     if p.m0 == 0.0 and np.any(ksq == 0.0):
         raise SingularityError("Ghat(0) diverges for m0 = 0")
@@ -156,7 +145,7 @@ def rho(sd: SpectralDensity, m2) -> float:
     return sd.constant * (m2 - sd.m0**2) ** (-sd.alpha)
 
 
-def spectral_integral(sd: SpectralDensity, kernel, quad_spec: QuadratureSpec | None = None) -> float:
+def spectral_integral(sd: SpectralDensity, kernel) -> float:
     """integral_{m0^2}^inf rho(s) * kernel(s) ds with the endpoint removed.
 
     Substituting u = (s - m0^2)^(1-alpha) turns rho(s) ds into the smooth
@@ -165,7 +154,6 @@ def spectral_integral(sd: SpectralDensity, kernel, quad_spec: QuadratureSpec | N
     """
     from scipy.integrate import quad  # loaded by the quadrature routes only
 
-    qs = quad_spec or QuadratureSpec()
     alpha, m0sq = sd.alpha, sd.m0**2
     pwr = 1.0 / (1.0 - alpha)
 
@@ -175,18 +163,17 @@ def spectral_integral(sd: SpectralDensity, kernel, quad_spec: QuadratureSpec | N
         except OverflowError:  # s past the float range (alpha near 1): the kernels vanish there
             return 0.0
 
-    val, err = quad(integrand, 0.0, np.inf, epsrel=qs.rel_tol, epsabs=qs.abs_tol,
-                    limit=qs.limit)
-    if not np.isfinite(val) or err > max(qs.abs_tol, 10.0 * qs.rel_tol * abs(val)):
+    val, err = quad(integrand, 0.0, np.inf, epsrel=QUAD_REL_TOL, epsabs=QUAD_ABS_TOL,
+                    limit=QUAD_LIMIT)
+    if not np.isfinite(val) or err > max(QUAD_ABS_TOL, 10.0 * QUAD_REL_TOL * abs(val)):
         raise NumericalError(
             f"mass-superposition quadrature did not converge (value={val}, err={err})")
     return sd.constant / (1.0 - alpha) * val
 
 
-def kl_momentum(sd: SpectralDensity, q2: float,
-                quad_spec: QuadratureSpec | None = None) -> float:
+def kl_momentum(sd: SpectralDensity, q2: float) -> float:
     """Propagator at |q|^2 via the mass superposition (quadrature route)."""
-    return spectral_integral(sd, lambda s: 1.0 / (q2 + s), quad_spec)
+    return spectral_integral(sd, lambda s: 1.0 / (q2 + s))
 
 
 def yukawa(m: float, r: float, d: int) -> float:
@@ -201,7 +188,7 @@ def yukawa(m: float, r: float, d: int) -> float:
     return float((2.0 * np.pi) ** (-d / 2.0) * m**nu * r**(-nu) * kv(nu, m * r))
 
 
-def green_real_kl(p: ModelParams, x, quad_spec: QuadratureSpec | None = None) -> float:
+def green_real_kl(p: ModelParams, x) -> float:
     """Position-space Green function via the mass superposition.
 
     G_alpha(x) = integral rho(s) * Yukawa(sqrt(s), |x|) ds, with the analytic
@@ -215,4 +202,4 @@ def green_real_kl(p: ModelParams, x, quad_spec: QuadratureSpec | None = None) ->
         raise SingularityError("green_real_kl requires |x| > 0")
     d = x.size
     sd = SpectralDensity(p.alpha, p.m0, ANALYTIC)
-    return spectral_integral(sd, lambda s: yukawa(np.sqrt(s), r, d), quad_spec)
+    return spectral_integral(sd, lambda s: yukawa(np.sqrt(s), r, d))

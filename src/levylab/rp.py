@@ -259,6 +259,8 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
     Monte-Carlo estimate to be consistent with it (within 4 stderr) and not
     significantly positive.
     """
+    if n_samples < 2:  # the Monte-Carlo stderr needs two samples
+        raise ConfigurationError(f"n_samples: must be >= 2, got {n_samples}")
     try:
         w = np.asarray(record["coefficients"], dtype=float)
         p, chi, spec, centered = params_from_snapshot(record["params"])

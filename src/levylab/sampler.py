@@ -8,13 +8,14 @@ is real by construction.  Point-only sampling skips the solve:
 phi(x) = a^d * sum_y G(x - y) eta_y is one product per sample with a cached
 matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
 draws from the counter-based stream (master_seed, i), one per-sample map turns
-the noise into a result (solved field, point values, or cumulants' subset
-rows) and the results are summed over fixed blocks of samples in sample
-order, so sums are bit-identical for any worker count.  A worker pool forks
-its workers from an explicit fork context after the block sums are allocated
-as one anonymous shared mapping; each worker adds its blocks into its own rows
-of it, so no result is pickled back or concatenated.  concurrent.futures,
-multiprocessing and mmap are imported only when a pool starts.
+the noise into a result (solved field, point values, or cumulants' subset or
+two-point rows) and the results are summed over fixed blocks of samples in
+sample order, so sums are bit-identical for any worker count.  A worker pool
+forks its workers from an explicit fork context after the block sums are
+allocated as one anonymous shared mapping; each worker adds its blocks into
+its own rows of it, so no result is pickled back or concatenated.
+concurrent.futures, multiprocessing and mmap are imported only when a pool
+starts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ import numpy as np
 
 from .errors import ConfigurationError, SingularityError
 from .greens import (CONTINUUM, DISCRETE, ModelParams, green_momentum_sq,
-                     green_real_fft, inverse_transform, squared_momentum)
+                     green_real_fft, squared_momentum)
+# inverse_transform stays a module attribute: bench/tracer patches it by name
+from .greens import inverse_transform  # noqa: F401
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     _check_points, sample_noise)
 from .streams import substream
@@ -84,13 +87,6 @@ def solve_spde(p: ModelParams, eta: LatticeField) -> LatticeField:
     axes = tuple(range(eta.spec.d))
     phi_hat = np.fft.rfftn(eta.values, axes=axes) * _half_symbol(p, eta.spec)
     return LatticeField(eta.spec, np.fft.irfftn(phi_hat, s=eta.spec.shape, axes=axes))
-
-
-def apply_forward_symbol(p: ModelParams, phi: LatticeField) -> LatticeField:
-    """Apply (-Laplace + m0^2)^alpha; inverse of solve_spde."""
-    sym = (squared_momentum(phi.spec, p.symbol) + p.m0**2) ** p.alpha
-    out = inverse_transform(phi.spec, np.fft.fftn(phi.values) * sym * phi.spec.cell_volume)
-    return out
 
 
 @lru_cache(maxsize=2)

@@ -393,7 +393,10 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     return WightmanEstimate(value, stderr, per * S * S, n_nonzero)
 
 
-def shell_control_tests(m: float, width: float = 0.4, radius: float = 0.6):
+CONTROL_WIDTH, CONTROL_RADIUS = 0.4, 0.6  # the control's bumps, whatever the mass
+
+
+def shell_control_tests(m: float):
     """Time-like control with bumps centered on the mass shells.
 
     Kinematics: k1 at rest on the + shell, k3 and k4 on the - shell with
@@ -406,10 +409,10 @@ def shell_control_tests(m: float, width: float = 0.4, radius: float = 0.6):
     """
     e = float(m)
     e2 = float(np.sqrt(2.0) * m)
-    f = make_test((e, 0.0, 0.0), width, radius, TIMELIKE)
-    h1 = make_test((2.0 * e2 - e, 0.0, 0.0), width, radius, TIMELIKE)
-    h2 = make_test((-e2, e, 0.0), width, radius, TIMELIKE)
-    g = make_test((-e2, -e, 0.0), width, radius, TIMELIKE)
+    f = make_test((e, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
+    h1 = make_test((2.0 * e2 - e, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
+    h2 = make_test((-e2, e, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
+    g = make_test((-e2, -e, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
     return f, h1, h2, g
 
 

@@ -1,7 +1,7 @@
 """Acceptance gate: the ten quantitative criteria, at their stated tolerances.
 
-Heavy Monte-Carlo fixtures are module-scoped and shared between criteria.
-All runs are seeded, so every assertion here is deterministic.
+Every Monte-Carlo estimate streams through the samplers, so no ensemble is
+kept.  All runs are seeded, so every assertion here is deterministic.
 """
 
 import json
@@ -13,12 +13,13 @@ from levylab import (IntegratorSpec, JumpLaw, LatticeField, LatticeSpec,
                      LevyCharacteristic, MassAssignment, ModelParams,
                      MonomialBasis, SpectralDensity, analytic_truncated_schwinger,
                      baumann_check, characteristic_functional,
-                     empirical_cumulant, empirical_two_point, gram_report,
-                     green_real_fft, green_real_kl, kl_momentum,
-                     make_spacelike_test, make_test, moments_from_cumulants,
-                     rp_scan, sample_ensemble, sample_noise, substream,
+                     empirical_two_point, gram_report, green_real_fft,
+                     green_real_kl, kl_momentum, make_spacelike_test,
+                     make_test, moments_from_cumulants, rp_scan,
+                     sample_noise, sample_point_values, substream,
                      verify_witness, witness_record)
-from levylab.cumulants import cumulant_from_subset_sums, sample_subset_sums
+from levylab.cumulants import (cumulant_from_subset_sums, joint_cumulant_jackknife,
+                               sample_subset_sums)
 from levylab.wightman import substream_seed
 
 DESK_SPEC = LatticeSpec(3, 16, 0.5)
@@ -31,18 +32,6 @@ WITNESS_BASIS_POINTS = [(1, 1, 0), (1, 2, 0), (2, 0, 0),
                         (2, 1, 0), (2, 2, 0), (2, 3, 0)]
 PSD_BASIS_POINTS = [(1, 0, 0), (2, 0, 0), (3, 0, 0),
                     (1, 1, 0), (2, 1, 0), (3, 1, 0)]
-
-
-@pytest.fixture(scope="module")
-def gaussian_ensemble():
-    return sample_ensemble(ALPHA_HALF, GAUSSIAN, DESK_SPEC, 10_000, 101,
-                           workers=4)
-
-
-@pytest.fixture(scope="module")
-def poisson_ensemble():
-    return sample_ensemble(ALPHA_HALF, POISSON, DESK_SPEC, 10_000, 102,
-                           workers=4)
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +65,12 @@ def test_criterion_1_noise_law():
 
 
 @pytest.mark.parametrize("which", ["gaussian", "poisson"])
-def test_criterion_2_two_point(which, gaussian_ensemble, poisson_ensemble):
-    e = gaussian_ensemble if which == "gaussian" else poisson_ensemble
-    vals, _ = empirical_two_point(e)
+def test_criterion_2_two_point(which):
+    chi, seed = (GAUSSIAN, 101) if which == "gaussian" else (POISSON, 102)
+    vals, _ = empirical_two_point(ALPHA_HALF, chi, DESK_SPEC, 10_000, seed, workers=4)
     max_cells = int(DESK_SPEC.L / 4)  # separation L*a/4 in physical units
     for sep in range(0, max_cells + 1):
-        an = analytic_truncated_schwinger(ALPHA_HALF, e.chi, DESK_SPEC,
+        an = analytic_truncated_schwinger(ALPHA_HALF, chi, DESK_SPEC,
                                           [(0, 0, 0), (sep, 0, 0)])
         # the three axis directions are exchangeable; average them
         est = np.mean([vals[sep, 0, 0], vals[0, sep, 0], vals[0, 0, sep]])
@@ -110,11 +99,13 @@ def test_criterion_3_four_point_poisson():
         assert abs(est.value - an) / an <= 0.15
 
 
-def test_criterion_3_four_point_gaussian_zero(gaussian_ensemble):
+def test_criterion_3_four_point_gaussian_zero():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert analytic_truncated_schwinger(ALPHA_HALF, GAUSSIAN, DESK_SPEC, pts) == 0.0
-    est = empirical_cumulant(gaussian_ensemble, pts)
-    assert abs(est.value) <= 4.0 * est.stderr
+    values = sample_point_values(ALPHA_HALF, GAUSSIAN, DESK_SPEC, pts, 10_000, 101,
+                                 workers=4)
+    value, stderr = joint_cumulant_jackknife(values)
+    assert abs(value) <= 4.0 * stderr
 
 
 # ---------------------------------------------------------------------------

@@ -677,6 +677,10 @@ def test_import_loads_no_scipy(tmp_path):
     assert _fresh_modules(tmp_path, code) == ["[]"]
 
 
+def test_public_names_resolve():
+    assert [name for name in levylab.__all__ if not hasattr(levylab, name)] == []
+
+
 @pytest.mark.parametrize("case", COLD_START)
 def test_command_loads_only_its_scipy(tmp_path, case):
     command, changes, witness_lam, expected = COLD_START[case]
@@ -698,3 +702,23 @@ def test_command_loads_only_its_scipy(tmp_path, case):
     assert [m for m in ("scipy.integrate", "scipy.special") if m in loaded] == list(expected)
     assert bool(loaded) == bool(expected)
     assert "scipy.stats" not in loaded
+
+
+# ---------------------------------------------------------------------------
+# run.n_samples one below what each command needs: two where a report
+# carries a standard error.  Not a BAD_INPUTS row: sample and noise-check
+# accept 1.
+TOO_FEW_SAMPLES = {"cumulants": 1, "rp-scan": 1, "verify-witness": 1, "sample": 0}
+
+
+@pytest.mark.parametrize("command", TOO_FEW_SAMPLES)
+def test_too_few_samples_exit_1_names_field(tmp_path, capsys, command):
+    cfg = copy.deepcopy(IMPORT_INI)  # rp-scan finds a witness to re-verify here
+    cfg["run"] = {**cfg["run"], "n_samples": str(TOO_FEW_SAMPLES[command])}
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(WITNESS))
+    flags = ("--witness", str(witness)) if command == "verify-witness" else ()
+    assert run_cli(command, write_ini(tmp_path / "few.ini", cfg), tmp_path, *flags) == 1
+    least = TOO_FEW_SAMPLES[command] + 1
+    assert f"run.n_samples: must be >= {least}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["few.ini", "witness.json"]

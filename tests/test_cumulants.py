@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levylab import (ConfigurationError, CumulantEstimate, Ensemble, JumpLaw,
+from levylab import (ConfigurationError, CumulantEstimate, JumpLaw,
                      LatticeSpec, LevyCharacteristic, ModelParams, RangeError,
-                     analytic_truncated_schwinger, empirical_cumulant,
-                     empirical_two_point, full_schwinger_moment,
-                     moments_from_cumulants, noise_cumulant, sample_ensemble,
+                     analytic_truncated_schwinger, empirical_two_point,
+                     full_schwinger_moment, moments_from_cumulants,
+                     noise_cumulant, sample_ensemble, sample_point_values,
                      set_partitions)
-from levylab.cumulants import (accumulate_subset_sums, cumulant_from_subset_sums,
-                               joint_cumulant_jackknife)
+from levylab.cumulants import (TWO_POINT_BLOCKS, accumulate_subset_sums,
+                               cumulant_from_subset_sums, joint_cumulant_jackknife)
 from levylab.greens import green_momentum_sq, green_real_fft, squared_momentum
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -203,12 +203,11 @@ def test_estimate_validation():
 
 
 def test_empirical_cumulant_deterministic_ensemble(model_half, small_spec, gaussian_chi):
-    base = sample_ensemble(model_half, gaussian_chi, small_spec, 1, 3)
-    fields = np.repeat(base.fields, 50, axis=0)
-    e = Ensemble(model_half, gaussian_chi, small_spec, 3, fields)
-    est = empirical_cumulant(e, [(0, 0, 0), (1, 0, 0)])
-    assert est.value == pytest.approx(0.0, abs=1e-14)
-    assert est.stderr == pytest.approx(0.0, abs=1e-14)
+    base = sample_point_values(model_half, gaussian_chi, small_spec,
+                               [(0, 0, 0), (1, 0, 0)], 1, 3)
+    value, stderr = joint_cumulant_jackknife(np.repeat(base, 50, axis=0))
+    assert value == pytest.approx(0.0, abs=1e-14)
+    assert stderr == pytest.approx(0.0, abs=1e-14)
 
 
 def test_joint_cumulant_synthetic_poisson(rng):
@@ -255,23 +254,52 @@ def test_block_jackknife_matches_explicit_deletion(rng):
 
 
 def test_empirical_cumulant_needs_samples(model_half, small_spec, gaussian_chi):
-    e = sample_ensemble(model_half, gaussian_chi, small_spec, 30, 3)
-    with pytest.raises(RangeError):
-        empirical_cumulant(e, [(0, 0, 0)] * 3)  # needs >= 80
+    values = sample_point_values(model_half, gaussian_chi, small_spec, [(0, 0, 0)], 1, 3)
+    with pytest.raises(ConfigurationError):  # a stderr needs two samples
+        joint_cumulant_jackknife(values)
 
 
 def test_empirical_cumulant_agrees_with_analytic(model_half, small_spec, gaussian_chi):
-    e = sample_ensemble(model_half, gaussian_chi, small_spec, 4000, 19, workers=2)
     pts = [(0, 0, 0), (1, 0, 0)]
-    est = empirical_cumulant(e, pts)
+    values = sample_point_values(model_half, gaussian_chi, small_spec, pts, 4000, 19,
+                                 workers=2)
+    value, stderr = joint_cumulant_jackknife(values)
     an = analytic_truncated_schwinger(model_half, gaussian_chi, small_spec, pts)
-    assert abs(est.value - an) <= 4.0 * est.stderr
+    assert abs(value - an) <= 4.0 * stderr
 
 
 def test_empirical_two_point_map(model_half, small_spec, gaussian_chi):
-    e = sample_ensemble(model_half, gaussian_chi, small_spec, 3000, 23, workers=2)
-    vals, err = empirical_two_point(e)
+    vals, err = empirical_two_point(model_half, gaussian_chi, small_spec, 3000, 23,
+                                    workers=2)
     for sep in [(0, 0, 0), (1, 0, 0), (0, 2, 0)]:
         an = analytic_truncated_schwinger(model_half, gaussian_chi, small_spec,
                                           [(0, 0, 0), sep])
         assert abs(vals[sep] - an) <= 5.0 * err[sep]
+
+
+def test_empirical_two_point_worker_count_independence(model_half, small_spec, poisson_chi):
+    serial = empirical_two_point(model_half, poisson_chi, small_spec, 130, 5, workers=1)
+    parallel = empirical_two_point(model_half, poisson_chi, small_spec, 130, 5, workers=2)
+    for a, b in zip(serial, parallel):
+        assert np.array_equal(a, b)
+
+
+def test_empirical_two_point_matches_stored_fields(model_half, small_spec, poisson_chi):
+    # 130 samples: 44 blocks of ceil(130 / 50) = 3, the last one of 1 sample
+    n, size = 130, -(-130 // TWO_POINT_BLOCKS)
+    fields = sample_ensemble(model_half, poisson_chi, small_spec, n, 5).fields
+    axes = (1, 2, 3)
+    auto = np.fft.ifftn(np.abs(np.fft.fftn(fields, axes=axes)) ** 2,
+                        axes=axes).real / small_spec.n_sites
+    mean = fields.mean(axis=axes)
+
+    def two_point(keep):
+        return auto[keep].mean(axis=0) - mean[keep].mean() ** 2
+
+    blocks = np.arange(n) // size
+    deleted = np.array([two_point(blocks != b) for b in range(blocks[-1] + 1)])
+    b = len(deleted)
+    stderr = np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean(axis=0)) ** 2, axis=0))
+    vals, err = empirical_two_point(model_half, poisson_chi, small_spec, n, 5)
+    np.testing.assert_allclose(vals, two_point(slice(None)), rtol=1e-11)
+    np.testing.assert_allclose(err, stderr, rtol=1e-8)

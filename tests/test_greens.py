@@ -3,10 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from levylab import (ConfigurationError, LatticeSpec, ModelParams,
-                     NumericalError, QuadratureSpec, SingularityError,
-                     SpectralDensity, green_momentum, green_real_fft,
-                     green_real_kl, kl_momentum, rho, spectral_integral,
-                     squared_momentum)
+                     NumericalError, SingularityError, SpectralDensity,
+                     green_real_fft, green_real_kl, kl_momentum, rho,
+                     spectral_integral, squared_momentum)
 from levylab.greens import (ANALYTIC, DISCRETE, PAPER, green_momentum_sq,
                             inverse_transform, yukawa)
 
@@ -23,12 +22,12 @@ def test_model_params_validation():
 
 
 def test_green_momentum_examples():
-    assert green_momentum(ModelParams(0.5, 1.0), [np.sqrt(3), 0, 0]) == pytest.approx(0.5)
-    assert green_momentum(ModelParams(0.3, 2.0), [0, 0, 0]) == pytest.approx(2.0**-0.6)
+    assert green_momentum_sq(ModelParams(0.5, 1.0), 3.0) == pytest.approx(0.5)
+    assert green_momentum_sq(ModelParams(0.3, 2.0), 0.0) == pytest.approx(2.0**-0.6)
     # large-|k| asymptotics ~ |k|^(-2 alpha)
     p = ModelParams(0.4, 1.0)
     k = 1e4
-    assert green_momentum(p, [k, 0, 0]) / k**-0.8 == pytest.approx(1.0, rel=1e-6)
+    assert green_momentum_sq(p, k**2) / k**-0.8 == pytest.approx(1.0, rel=1e-6)
 
 
 def test_green_momentum_positive_monotone():
@@ -41,7 +40,7 @@ def test_green_momentum_positive_monotone():
 
 def test_green_momentum_singularity():
     with pytest.raises(SingularityError):
-        green_momentum(ModelParams(0.5, 0.0), [0, 0, 0])
+        green_momentum_sq(ModelParams(0.5, 0.0), 0.0)
 
 
 def test_zero_mode_identity(model_half, desk_spec):
@@ -130,8 +129,7 @@ def test_spectral_integral_nonconvergence():
     sd = SpectralDensity(0.5, 1.0)
     with pytest.raises(NumericalError):
         # growing kernel: integral diverges
-        spectral_integral(sd, lambda s: np.exp(min(s, 700.0)),
-                          QuadratureSpec(limit=20))
+        spectral_integral(sd, lambda s: np.exp(min(s, 700.0)))
 
 
 def test_green_real_kl_monotone_decay(model_half):

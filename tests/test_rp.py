@@ -225,6 +225,19 @@ def test_verify_witness_non_finite_coefficients(basis6, monkeypatch, bad):
         verify_witness(record, fresh_seed=1)
 
 
+def test_verify_witness_needs_two_samples(basis6, monkeypatch):
+    p = ModelParams(0.75, 1.0, "discrete")
+    record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Gram or Monte-Carlo work before the input check")
+
+    monkeypatch.setattr(rp, "build_reflection_gram", no_work)
+    monkeypatch.setattr(rp, "witness_quadratic_form_mc", no_work)
+    with pytest.raises(ConfigurationError, match="n_samples: must be >= 2, got 1"):
+        verify_witness(record, fresh_seed=1, n_samples=1)
+
+
 def test_verify_witness_length_mismatch(desk_spec, basis6):
     p = ModelParams(0.75, 1.0, "discrete")
     chi = LevyCharacteristic(sigma2=1.0)
