@@ -24,6 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,53 +36,50 @@ from .errors import (ConfigurationError, ContractViolation, LevyLabError,
 from .greens import (ANALYTIC, PAPER, ModelParams, SpectralDensity,
                      green_momentum_sq, kl_momentum)
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
-                    _check_points, characteristic_functional, check_site_mean,
-                    sample_noise)
+                    _check_points, characteristic_functional, check_site_mean)
 from .rp import MonomialBasis, gram_report, rp_scan, verify_witness, witness_record
-from .sampler import sample_ensemble, sample_point_values, write_ensemble
-from .streams import substream, substream_seed
+from .sampler import _sample_blocks, sample_ensemble, sample_point_values, write_ensemble
+from .streams import substream_seed
 from .wightman import (IntegratorSpec, MassAssignment, ShellRegularization,
                        baumann_check, make_spacelike_test, make_test)
 
 # ---------------------------------------------------------------------------
-# Config schema: (section, key) -> (type tag, required)
+# Config schema: (section, key) -> (type tag, required).  A required key must
+# be present whenever a command reads its section.
 
 _SCHEMA = {
-    ("model", "alpha"): "float",
-    ("model", "m0"): "float",
-    ("model", "symbol"): "str",
-    ("noise", "b"): "float",
-    ("noise", "sigma2"): "float",
-    ("noise", "lambda"): "float",
-    ("noise", "jump_kind"): "str",
-    ("noise", "jump_params"): "floats",
-    ("lattice", "d"): "int",
-    ("lattice", "L"): "int",
-    ("lattice", "a"): "float",
-    ("run", "seed"): "int",
-    ("run", "n_samples"): "int",
-    ("run", "workers"): "int",
-    ("points", "*"): "points",
-    ("basis", "points"): "points",
-    ("basis", "degree"): "int",
-    ("basis", "centered"): "bool",
-    ("basis", "time_axis"): "int",
-    ("scan", "alphas"): "floats",
-    ("scan", "lambdas"): "floats",
-    ("baumann", "epsilons"): "floats",
-    ("baumann", "mass"): "float",
-    ("baumann", "h1_center"): "floats",
-    ("baumann", "h2_center"): "floats",
-    ("baumann", "f_center"): "floats",
-    ("baumann", "g_center"): "floats",
-    ("baumann", "width"): "float",
-    ("baumann", "radius"): "float",
-    ("baumann", "n_samples"): "int",
-    ("baumann", "n_strata"): "int",
-    ("noise_check", "amplitudes"): "floats",
-    ("noise_check", "n_draws"): "int",
-    ("spectral", "q2_grid"): "floats",
-    ("spectral", "alphas"): "floats",
+    ("model", "alpha"): ("float", True),
+    ("model", "m0"): ("float", True),
+    ("model", "symbol"): ("str", False),
+    ("noise", "b"): ("float", False),
+    ("noise", "sigma2"): ("float", False),
+    ("noise", "lambda"): ("float", False),
+    ("noise", "jump_kind"): ("str", False),
+    ("noise", "jump_params"): ("floats", False),
+    ("lattice", "d"): ("int", True),
+    ("lattice", "L"): ("int", True),
+    ("lattice", "a"): ("float", True),
+    ("run", "seed"): ("int", False),
+    ("run", "n_samples"): ("int", True),
+    ("run", "workers"): ("int", False),
+    ("points", "*"): ("points", False),
+    ("basis", "points"): ("points", True),
+    ("basis", "degree"): ("int", False),
+    ("scan", "alphas"): ("floats", True),
+    ("scan", "lambdas"): ("floats", True),
+    ("baumann", "epsilons"): ("floats", True),
+    ("baumann", "mass"): ("float", True),
+    ("baumann", "h1_center"): ("floats", True),
+    ("baumann", "h2_center"): ("floats", True),
+    ("baumann", "f_center"): ("floats", True),
+    ("baumann", "g_center"): ("floats", True),
+    ("baumann", "width"): ("float", False),
+    ("baumann", "radius"): ("float", False),
+    ("baumann", "n_samples"): ("int", True),
+    ("baumann", "n_strata"): ("int", False),
+    ("noise_check", "amplitudes"): ("floats", False),
+    ("spectral", "q2_grid"): ("floats", False),
+    ("spectral", "alphas"): ("floats", False),
 }
 
 _SECTIONS = {sec for sec, _ in _SCHEMA}
@@ -92,11 +90,6 @@ def _parse_value(tag: str, raw: str):
         return float(raw)
     if tag == "int":
         return int(raw)
-    if tag == "bool":
-        low = raw.strip().lower()
-        if low not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {raw!r}")
-        return low == "true"
     if tag == "str":
         return raw.strip()
     if tag == "floats":
@@ -131,12 +124,12 @@ def parse_config(text: str) -> dict:
             continue
         out[sec] = {}
         for key, raw in cp.items(sec):
-            tag = _SCHEMA.get((sec, key)) or _SCHEMA.get((sec, "*"))
-            if tag is None:
+            entry = _SCHEMA.get((sec, key)) or _SCHEMA.get((sec, "*"))
+            if entry is None:
                 problems.append(f"{sec}.{key}: unknown key")
                 continue
             try:
-                out[sec][key] = _parse_value(tag, raw)
+                out[sec][key] = _parse_value(entry[0], raw)
             except ValueError as exc:
                 problems.append(f"{sec}.{key}: {exc}")
     if problems:
@@ -163,13 +156,8 @@ def build_lattice(cfg: dict) -> LatticeSpec:
     return LatticeSpec(lat["d"], lat["L"], lat["a"])
 
 
-# keys a section must have whenever a command reads it
-_REQUIRED = {"model": ("alpha", "m0"), "lattice": ("d", "L", "a"), "run": ("n_samples",),
-             "basis": ("points",), "scan": ("alphas", "lambdas"),
-             "baumann": ("epsilons", "mass", "h1_center", "h2_center", "f_center",
-                         "g_center", "n_samples")}
 _BUILDERS = {"model": build_model, "noise": build_chi, "lattice": build_lattice}
-_OPTIONAL = {"spectral"}  # may be missing; its lists are still checked when given
+_OPTIONAL = {"noise_check", "spectral"}  # may be missing; checked when given
 
 
 def _validate(cfg: dict, sections) -> tuple:
@@ -184,8 +172,8 @@ def _validate(cfg: dict, sections) -> tuple:
             if section not in _OPTIONAL:
                 problems.append(f"[{section}]: missing section")
             continue
-        found = [f"{section}.{key}: missing"
-                 for key in _REQUIRED.get(section, ()) if key not in cfg[section]]
+        found = [f"{section}.{key}: missing" for (sec, key), (_, required) in _SCHEMA.items()
+                 if sec == section and required and key not in cfg[section]]
         found += [f"{section}.{key}: empty" for key, v in cfg[section].items() if v == ()]
         problems += found
         if section in _BUILDERS and not found:
@@ -276,39 +264,40 @@ def _n_samples(cfg, least: int) -> int:
     return n
 
 
+def _phases(base, amplitudes, eta) -> np.ndarray:
+    """cos and sin of amp * a^d * sum_x base_x eta_x for each amplitude, shape
+    (n_amplitudes, 2): one noise draw serves every amplitude."""
+    arg = amplitudes * (eta.spec.cell_volume * np.sum(base * eta.values))
+    return np.stack([np.cos(arg), np.sin(arg)], axis=1)
+
+
 def _cmd_noise_check(cfg, p, chi, spec, args):
-    amplitudes = cfg["noise_check"].get("amplitudes", (0.5, 1.0, 8.0))
-    n_draws = cfg["noise_check"].get("n_draws", cfg["run"]["n_samples"])
-    if n_draws < 2:  # a standard error needs two draws
-        raise ConfigurationError(f"noise_check.n_draws: must be >= 2, got {n_draws}")
+    n_samples = _n_samples(cfg, 2)
+    amplitudes = np.array(cfg.get("noise_check", {}).get("amplitudes", (0.5, 1.0, 8.0)))
     axis = np.arange(spec.L)
     profile = np.cos(2.0 * np.pi * axis / spec.L) + 0.5
     base = profile.reshape((spec.L,) + (1,) * (spec.d - 1)) * np.ones(spec.shape)
+    with _named("noise_check.amplitudes"):  # every amplitude, before any draw
+        exact = [characteristic_functional(chi, LatticeField(spec, amp * base))
+                 for amp in amplitudes]
+    phases = _sample_blocks(chi, spec, n_samples, args.seed,
+                            partial(_phases, base, amplitudes), (len(amplitudes), 2),
+                            workers=args.workers)
     rows = []
-    ok = True
     for j, amp in enumerate(amplitudes):
-        f = LatticeField(spec, amp * base)
-        exact = characteristic_functional(chi, f)
-        rng = substream(args.seed, j)
-        z = np.empty(n_draws, dtype=complex)
-        fv = f.values
-        for i in range(n_draws):
-            eta = sample_noise(chi, spec, rng)
-            z[i] = np.exp(1j * spec.cell_volume * np.sum(fv * eta.values))
-        emp = z.mean()
-        se_re = float(z.real.std(ddof=1) / np.sqrt(n_draws))
-        se_im = float(z.imag.std(ddof=1) / np.sqrt(n_draws))
-        within = (abs(emp.real - exact.real) <= 3.0 * max(se_re, 1e-15)
-                  and abs(emp.imag - exact.imag) <= 3.0 * max(se_im, 1e-15))
-        ok = ok and within
+        # the first cumulant is the mean; its jackknife stderr is std / sqrt(n)
+        (re, se_re), (im, se_im) = (joint_cumulant_jackknife(phases[:, j, c:c + 1])
+                                    for c in (0, 1))
         rows.append({
             "amplitude": float(amp),
-            "exact": [exact.real, exact.imag],
-            "empirical": [float(emp.real), float(emp.imag)],
+            "exact": [exact[j].real, exact[j].imag],
+            "empirical": [re, im],
             "stderr": [se_re, se_im],
-            "n_draws": int(n_draws),
-            "within_3_stderr": within,
+            "n_draws": n_samples,
+            "within_3_stderr": (abs(re - exact[j].real) <= 3.0 * max(se_re, 1e-15)
+                                and abs(im - exact[j].imag) <= 3.0 * max(se_im, 1e-15)),
         })
+    ok = all(row["within_3_stderr"] for row in rows)
     return {"tests": rows, "all_within": ok}, 0 if ok else 3
 
 
@@ -373,12 +362,11 @@ def _build_basis(cfg, spec):
         raise ConfigurationError(f"basis.degree: must be 1 or 2, got {degree}")
     build = MonomialBasis.up_to_degree_two if degree == 2 else MonomialBasis.degree_one
     with _named("[basis]"):
-        return build(spec, b["points"], b.get("time_axis", 0))
+        return build(spec, b["points"])
 
 
 def _cmd_rp_check(cfg, p, chi, spec, args):
-    rep = gram_report(p, chi, _build_basis(cfg, spec),
-                      centered=cfg["basis"].get("centered", True))
+    rep = gram_report(p, chi, _build_basis(cfg, spec))
     return {
         "min_eig": rep.min_eig,
         "gram_norm": float(np.linalg.norm(rep.matrix, 2)),
@@ -398,8 +386,7 @@ def _cmd_rp_scan(cfg, p, chi, spec, args):
     with _named("scan.lambdas"):
         for lam in scan["lambdas"]:
             check_site_mean(replace(chi, lam=lam), spec)
-    rows = rp_scan(scan["alphas"], scan["lambdas"], p.m0, chi, basis,
-                   symbol=p.symbol, centered=cfg["basis"].get("centered", True))
+    rows = rp_scan(scan["alphas"], scan["lambdas"], p, chi, basis)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "lambda", "min_eig", "error"])

@@ -10,8 +10,13 @@ the Gram matrix
 is positive semidefinite for every reflection-positive model.  A unit vector
 w with w^T M w < 0 is an explicit non-positivity witness; witnesses are
 re-verified both analytically and by Monte Carlo on a fresh ensemble.
-Monomials use the centered field (mean subtracted) by default, which removes
-the trivial mixing with the constant sector.
+Time is lattice axis 0, and monomials always use the centered field (mean
+subtracted), which removes the trivial mixing with the constant sector.
+Neither is an option.  Both momentum symbols are sums of one 1-D symbol over
+the axes, so a reflection along another axis is this one with the axes
+relabelled.  Centering hides no witness of the uncentered Gram: with the
+constant in the basis the two are congruent (same inertia), and without it
+the uncentered Gram adds mu^2 * 11^T, which only raises eigenvalues.
 
 Each entry is a moment of at most four field values at the (at most 12)
 distinct points of the basis and its reflection.  The Gram build takes them
@@ -22,7 +27,6 @@ builds of a lambda scan and the rebuild in verify_witness share one table.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,20 +44,12 @@ MAX_MOMENT_ORDER = 4
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Monomials of degree <= 2 in field values at positive-time points."""
+    """Monomials of degree <= 2 in field values at positive times (axis 0)."""
 
     spec: LatticeSpec
     monomials: tuple
-    time_axis: int = 0
 
     def __post_init__(self):
-        try:
-            axis = operator.index(self.time_axis)
-        except TypeError:
-            axis = -1
-        if not 0 <= axis < self.spec.d:
-            raise ConfigurationError(
-                f"time_axis: {self.time_axis!r} outside [0, {self.spec.d})")
         mons = tuple(tuple(_check_points(self.spec, mon)) for mon in self.monomials)
         if not mons:
             raise ConfigurationError("basis must contain at least one monomial")
@@ -62,34 +58,30 @@ class MonomialBasis:
             if len(mon) > 2:
                 raise ConfigurationError("monomial degree capped at 2")
             for pt in mon:
-                t = pt[axis]
-                if not 0 < t < half:
+                if not 0 < pt[0] < half:
                     raise ConfigurationError(
                         f"monomial point {pt} must have time in (0, L/2)")
         object.__setattr__(self, "monomials", mons)
-        object.__setattr__(self, "time_axis", axis)
 
     def reflect(self, pt):
-        out = list(pt)
-        out[self.time_axis] = (self.spec.L - pt[self.time_axis]) % self.spec.L
-        return tuple(out)
+        return ((self.spec.L - pt[0]) % self.spec.L,) + tuple(pt[1:])
 
     @property
     def size(self) -> int:
         return len(self.monomials)
 
     @classmethod
-    def degree_one(cls, spec: LatticeSpec, points, time_axis: int = 0):
-        return cls(spec, tuple((tuple(p),) for p in points), time_axis)
+    def degree_one(cls, spec: LatticeSpec, points):
+        return cls(spec, tuple((tuple(p),) for p in points))
 
     @classmethod
-    def up_to_degree_two(cls, spec: LatticeSpec, points, time_axis: int = 0):
+    def up_to_degree_two(cls, spec: LatticeSpec, points):
         """Constant, all singles and all unordered pairs over the point list."""
         pts = [tuple(p) for p in points]
         mons = [()]
         mons += [(p,) for p in pts]
         mons += [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i, len(pts))]
-        return cls(spec, tuple(mons), time_axis)
+        return cls(spec, tuple(mons))
 
 
 @dataclass(frozen=True)
@@ -114,15 +106,13 @@ class GramReport:
         object.__setattr__(self, "witness", w)
 
 
-def params_snapshot(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
-                    centered: bool) -> dict:
+def params_snapshot(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec) -> dict:
     law = chi.jump_law
     return {
         "alpha": p.alpha, "m0": p.m0, "symbol": p.symbol,
         "b": chi.b, "sigma2": chi.sigma2, "lambda": chi.lam,
         "jump_law": None if law is None else {"kind": law.kind, "params": list(law.params)},
         "lattice": {"d": spec.d, "L": spec.L, "a": spec.a},
-        "centered": centered,
     }
 
 
@@ -134,7 +124,7 @@ def params_from_snapshot(snap: dict):
                              lam=snap["lambda"], jump_law=jl)
     lat = snap["lattice"]
     spec = LatticeSpec(lat["d"], lat["L"], lat["a"])
-    return p, chi, spec, bool(snap.get("centered", True))
+    return p, chi, spec
 
 
 def _reflected(basis: MonomialBasis):
@@ -147,11 +137,11 @@ def _reflected(basis: MonomialBasis):
 
 
 def build_reflection_gram(p: ModelParams, chi: LevyCharacteristic,
-                          basis: MonomialBasis, centered: bool = True) -> np.ndarray:
-    """Gram matrix of reflected-times-unreflected monomial moments."""
+                          basis: MonomialBasis) -> np.ndarray:
+    """Gram matrix of reflected-times-unreflected centered monomial moments."""
     mons = basis.monomials
     theta, points, index = _reflected(basis)
-    moment = schwinger_moments(p, chi, basis.spec, points, centered=centered)
+    moment = schwinger_moments(p, chi, basis.spec, points, centered=True)
     n = len(mons)
     m = np.empty((n, n))
     for a in range(n):
@@ -177,18 +167,16 @@ def min_eigenvalue(m: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
-def gram_report(p: ModelParams, chi: LevyCharacteristic, basis: MonomialBasis,
-                centered: bool = True) -> GramReport:
-    m = build_reflection_gram(p, chi, basis, centered=centered)
+def gram_report(p: ModelParams, chi: LevyCharacteristic, basis: MonomialBasis) -> GramReport:
+    m = build_reflection_gram(p, chi, basis)
     eig, witness = min_eigenvalue(m)
-    return GramReport(m, eig, witness, basis,
-                      params_snapshot(p, chi, basis.spec, centered))
+    return GramReport(m, eig, witness, basis, params_snapshot(p, chi, basis.spec))
 
 
-def rp_scan(alphas, lambdas, m0: float, chi_template: LevyCharacteristic,
-            basis: MonomialBasis, symbol: str = "continuum",
-            centered: bool = True):
-    """Grid scan over (alpha, lambda); failures are recorded, not raised.
+def rp_scan(alphas, lambdas, p_template: ModelParams, chi_template: LevyCharacteristic,
+            basis: MonomialBasis):
+    """Grid scan over (alpha, lambda) of the templates with those values
+    replaced; failures are recorded, not raised.
 
     Returns a list of dict rows {alpha, lambda, min_eig, report | error}.
     A non-negative min_eig means only "no witness found at this basis size",
@@ -200,8 +188,8 @@ def rp_scan(alphas, lambdas, m0: float, chi_template: LevyCharacteristic,
             row = {"alpha": float(alpha), "lambda": float(lam)}
             try:
                 chi = replace(chi_template, lam=float(lam))
-                p = ModelParams(float(alpha), m0, symbol)
-                rep = gram_report(p, chi, basis, centered=centered)
+                p = replace(p_template, alpha=float(alpha))
+                rep = gram_report(p, chi, basis)
                 row["min_eig"] = rep.min_eig
                 row["report"] = rep
             except LevyLabError as exc:  # record and continue the scan
@@ -215,7 +203,6 @@ def witness_record(report: GramReport) -> dict:
     return {
         "params": report.params,
         "basis": [[list(pt) for pt in mon] for mon in report.basis.monomials],
-        "time_axis": report.basis.time_axis,
         "coefficients": [float(c) for c in report.witness],
         "min_eig": report.min_eig,
         "verification": "UNVERIFIED",
@@ -234,21 +221,25 @@ def _monomial_values(values: np.ndarray, index_of, mons, shift: float):
 
 
 def witness_quadratic_form_mc(p: ModelParams, chi: LevyCharacteristic,
-                              basis: MonomialBasis, coefficients,
-                              centered: bool, n_samples: int, seed: int,
-                              workers: int = 1) -> tuple[float, float]:
-    """Monte-Carlo estimate of w^T M w from a fresh ensemble."""
+                              basis: MonomialBasis, coefficients, n_samples: int,
+                              seed: int, workers: int = 1) -> tuple[float, float]:
+    """Monte-Carlo estimate of w^T M w from a fresh ensemble, the field
+    centered by its analytic mean."""
     w = np.asarray(coefficients, dtype=float)
     mons = basis.monomials
     theta_mons, needed, index_of = _reflected(basis)
     values = sample_point_values(p, chi, basis.spec, needed, n_samples, seed,
                                  workers=workers)
-    shift = analytic_truncated_schwinger(p, chi, basis.spec,
-                                         [needed[0]]) if centered and needed else 0.0
+    shift = analytic_truncated_schwinger(p, chi, basis.spec, [needed[0]]) if needed else 0.0
     a_vals = _monomial_values(values, index_of, theta_mons, shift) @ w
     b_vals = _monomial_values(values, index_of, mons, shift) @ w
     q = a_vals * b_vals
     return float(q.mean()), float(q.std(ddof=1) / np.sqrt(n_samples))
+
+
+def _require_fixed(field: str, value, fixed) -> None:
+    if type(value) is not type(fixed) or value != fixed:
+        raise ConfigurationError(f"witness: {field}: must be {fixed!r}, got {value!r}")
 
 
 def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
@@ -263,8 +254,11 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
         raise ConfigurationError(f"n_samples: must be >= 2, got {n_samples}")
     try:
         w = np.asarray(record["coefficients"], dtype=float)
-        p, chi, spec, centered = params_from_snapshot(record["params"])
+        p, chi, spec = params_from_snapshot(record["params"])
         monomials = tuple(tuple(tuple(pt) for pt in mon) for mon in record["basis"])
+        # records written while these were options carry the fixed values
+        _require_fixed("time_axis", record.get("time_axis", 0), 0)
+        _require_fixed("params.centered", record["params"].get("centered", True), True)
     except KeyError as exc:
         raise ConfigurationError(f"witness: {exc.args[0]}: missing") from exc
     except (AttributeError, TypeError, ValueError) as exc:  # e.g. a list for an object
@@ -280,13 +274,13 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
     if np.linalg.norm(w) < 1e-12:
         raise ConfigurationError("degenerate witness: zero coefficient vector")
     w = w / np.linalg.norm(w)
-    basis = MonomialBasis(spec, monomials, record.get("time_axis", 0))
+    basis = MonomialBasis(spec, monomials)
     if len(w) != basis.size:
         raise ConfigurationError("witness length does not match basis size")
-    m = build_reflection_gram(p, chi, basis, centered=centered)
+    m = build_reflection_gram(p, chi, basis)
     analytic = float(w @ m @ w)
-    mc, mc_err = witness_quadratic_form_mc(p, chi, basis, w, centered,
-                                           n_samples, fresh_seed, workers=workers)
+    mc, mc_err = witness_quadratic_form_mc(p, chi, basis, w, n_samples, fresh_seed,
+                                           workers=workers)
     consistent = abs(mc - analytic) <= 4.0 * mc_err if mc_err > 0 else mc == analytic
     negative_mc = mc < 4.0 * mc_err
     status = "CONFIRMED" if (analytic < 0.0 and consistent and negative_mc) else "REJECTED"

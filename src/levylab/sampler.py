@@ -8,13 +8,13 @@ is real by construction.  Point-only sampling skips the solve:
 phi(x) = a^d * sum_y G(x - y) eta_y is one product per sample with a cached
 matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
 draws from the counter-based stream (master_seed, i), one per-sample map turns
-the noise into a result (solved field, point values, or cumulants' subset or
-two-point rows) and the results are summed over fixed blocks of samples in
-sample order, so sums are bit-identical for any worker count.  A worker pool
-forks its workers from an explicit fork context after the block sums are
-allocated as one anonymous shared mapping; each worker adds its blocks into
-its own rows of it, so no result is pickled back or concatenated.
-concurrent.futures, multiprocessing and mmap are imported only when a pool
+the noise into a result (solved field, point values, cumulants' subset or
+two-point rows, or noise-check's phases) and the results are summed over
+fixed blocks of samples in sample order, so sums are bit-identical for any
+worker count.  A worker pool forks its workers from an explicit fork context
+after the block sums are allocated as one anonymous shared mapping; each
+worker adds its blocks into its own rows of it, so no result is pickled back
+or concatenated.  concurrent.futures, multiprocessing and mmap are imported only when a pool
 starts.
 """
 

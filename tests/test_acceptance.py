@@ -4,6 +4,7 @@ Every Monte-Carlo estimate streams through the samplers, so no ensemble is
 kept.  All runs are seeded, so every assertion here is deterministic.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -145,8 +146,7 @@ def test_criterion_4_kl_quadrature_identity():
 
 def test_criterion_5_free_field_positive():
     basis = MonomialBasis.up_to_degree_two(DESK_SPEC, PSD_BASIS_POINTS)
-    rep = gram_report(ModelParams(0.5, 1.0, "discrete"), GAUSSIAN, basis,
-                      centered=True)
+    rep = gram_report(ModelParams(0.5, 1.0, "discrete"), GAUSSIAN, basis)
     norm = np.linalg.norm(rep.matrix, 2)
     assert rep.min_eig >= -1e-8 * norm
 
@@ -161,19 +161,41 @@ def test_criterion_6_two_point_negative_witness():
     assert verdict["status"] == "CONFIRMED"
 
 
+# lambda -> (min_eig, sha256 of the witness coefficients as little-endian
+# float64, analytic_form, mc_form, mc_stderr) in hex, recorded when time axis
+# and centering were still options (at their defaults): fixing them as
+# conventions must not move a bit
+CRITERION_7_PINS = {
+    1.0: ("-0x1.6fedc4e310852p-8",
+          "cc7666991637f586310d746e3f882764af69014dafc160212fbc8288decc3c57",
+          "-0x1.6fedc4e3107c8p-8", "-0x1.512cfe3c166d3p-7", "0x1.539e112abd48fp-8"),
+    10.0: ("-0x1.08c8e5f46b4e2p-6",
+           "9b6d4d9ae68016672340076adc322365941327f2df31f7c19baab709a1914733",
+           "-0x1.08c8e5f46b86cp-6", "-0x1.4bf3ecbad65c4p-2", "0x1.e4986ace2090fp-3"),
+    100.0: ("-0x1.202335db6ef9ap-5",
+            "45d0ada27b9932c05adc036fc2fa40765e6c01d5bd9b1eadda84f67186f1292b",
+            "-0x1.202335db6ede2p-5", "0x1.fec34931cb515p+5", "0x1.774fefeef64e4p+4"),
+}
+
+
 def test_criterion_7_poisson_scan_with_reverification():
     basis = MonomialBasis.up_to_degree_two(DESK_SPEC, PSD_BASIS_POINTS)
     chi = LevyCharacteristic(b=0.0, sigma2=0.0, lam=1.0,
                              jump_law=JumpLaw.atom(1.0))
-    rows = rp_scan([0.5], [1.0, 10.0, 100.0], 1.0, chi, basis,
-                   symbol="discrete")
+    rows = rp_scan([0.5], [1.0, 10.0, 100.0], ModelParams(0.5, 1.0, "discrete"),
+                   chi, basis)
     assert len(rows) == 3 and all("min_eig" in r for r in rows)
     negatives = [r for r in rows if r["min_eig"] < 0.0]
+    assert [r["lambda"] for r in negatives] == list(CRITERION_7_PINS)
     for i, row in enumerate(negatives):
         record = witness_record(row["report"])
         verdict = verify_witness(record, fresh_seed=substream_seed(701, i),
                                  n_samples=10_000, workers=4)
         assert verdict["status"] == "CONFIRMED"
+        coefficients = np.asarray(record["coefficients"], dtype="<f8").tobytes()
+        assert (row["min_eig"].hex(), hashlib.sha256(coefficients).hexdigest(),
+                verdict["analytic_form"].hex(), verdict["mc_form"].hex(),
+                verdict["mc_stderr"].hex()) == CRITERION_7_PINS[row["lambda"]]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +297,6 @@ lambdas = 0.0
 
 [noise_check]
 amplitudes = 0.5, 8.0
-n_draws = 300
 
 [baumann]
 epsilons = 0.5, 0.05, 0.005

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levylab
-from levylab.cli import main, parse_config
+from levylab import sample_noise, substream
+from levylab.cli import build_chi, build_lattice, main, parse_config
 from levylab.errors import ConfigurationError
 
 BASE_CONFIG = """\
@@ -40,7 +42,6 @@ quad = 0,0,0; 1,0,0; 0,1,0; 0,0,1
 
 [noise_check]
 amplitudes = 0.5, 1.0, 8.0
-n_draws = 400
 """
 
 
@@ -316,10 +317,14 @@ time_axis = {axis}
 
 
 def test_ini_time_axis_out_of_range_exit_1(tmp_path, capsys):
+    # time is lattice axis 0 and monomials are centered: neither is a key
     path = tmp_path / "rp.ini"
     path.write_text(RP_INI.format(axis=5))
     assert run_cli("rp-check", str(path), tmp_path) == 1
-    assert "time_axis" in capsys.readouterr().err
+    assert "basis.time_axis: unknown key" in capsys.readouterr().err
+    path.write_text(RP_INI.replace("time_axis = {axis}", "centered = false"))
+    assert run_cli("rp-check", str(path), tmp_path) == 1
+    assert "basis.centered: unknown key" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +382,30 @@ def test_verify_witness_base_record_runs(witness_dir):
     assert run_witness(WITNESS, witness_dir) in (0, 3)
 
 
+def test_verify_witness_parent_format_same_verdict(witness_dir):
+    # WITNESS carries time_axis and params.centered, which records no longer
+    # write; at their fixed values they change no bit of the verdict
+    record = copy.deepcopy(WITNESS)
+    del record["time_axis"], record["params"]["centered"]
+    verdicts = []
+    for rec in (WITNESS, record):
+        code = run_witness(rec, witness_dir)
+        report = json.loads((witness_dir / "verify_witness.json").read_text())
+        verdicts.append((code, json.dumps(report["results"]["verdict"], sort_keys=True)))
+    assert verdicts[0] == verdicts[1]
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("time_axis",), 5, "time_axis"),
     (("time_axis",), -1, "time_axis"),
+    (("time_axis",), 1, "witness: time_axis: must be 0, got 1"),
+    (("params", "centered"), False, "witness: params.centered: must be True, got False"),
     (("basis", 0, 0, 0), 1.7, "point (1.7, 0, 0)"),
     (("coefficients", 1), float("nan"), "witness: coefficients: non-finite"),
     (("coefficients", 1), float("inf"), "witness: coefficients: non-finite"),
     (("params", "lattice", "L"), 6.0, "d and L must be integers"),
-], ids=["time_axis_5", "time_axis_-1", "point_1.7", "coefficient_nan", "coefficient_inf",
-        "float_L"])
+], ids=["time_axis_5", "time_axis_-1", "time_axis_1", "centered_false", "point_1.7",
+        "coefficient_nan", "coefficient_inf", "float_L"])
 def test_verify_witness_bad_field_exit_1(witness_dir, capsys, path, value, field):
     record = copy.deepcopy(WITNESS)
     _mutate(record, "set", path, value)
@@ -451,7 +471,7 @@ FUZZ_INI = {  # a small valid config: 4^3 sites, few samples
     "lattice": {"d": "3", "L": "4", "a": "0.5"},
     "run": {"seed": "3", "n_samples": "40", "workers": "1"},
     "points": {"pair": "0,0,0; 1,0,0", "quad": "0,0,0; 1,0,0; 0,1,0; 0,0,1"},
-    "noise_check": {"amplitudes": "0.5, 2.0", "n_draws": "30"},
+    "noise_check": {"amplitudes": "0.5, 2.0"},
 }
 # never the worker count, and no value that could size a large lattice
 _INI_KEYS = [(sec, key) for sec, body in FUZZ_INI.items() for key in body if key != "workers"]
@@ -479,7 +499,7 @@ def ini_dir(tmp_path_factory):
 @example(mutations=[("set", ("noise", "jump_kind"), "uniform"),
                     ("set", ("noise", "jump_params"), "1.0")])
 @example(mutations=[("set", ("lattice", "d"), "70")])
-@example(mutations=[("set", ("noise_check", "n_draws"), "-1")])
+@example(mutations=[("set", ("run", "n_samples"), "1")])
 @settings(max_examples=60)
 @given(mutations=st.lists(_INI_MUTATION, min_size=1, max_size=3))
 def test_ini_config_fuzz(ini_dir, mutations):
@@ -706,9 +726,9 @@ def test_command_loads_only_its_scipy(tmp_path, case):
 
 # ---------------------------------------------------------------------------
 # run.n_samples one below what each command needs: two where a report
-# carries a standard error.  Not a BAD_INPUTS row: sample and noise-check
-# accept 1.
-TOO_FEW_SAMPLES = {"cumulants": 1, "rp-scan": 1, "verify-witness": 1, "sample": 0}
+# carries a standard error.  Not a BAD_INPUTS row: sample accepts 1.
+TOO_FEW_SAMPLES = {"cumulants": 1, "rp-scan": 1, "verify-witness": 1, "noise-check": 1,
+                   "sample": 0}
 
 
 @pytest.mark.parametrize("command", TOO_FEW_SAMPLES)
@@ -722,3 +742,26 @@ def test_too_few_samples_exit_1_names_field(tmp_path, capsys, command):
     least = TOO_FEW_SAMPLES[command] + 1
     assert f"run.n_samples: must be >= {least}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["few.ini", "witness.json"]
+
+
+def test_noise_check_sample_i_draws_substream_i(tmp_path):
+    # no [noise_check] section (the default amplitudes), run.n_samples draws on
+    # two workers; one draw of sample i serves every amplitude
+    cfg = {sec: body for sec, body in FUZZ_INI.items() if sec != "noise_check"}
+    path = write_ini(tmp_path / "nc.ini", cfg)
+    assert run_cli("noise-check", path, tmp_path, "--workers", "2") in (0, 3)
+    rows = json.loads((tmp_path / "noise_check.json").read_text())["results"]["tests"]
+    assert [row["amplitude"] for row in rows] == [0.5, 1.0, 8.0]
+    parsed = parse_config(Path(path).read_text())
+    chi, spec = build_chi(parsed), build_lattice(parsed)
+    base = (np.cos(2.0 * np.pi * np.arange(spec.L) / spec.L) + 0.5).reshape(-1, 1, 1)
+    n = 40
+    etas = [sample_noise(chi, spec, substream(3, i)).values for i in range(n)]
+    pairing = np.array([spec.cell_volume * np.sum(base * eta) for eta in etas])
+    for row in rows:
+        z = np.exp(1j * row["amplitude"] * pairing)
+        assert row["n_draws"] == n
+        np.testing.assert_allclose(row["empirical"], [z.real.mean(), z.imag.mean()],
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(row["stderr"], [z.real.std(ddof=1) / np.sqrt(n),
+                                                   z.imag.std(ddof=1) / np.sqrt(n)], rtol=1e-9)

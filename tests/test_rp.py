@@ -33,16 +33,29 @@ def test_basis_validation(desk_spec):
         MonomialBasis(desk_spec, (((1, 0),),))  # wrong dimension
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("Gram or Monte-Carlo work before the input check")
+
+
+# time is lattice axis 0; a witness record from when it was an option may
+# still carry time_axis, and only 0 passes
 @pytest.mark.parametrize("axis", [5, 3, -1, 1.5, "0", None])
-def test_basis_time_axis_range(desk_spec, axis):
-    with pytest.raises(ConfigurationError, match="time_axis"):
-        MonomialBasis(desk_spec, (((1, 0, 0),),), time_axis=axis)
+def test_basis_time_axis_range(basis6, monkeypatch, axis):
+    p = ModelParams(0.75, 1.0, "discrete")
+    record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))
+    record["time_axis"] = axis
+    monkeypatch.setattr(rp, "build_reflection_gram", _no_work)
+    monkeypatch.setattr(rp, "witness_quadratic_form_mc", _no_work)
+    with pytest.raises(ConfigurationError, match="witness: time_axis: must be 0"):
+        verify_witness(record, fresh_seed=1)
 
 
 def test_basis_time_axis_valid(desk_spec):
-    basis = MonomialBasis(desk_spec, (((0, 2, 0),),), time_axis=np.int64(1))
-    assert basis.time_axis == 1 and type(basis.time_axis) is int
-    assert basis.reflect((0, 2, 0)) == (0, 14, 0)
+    # time is lattice axis 0: only coordinate 0 is reflected and range-checked
+    basis = MonomialBasis(desk_spec, (((2, 0, 9),),))
+    assert basis.reflect((2, 3, 5)) == (14, 3, 5)
+    with pytest.raises(ConfigurationError, match="must have time in"):
+        MonomialBasis(desk_spec, (((0, 2, 0),),))
 
 
 @pytest.mark.parametrize("pt", [(1.7, 0, 0), (1, 0.5, 0), (float("nan"), 0, 0),
@@ -121,24 +134,46 @@ def reference_gram(p, chi, basis, centered):
     return 0.5 * (m + m.T)
 
 
+def uncentering(p, chi, basis):
+    """T with uncentered monomials = T @ centered ones: phi = psi + mu."""
+    mu = analytic_truncated_schwinger(p, chi, basis.spec, [basis.monomials[1][0]])
+    col = {mon: k for k, mon in enumerate(basis.monomials)}
+    t = np.eye(basis.size)
+    for a, mon in enumerate(basis.monomials):
+        if len(mon) == 1:
+            t[a, col[()]] = mu
+        elif len(mon) == 2:
+            t[a, col[()]] = mu * mu
+            for x in mon:
+                t[a, col[(x,)]] += mu
+    return t
+
+
+# centered: the Gram against the per-entry reference.  Uncentered: the
+# reference is the congruence T M T^T of the Gram (a degree-2 basis holds the
+# constant), so it has the same inertia and centering hides no witness
 @pytest.mark.parametrize("centered", [True, False])
 def test_gram_matches_per_entry_reference(small_spec, mixed_chi, centered):
     p = ModelParams(0.5, 1.0, "discrete")
     basis = MonomialBasis.up_to_degree_two(small_spec, [(1, 0, 0), (2, 1, 0), (3, 0, 1)])
-    m = build_reflection_gram(p, mixed_chi, basis, centered=centered)
-    np.testing.assert_allclose(m, reference_gram(p, mixed_chi, basis, centered),
-                               rtol=1e-12, atol=0.0)
+
+    def check(chi):
+        m = build_reflection_gram(p, chi, basis)
+        if not centered:
+            t = uncentering(p, chi, basis)
+            m = t @ m @ t.T
+        np.testing.assert_allclose(m, reference_gram(p, chi, basis, centered),
+                                   rtol=1e-12, atol=0.0)
+
+    check(mixed_chi)
     # a second lambda on the same basis reuses every lattice sum
     points = tuple(sorted({pt for mon in basis.monomials for x in mon
                            for pt in (x, basis.reflect(x))}))
     table = cumulants._lattice_sums(p, small_spec, points)
     outer, inner = cumulants._lattice_sums.cache_info().misses, table.cache_info().misses
-    chi2 = replace(mixed_chi, lam=4.0)
-    m2 = build_reflection_gram(p, chi2, basis, centered=centered)
+    check(replace(mixed_chi, lam=4.0))
     assert cumulants._lattice_sums.cache_info().misses == outer
     assert table.cache_info().misses == inner
-    np.testing.assert_allclose(m2, reference_gram(p, chi2, basis, centered),
-                               rtol=1e-12, atol=0.0)
 
 
 def test_gram_entry_monte_carlo_oracle(desk_spec, basis6):
@@ -147,8 +182,7 @@ def test_gram_entry_monte_carlo_oracle(desk_spec, basis6):
     m = build_reflection_gram(p, chi, basis6)
     w = np.zeros(basis6.size)
     w[0] = 1.0
-    mc, se = witness_quadratic_form_mc(p, chi, basis6, w, True, 4000, 61,
-                                       workers=2)
+    mc, se = witness_quadratic_form_mc(p, chi, basis6, w, 4000, 61, workers=2)
     assert abs(mc - m[0, 0]) <= 4.0 * se
 
 
@@ -182,7 +216,7 @@ def test_rescaling_degree_one_homogeneous(desk_spec, basis6):
 
 def test_rp_scan_records_failures(desk_spec, basis6):
     chi = LevyCharacteristic(sigma2=1.0)
-    rows = rp_scan([0.5], [-1.0, 0.0], 1.0, chi, basis6, symbol="discrete")
+    rows = rp_scan([0.5], [-1.0, 0.0], ModelParams(0.5, 1.0, "discrete"), chi, basis6)
     assert len(rows) == 2
     assert "error" in rows[0]  # negative lambda is rejected
     assert "min_eig" in rows[1]
@@ -215,12 +249,8 @@ def test_verify_witness_non_finite_coefficients(basis6, monkeypatch, bad):
     p = ModelParams(0.75, 1.0, "discrete")
     record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))
     record["coefficients"][2] = bad
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("Gram or Monte-Carlo work before the input check")
-
-    monkeypatch.setattr(rp, "build_reflection_gram", no_work)
-    monkeypatch.setattr(rp, "witness_quadratic_form_mc", no_work)
+    monkeypatch.setattr(rp, "build_reflection_gram", _no_work)
+    monkeypatch.setattr(rp, "witness_quadratic_form_mc", _no_work)
     with pytest.raises(ConfigurationError, match="witness: coefficients: non-finite"):
         verify_witness(record, fresh_seed=1)
 
@@ -228,12 +258,8 @@ def test_verify_witness_non_finite_coefficients(basis6, monkeypatch, bad):
 def test_verify_witness_needs_two_samples(basis6, monkeypatch):
     p = ModelParams(0.75, 1.0, "discrete")
     record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("Gram or Monte-Carlo work before the input check")
-
-    monkeypatch.setattr(rp, "build_reflection_gram", no_work)
-    monkeypatch.setattr(rp, "witness_quadratic_form_mc", no_work)
+    monkeypatch.setattr(rp, "build_reflection_gram", _no_work)
+    monkeypatch.setattr(rp, "witness_quadratic_form_mc", _no_work)
     with pytest.raises(ConfigurationError, match="n_samples: must be >= 2, got 1"):
         verify_witness(record, fresh_seed=1, n_samples=1)
 
@@ -253,5 +279,5 @@ def test_rp_scan_propagates_bugs(desk_spec, basis6, monkeypatch):
 
     monkeypatch.setattr(rp, "gram_report", broken)
     with pytest.raises(RuntimeError, match="bug"):
-        rp_scan([0.5], [0.0], 1.0, LevyCharacteristic(sigma2=1.0), basis6,
-                symbol="discrete")
+        rp_scan([0.5], [0.0], ModelParams(0.5, 1.0, "discrete"),
+                LevyCharacteristic(sigma2=1.0), basis6)
