@@ -418,8 +418,9 @@ def _cmd_baumann(cfg, p, chi, spec, args):
         f = make_test(b["f_center"], width, radius)
         g = make_test(b["g_center"], width, radius)
         masses = MassAssignment.fixed([b["mass"]] * 4)
-        for eps in b["epsilons"]:  # every shell scale, before any pairing runs
-            ShellRegularization(eps)
+        with _named("baumann.epsilons"):  # every shell scale, before any pairing runs
+            for eps in b["epsilons"]:
+                ShellRegularization(eps)
     with _named("baumann", sep="."):  # the message starts with n_samples or n_strata
         ispec = IntegratorSpec(n_samples=b["n_samples"],
                                n_strata=b.get("n_strata", 8), seed=args.seed)

@@ -31,7 +31,13 @@ integrand is exactly 0 at every other point.
 If both middle test functions have purely space-like support, every j-term
 carries at least one shell delta at a bounded distance from its shell, so the
 pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control does
-not.
+not.  Such a pairing is certified rather than sampled where it is exactly 0:
+once two legs sit so far from their shells that the delta underflows to 0.0
+on their whole support, every integrand value is 0.0, and the pairing is
+returned as 0.0 +/- 0.0 (no nonzero point) without drawing, the bits the
+Monte Carlo gives.  At larger epsilon baumann_check reports, next to the
+Monte Carlo, the closed-form bound 4 sup|h1| ||f||_1 ||h2||_1 ||g||_1
+exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps) with the certified distance d.
 
 One shell mass per leg is enough for the model.  Its truncated Wightman
 function is c_4 times a positive-weight mass integral of fixed-mass kernels,
@@ -57,6 +63,7 @@ TIMELIKE = "timelike"
 GENERIC = "generic"
 
 _DIM = 3  # Minkowski dimension supported by the integrator
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _sum_sq(x: np.ndarray) -> np.ndarray:
@@ -142,6 +149,16 @@ class ShellRegularization:
     def __post_init__(self):
         if not 0.0 < self.epsilon < np.inf:
             raise ConfigurationError("epsilon must be finite and > 0")
+        if not self.log_kernel_scale < _LOG_MAX:  # else delta and the kernel overflow
+            raise ConfigurationError(
+                f"epsilon: kernel scale 1/((eps sqrt(pi))^3 * 2 eps) is not finite "
+                f"at {self.epsilon!r}")
+
+    @property
+    def log_kernel_scale(self) -> float:
+        """log of 1/((eps sqrt(pi))^3 * 2 eps), the bound on a j-term's three
+        deltas (each <= 1/(eps sqrt(pi))) times its PV (|PV| <= 1/(2 eps))."""
+        return -(4.0 * np.log(self.epsilon) + np.log(2.0 * np.pi**1.5))
 
     def delta(self, q: np.ndarray) -> np.ndarray:
         e = self.epsilon
@@ -366,10 +383,55 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
 
     tests = (f, h1, h2, g); momentum conservation removes leg 2 analytically
     (k2 = -(k1 + k3 + k4)).  Leg l sits on the single shell k_l^2 = m_l^2 of
-    masses; the pairing carries no mass-density factor.
+    masses; the pairing carries no mass-density factor.  Where the kernel is
+    certified to be exactly 0 at every point (_kernel_vanishes), the pairing is
+    returned as 0.0 +/- 0.0 with no nonzero point and nothing drawn: the bits
+    the stratum loop would give.
     """
     if len(tests) != 4:
         raise ConfigurationError("the integrator supports exactly n = 4 legs")
+    if _kernel_vanishes(tests, masses, reg):
+        S = integrator.n_strata
+        return WightmanEstimate(0.0, 0.0, integrator.n_samples // (S * S) * S * S, 0)
+    return _stratified(tests, masses, reg, integrator)
+
+
+# a shell gap above this many eps puts delta's exp(-(gap/eps)^2) below e^-1 of
+# the smallest subnormal: under the half-way point where a rounded exp returns
+# 0, with 0.13 ulp to spare for exp's own error (numpy's and libm's stay within
+# about 0.51 ulp)
+_DELTA_ZERO_RATIO = float(np.sqrt(-np.log(np.finfo(float).smallest_subnormal) + 1.0))
+
+
+def _shell_gap(test: MomentumTestFunction, m2: float) -> float:
+    """The least |k^2 - m2| over the support ball of a certified space-like
+    test (0.0 for any other), less 1e-9 of the magnitudes k^2 is formed from,
+    so that no rounding of a sampled momentum or of its square comes nearer."""
+    if test.classification != SPACELIKE:
+        return 0.0
+    c0, cs, R = abs(test.center[0]), float(np.linalg.norm(test.center[1:])), test.radius
+    return m2 - _sup_ksq(test.center, R) - 1e-9 * (m2 + (c0 + R) ** 2 + (cs + R) ** 2)
+
+
+def _kernel_vanishes(tests, masses: MassAssignment, reg: ShellRegularization) -> bool:
+    """True when at least two legs sit so far from their shells that the shell
+    delta underflows to exactly 0.0 on their whole support.  Every j-term
+    carries a delta on each leg but leg j, so it carries one of those zeros,
+    and every integrand value is exactly 0: every other factor is finite, as
+    ShellRegularization keeps the kernel scale finite."""
+    return sum(_shell_gap(t, m2) > _DELTA_ZERO_RATIO * reg.epsilon
+               for t, m2 in zip(tests, masses.m2)) >= 2
+
+
+def _stratified(tests, masses: MassAssignment, reg: ShellRegularization,
+                integrator: IntegratorSpec) -> WightmanEstimate:
+    """The stratum loop of wightman_n_regularized.
+
+    Each stratum with a value below 1 is scaled up by a power of two that
+    brings its largest |value| into [1/2, 1), so that var() does not square
+    values near 1e-245 to 0; the strata are combined under the largest scale.
+    Power-of-two scaling is exact, so the bits are those of the unscaled
+    sums wherever these do not underflow."""
     f, _, h2, g = tests
     S = integrator.n_strata
     per = integrator.n_samples // (S * S)
@@ -380,16 +442,24 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
 
     means = np.empty((S, S))
     variances = np.empty((S, S))
+    # an all-zero stratum keeps -1100, below every double's exponent, so it
+    # never sets the common scale
+    exps = np.full((S, S), -1100)
     n_nonzero = 0
     for s3 in range(S):
         for s4 in range(S):
             vals, nz = _stratum(tests, masses, reg, substream(integrator.seed, s3, s4), per,
                                 (s3 / S, (s3 + 1) / S), (s4 / S, (s4 + 1) / S), sd)
+            if nz:
+                exps[s3, s4] = min(np.frexp(np.abs(vals).max())[1], 0)
+                vals = np.ldexp(vals, -exps[s3, s4])
             means[s3, s4] = vals.mean()
             variances[s3, s4] = vals.var(ddof=1) / per
             n_nonzero += nz
-    value = float(vol * means.mean())
-    stderr = float(vol * np.sqrt(variances.sum()) / (S * S))
+    top = exps.max()
+    value = float(vol * np.ldexp(np.ldexp(means, exps - top).mean(), top))
+    var_sum = np.ldexp(variances, 2 * (exps - top)).sum()
+    stderr = float(vol * np.ldexp(np.sqrt(var_sum), top) / (S * S))
     return WightmanEstimate(value, stderr, per * S * S, n_nonzero)
 
 
@@ -441,13 +511,26 @@ SMALLNESS_FACTOR = 1e-3
 
 def _vanishing(pairs, epsilons, c_val: float):
     """(effective, decays, small) for the magnitudes |value| + 4 stderr: a fall
-    of >= 100x per epsilon decade (or below 1e-12 of the control scale c_val),
-    and a last magnitude at most SMALLNESS_FACTOR * c_val."""
+    of >= 100x per epsilon decade, and a last magnitude at most
+    SMALLNESS_FACTOR * c_val."""
     eff = [abs(v) + 4.0 * s for v, s in pairs]
-    floor = 1e-12 * c_val
-    decays = all(v1 <= floor or not v1 > v0 * (e1 / e0) ** 2
+    decays = all(not v1 > v0 * (e1 / e0) ** 2
                  for v0, v1, e0, e1 in zip(eff, eff[1:], epsilons, epsilons[1:]))
     return eff, decays, eff[-1] <= SMALLNESS_FACTOR * c_val
+
+
+def _log10_spacelike_bound(f, h1, h2, g, d: float, reg: ShellRegularization) -> float:
+    """log10 of a closed-form bound on |pairing| when h1 and h2 are certified
+    space-like at least d from their shells.  Every j-term carries a delta on
+    h1's or h2's leg, at most exp(-(d/eps)^2) / (eps sqrt(pi)) there, so with
+    the kernel scale |P_eps| <= 4 sup|h1| ||f||_1 ||h2||_1 ||g||_1
+    exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps); leg 2 is fixed by momentum
+    conservation, so h1 enters through its sup.  An L1 norm is at most
+    |amplitude| times the volume 4/3 pi R^3 of the ball the integrator samples."""
+    log_l1 = sum(np.log(abs(t.amplitude) * 4.0 / 3.0 * np.pi * t.radius**3) for t in (f, h2, g))
+    log_bound = (np.log(4.0 * abs(h1.amplitude)) + log_l1 - (d / reg.epsilon) ** 2
+                 + reg.log_kernel_scale)
+    return float(log_bound / np.log(10.0))
 
 
 def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
@@ -458,12 +541,16 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
 
     PASS requires: decreasing epsilon sequence of length >= 3; space-like
     magnitudes decaying at >= 100x per epsilon decade; the smallest-epsilon
-    space-like magnitude below 1e-3 of the matched control; and statistical
-    errors small enough to resolve both thresholds (otherwise INCONCLUSIVE).
+    space-like magnitude, and the closed-form bound there, below 1e-3 of the
+    matched control; and statistical errors small enough to resolve the
+    control (otherwise INCONCLUSIVE).
     details["nonzero_fraction"] holds, per branch and epsilon, the share of
-    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows);
-    details["shell_distance"] the certified d = min over h1, h2 of
-    (m^2 - sup_ball k^2), the least distance of a space-like leg from its shell.
+    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows, and
+    for a space-like pairing certified as exactly 0 without sampling:
+    wightman_n_regularized); details["shell_distance"] the certified d = min
+    over h1, h2 of (m^2 - sup_ball k^2), the least distance of a space-like leg
+    from its shell; details["log10_spacelike_bound"] per epsilon the log10 of
+    the closed-form bound on the space-like pairing at that d.
 
     The control puts every leg on one shell, so the four masses must be equal.
     """
@@ -476,8 +563,11 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     branches = {"spacelike": (f, h1, h2, g), "control": shell_control_tests(masses.masses[0])}
     pairs = {name: [] for name in branches}
     nonzero = {name: [] for name in branches}
+    d = masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))
+    bound = []
     for i, e in enumerate(eps):
         reg = ShellRegularization(e)
+        bound.append(_log10_spacelike_bound(f, h1, h2, g, d, reg))
         for branch, (name, tests) in enumerate(branches.items()):
             spec = replace(integrator, seed=substream_seed(integrator.seed, branch, i))
             est = wightman_n_regularized(tests, masses, reg, spec)
@@ -486,8 +576,8 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     space, ctrl = pairs["spacelike"], pairs["control"]
 
     pairings = (tuple(eps), tuple(space), tuple(ctrl))
-    details = {"nonzero_fraction": nonzero, "shell_distance":
-               masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))}
+    details = {"nonzero_fraction": nonzero, "shell_distance": d,
+               "log10_spacelike_bound": bound}
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
         return BaumannReport(*pairings, "INCONCLUSIVE", False,
                              {"reason": "need >= 3 strictly decreasing epsilons", **details})
@@ -499,5 +589,6 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     _, ctrl_decays, ctrl_small = _vanishing(ctrl, eps, c_val)
     details.update({"control_scale": c_val, "decay_ok": decay_ok,
                     "smallness_ok": small_ok, "effective_spacelike": eff})
-    return BaumannReport(*pairings, "PASS" if decay_ok and small_ok else "FAIL",
+    bound_ok = bound[-1] < np.log10(SMALLNESS_FACTOR * c_val)
+    return BaumannReport(*pairings, "PASS" if decay_ok and small_ok and bound_ok else "FAIL",
                          ctrl_decays and ctrl_small, details)

@@ -541,6 +541,11 @@ _READS = {  # the sections each command reads
 BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "mass_nan": ("baumann", "baumann", "mass", "nan", "[baumann]"),
     "epsilon_nan": ("baumann", "baumann", "epsilons", "0.5, nan, 0.005", "[baumann]"),
+    # the kernel scale 1/((eps sqrt(pi))^3 * 2 eps) overflows: delta did too
+    "epsilon_1e-200": ("baumann", "baumann", "epsilons", "0.5, 0.05, 1e-200",
+                       "baumann.epsilons: epsilon: kernel scale"),
+    "epsilon_1e-320": ("baumann", "baumann", "epsilons", "0.5, 0.05, 1e-320",
+                       "baumann.epsilons: epsilon: kernel scale"),
     "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
     "n_samples_1": ("baumann", "baumann", "n_samples", "1", "baumann.n_samples"),
     "alpha_1.5": ("rp-scan", "scan", "alphas", "1.5", "scan.alphas"),

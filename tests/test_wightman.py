@@ -8,8 +8,10 @@ from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
-from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _sample_spatial,
-                              _shell_energies, minkowski_sq, truncated_kernel)
+from levylab import wightman
+from levylab.wightman import (GENERIC, P_UNIFORM, _draw_energy, _energy_weight,
+                              _kernel_vanishes, _log10_spacelike_bound, _sample_spatial,
+                              _shell_energies, _stratified, minkowski_sq, truncated_kernel)
 
 
 @pytest.fixture
@@ -65,6 +67,10 @@ def test_pv_is_odd_and_bounded():
 def test_regularization_validation():
     with pytest.raises(ConfigurationError):
         ShellRegularization(0.0)
+    # 1/((eps sqrt(pi))^3 * 2 eps) overflows below eps ~ 1.7e-78
+    with pytest.raises(ConfigurationError, match="kernel scale"):
+        ShellRegularization(1e-78)
+    ShellRegularization(1e-77)
     with pytest.raises(ConfigurationError):
         MassAssignment.fixed([1.0, -1.0, 1.0, 1.0])
     with pytest.raises(ConfigurationError, match="four"):
@@ -224,6 +230,7 @@ def test_report_round_trip(masses):
     assert set(fractions) == {"spacelike", "control"}
     assert all(len(fr) == 3 and all(0.0 <= x <= 1.0 for x in fr) for fr in fractions.values())
     assert fractions["control"][0] > 0.0
+    assert len(d["details"]["log10_spacelike_bound"]) == 3
     import json
     json.dumps(d)  # JSON-serializable
 
@@ -313,3 +320,92 @@ def test_control_keeps_its_mass_above_the_peak(seed):
                                  ShellRegularization(0.3),
                                  IntegratorSpec(n_samples=20_000, n_strata=4, seed=seed))
     assert est.value > 1e-5
+
+
+def criterion8_tests(h2_label=wightman.SPACELIKE):
+    return (make_test((1.0, 0.0, 0.0), 0.4, 0.8), make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8),
+            make_test((0.0, -3.0, 0.0), 0.4, 0.8, h2_label), make_test((-1.0, 0.0, 0.0), 0.4, 0.8))
+
+
+def _bits(est):
+    return (est.value.hex(), est.stderr.hex(), est.n_samples, est.n_nonzero)
+
+
+# at mass 1.0 (d = 5.2) the stratum loop is exactly 0 from eps 0.20 down
+@pytest.mark.parametrize("mass", [0.7, 1.0])
+@pytest.mark.parametrize("eps", [0.05, 0.005, 0.1904])
+def test_certified_zero_matches_stratum_loop(monkeypatch, mass, eps):
+    tests, masses = criterion8_tests(), MassAssignment.fixed([mass] * 4)
+    reg, spec = ShellRegularization(eps), IntegratorSpec(n_samples=20_000, n_strata=4, seed=2024)
+    loop = _stratified(tests, masses, reg, spec)
+    if _kernel_vanishes(tests, masses, reg):
+        def no_draw(*args):
+            raise AssertionError("a certified zero draws nothing")
+        monkeypatch.setattr(wightman, "substream", no_draw)
+    assert _bits(wightman_n_regularized(tests, masses, reg, spec)) == _bits(loop)
+    assert _kernel_vanishes(tests, masses, reg) == (eps < 0.1 or mass == 1.0)
+
+
+def test_one_certified_leg_runs_the_loop(monkeypatch):
+    # with h2 generic each j = 2 term carries no certified delta: nothing is skipped
+    tests, masses = criterion8_tests(GENERIC), MassAssignment.fixed([1.0] * 4)
+    reg, spec = ShellRegularization(0.005), IntegratorSpec(n_samples=2_000, n_strata=4, seed=3)
+    assert not _kernel_vanishes(tests, masses, reg)
+    calls = []
+    real = wightman.substream
+    monkeypatch.setattr(wightman, "substream", lambda *a: calls.append(a) or real(*a))
+    est = wightman_n_regularized(tests, masses, reg, spec)
+    assert len(calls) == 16
+    assert _bits(est) == _bits(_stratified(tests, masses, reg, spec))
+
+
+def test_stderr_survives_tiny_values():
+    # every integrand value is ~1e-245, so var() of the unscaled values squared to 0
+    est = wightman_n_regularized(criterion8_tests(), MassAssignment.fixed([1.0] * 4),
+                                 ShellRegularization(0.25),
+                                 IntegratorSpec(n_samples=250_000, n_strata=8, seed=5))
+    assert est.n_nonzero == 2242
+    assert est.value == pytest.approx(-3.345e-245, rel=1e-3)
+    assert est.stderr > 0.0
+
+
+def _within_spacelike_bound(epsilons):
+    """Per eps, whether |mc| <= bound + 4 stderr at the criterion-8 geometry (d = 5.2)."""
+    tests = criterion8_tests()
+    f, h1, h2, g = tests
+    out = []
+    for eps in epsilons:
+        reg = ShellRegularization(eps)
+        est = wightman_n_regularized(tests, MassAssignment.fixed([1.0] * 4), reg,
+                                     IntegratorSpec(n_samples=200_000, n_strata=8, seed=5))
+        bound = 10.0 ** _log10_spacelike_bound(f, h1, h2, g, 5.2, reg)
+        out.append(abs(est.value) <= bound + 4.0 * est.stderr)
+    return out
+
+
+BOUND_EPSILONS = (4.0, 2.0, 1.0, 0.5)
+
+
+def test_spacelike_pairing_within_closed_form_bound():
+    assert all(_within_spacelike_bound(BOUND_EPSILONS))
+
+
+def test_widened_delta_breaks_the_bound(monkeypatch):
+    # a shell delta twice as wide as the regularization puts weight nearer the
+    # space-like supports than the bound's exp(-(d/eps)^2) allows
+    def wide(self, q):
+        e = self.epsilon
+        return np.exp(-(q / (2.0 * e)) ** 2) / (e * np.sqrt(np.pi))
+    monkeypatch.setattr(ShellRegularization, "delta", wide)
+    assert not all(_within_spacelike_bound(BOUND_EPSILONS))
+
+
+def test_verdict_needs_the_bound(masses):
+    # decay and smallness hold for the Monte Carlo, but at eps 1.5 the bound
+    # (~1e-5.4) does not lie below 1e-3 of the control (~1e-6.7)
+    f, h1, h2, g = criterion8_tests()
+    rep = baumann_check(masses, h1, h2, f, g, (4.0, 2.0, 1.5),
+                        IntegratorSpec(n_samples=40_000, n_strata=8, seed=3))
+    assert rep.details["decay_ok"] and rep.details["smallness_ok"]
+    assert rep.details["log10_spacelike_bound"][-1] > np.log10(1e-3 * rep.details["control_scale"])
+    assert rep.verdict == "FAIL"
