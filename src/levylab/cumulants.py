@@ -15,9 +15,10 @@ Full moments are the set-partition sum of products of c_|B| * K(B) over that
 table.  Empirical joint cumulants are estimated by the set-partition Moebius
 formula over sample moments: of point values (joint_cumulant_jackknife), or
 translation-averaged from subset sums, made by one kernel (_subset_rows) on
-stored fields or inside the sampler's workers (sample_subset_sums).  The
-two-point map streams too (empirical_two_point): no field leaves its worker.
-Every standard error comes from one delete-block jackknife (_jackknife); the
+stored fields or inside the sampler's workers (sample_subset_sums).  That and
+the two-point map (empirical_two_point) stream: no field leaves its worker,
+and at most N_BLOCKS block sums are kept (_stream_blocks), the blocks of the
+one delete-block jackknife (_jackknife) behind every standard error; the
 leave-one-out jackknife is the same with blocks of one sample.
 """
 
@@ -38,8 +39,7 @@ from . import sampler
 from .sampler import _green_rows
 
 MAX_ANALYTIC_ORDER = 6
-TWO_POINT_BLOCKS = 50
-SUM_BLOCK = 250  # samples per block of sample_subset_sums
+N_BLOCKS = 50  # jackknife blocks of every streamed estimate
 
 
 @dataclass(frozen=True)
@@ -322,20 +322,26 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
     return sums[list(rows)]
 
 
+def _stream_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
+                   master_seed: int, fn, shape: tuple, workers: int):
+    """(sums of fn(eta_i), samples) per block of ceil(n_samples / N_BLOCKS) samples."""
+    size = -(-n_samples // N_BLOCKS)
+    sums = sampler._sample_blocks(chi, spec, n_samples, master_seed, fn, shape, size, workers)
+    return sums, np.minimum(size, n_samples - size * np.arange(len(sums)))
+
+
 def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
-                       configs, n_samples: int, master_seed: int,
-                       workers: int = 1) -> list:
-    """accumulate_subset_sums of each configuration, one (n_subsets, V) array
-    each, over the fields sample_ensemble would draw; no field leaves its
-    worker.  Blocks of SUM_BLOCK samples merged in block order make the sums
-    bit-identical for any worker count and equal to the stored-field ones to
-    rounding."""
+                       configs, n_samples: int, master_seed: int, workers: int = 1):
+    """(sums, counts) of _stream_blocks: sums[k] of shape (n_blocks, n_subsets,
+    V) holds the block sums of accumulate_subset_sums of configs[k] over the
+    fields sample_ensemble would draw, the input of cumulant_from_subset_sums.
+    No field leaves its worker; bit-identical for any worker count, and summed
+    over blocks equal to the stored-field sums to rounding."""
     steps, rows = _product_steps(tuple(tuple(_check_points(spec, pts)) for pts in configs))
-    blocks = sampler._sample_blocks(chi, spec, n_samples, master_seed,
+    blocks, counts = _stream_blocks(chi, spec, n_samples, master_seed,
                                     partial(_solved_subset_rows, p, spec, steps),
-                                    (len(steps), spec.n_sites), SUM_BLOCK, workers)
-    total = blocks.sum(axis=0)
-    return [total[list(r)] for r in rows]
+                                    (len(steps), spec.n_sites), workers)
+    return [blocks[:, list(r)] for r in rows], counts
 
 
 def _autocorrelation_row(p: ModelParams, eta) -> np.ndarray:
@@ -350,18 +356,15 @@ def _autocorrelation_row(p: ModelParams, eta) -> np.ndarray:
 def empirical_two_point(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                         n_samples: int, master_seed: int, workers: int = 1):
     """Translation-averaged connected two-point map C(x) of the fields
-    sample_ensemble would draw, with jackknife errors over blocks of
-    ceil(n_samples / TWO_POINT_BLOCKS) samples; no field leaves its worker,
-    and the map is bit-identical for any worker count.
+    sample_ensemble would draw, with jackknife errors over _stream_blocks; no
+    field leaves its worker, and the map is bit-identical for any worker count.
 
     Returns (values, stderr) arrays of lattice shape; C(x) estimates
     S_2^T(0, x).
     """
-    size = -(-n_samples // TWO_POINT_BLOCKS)
-    blocks = sampler._sample_blocks(chi, spec, n_samples, master_seed,
+    blocks, counts = _stream_blocks(chi, spec, n_samples, master_seed,
                                     partial(_autocorrelation_row, p),
-                                    (spec.n_sites + 1,), size, workers)
-    counts = np.minimum(size, n_samples - size * np.arange(len(blocks)))
+                                    (spec.n_sites + 1,), workers)
     value, stderr = _jackknife([blocks[:, :-1], blocks[:, -1:]], counts,
                                lambda auto, mean: auto - mean ** 2)
     return value.reshape(spec.shape), stderr.reshape(spec.shape)

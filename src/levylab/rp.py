@@ -33,7 +33,7 @@ import numpy as np
 
 # full_schwinger_moment stays a module attribute: bench/tracer patches it by name
 from .cumulants import (analytic_truncated_schwinger, full_schwinger_moment,  # noqa: F401
-                        schwinger_moments)
+                        joint_cumulant_jackknife, schwinger_moments)
 from .errors import ConfigurationError, ContractViolation, LevyLabError, RangeError
 from .greens import ModelParams
 from .noise import JumpLaw, LatticeSpec, LevyCharacteristic, _check_points, check_site_mean
@@ -210,14 +210,10 @@ def witness_record(report: GramReport) -> dict:
 
 
 def _monomial_values(values: np.ndarray, index_of, mons, shift: float):
-    """Per-sample values of sum_a w_a prod_{pt in mon_a}(phi(pt) - shift)."""
-    out = []
-    for mon in mons:
-        prod = np.ones(values.shape[0])
-        for pt in mon:
-            prod = prod * (values[:, index_of[pt]] - shift)
-        out.append(prod)
-    return np.stack(out, axis=1)
+    """Per-sample prod_{pt in mon}(phi(pt) - shift), one column per monomial."""
+    centered = values - shift
+    return np.stack([centered[:, [index_of[pt] for pt in mon]].prod(axis=1) for mon in mons],
+                    axis=1)
 
 
 def witness_quadratic_form_mc(p: ModelParams, chi: LevyCharacteristic,
@@ -233,8 +229,7 @@ def witness_quadratic_form_mc(p: ModelParams, chi: LevyCharacteristic,
     shift = analytic_truncated_schwinger(p, chi, basis.spec, [needed[0]]) if needed else 0.0
     a_vals = _monomial_values(values, index_of, theta_mons, shift) @ w
     b_vals = _monomial_values(values, index_of, mons, shift) @ w
-    q = a_vals * b_vals
-    return float(q.mean()), float(q.std(ddof=1) / np.sqrt(n_samples))
+    return joint_cumulant_jackknife((a_vals * b_vals)[:, None])
 
 
 def _require_fixed(field: str, value, fixed) -> None:

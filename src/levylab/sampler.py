@@ -236,14 +236,14 @@ def _unpack(fh, size_total: int, fmt: str, path, field: str):
 
 
 def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
-    """Read an LFLB file (v2, or v1) back into an Ensemble.
+    """Read an LFLB v2 file back into an Ensemble.
 
-    v2 stores the momentum symbol and the master seed; a master_seed passed
-    here must then agree with the stored one.  A v1 file assumes the continuum
-    symbol and takes master_seed (default 0).  A truncated file, an unknown
-    tag, trailing bytes or a seed mismatch raise ConfigurationError.  The
-    samples are read straight into a new, aligned array: the header leaves
-    them at a file offset of 4 mod 8, which np.frombuffer would keep.
+    The file stores the momentum symbol and the master seed; a master_seed
+    passed here must agree with the stored one.  Any other version (v1 stored
+    neither), a truncated file, an unknown tag, trailing bytes or a seed
+    mismatch raise ConfigurationError.  The samples are read straight into a
+    new, aligned array: the header leaves them at a file offset of 4 mod 8,
+    which np.frombuffer would keep.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -251,7 +251,7 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
             raise ConfigurationError(f"{path}: not an LFLB ensemble file")
         unpack = partial(_unpack, fh, size, path=path)
         (version,) = unpack("<I", field="version")
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise ConfigurationError(f"{path}: unsupported format version {version}")
         d, L, a = unpack("<IId", field="lattice")
         spec = LatticeSpec(d, L, a)
@@ -260,15 +260,12 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
         if tag not in _TAG_KINDS:
             raise ConfigurationError(f"{path}: jump tag: unknown value {tag}")
         params = unpack(f"<{n_params}d", field="jump params")
-        symbol, seed = CONTINUUM, (0 if master_seed is None else master_seed)
-        if version >= 2:
-            symbol_tag, seed = unpack("<IQ", field="symbol and seed")
-            if symbol_tag not in _TAG_SYMBOLS:
-                raise ConfigurationError(f"{path}: symbol: unknown value {symbol_tag}")
-            symbol = _TAG_SYMBOLS[symbol_tag]
-            if master_seed is not None and master_seed != seed:
-                raise ConfigurationError(
-                    f"{path}: master_seed: {master_seed} passed, file stores {seed}")
+        symbol_tag, seed = unpack("<IQ", field="symbol and seed")
+        if symbol_tag not in _TAG_SYMBOLS:
+            raise ConfigurationError(f"{path}: symbol: unknown value {symbol_tag}")
+        if master_seed is not None and master_seed != seed:
+            raise ConfigurationError(
+                f"{path}: master_seed: {master_seed} passed, file stores {seed}")
         (n_samples,) = unpack("<Q", field="n_samples")
         extra = size - fh.tell() - 8 * n_samples * spec.n_sites
         if extra < 0:
@@ -281,4 +278,4 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
     kind = _TAG_KINDS[tag]
     law = None if kind is None else JumpLaw(kind, params)
     chi = LevyCharacteristic(b=b, sigma2=sigma2, lam=lam, jump_law=law)
-    return Ensemble(ModelParams(alpha, m0, symbol), chi, spec, seed, fields)
+    return Ensemble(ModelParams(alpha, m0, _TAG_SYMBOLS[symbol_tag]), chi, spec, seed, fields)

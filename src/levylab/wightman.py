@@ -543,7 +543,8 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     magnitudes decaying at >= 100x per epsilon decade; the smallest-epsilon
     space-like magnitude, and the closed-form bound there, below 1e-3 of the
     matched control; and statistical errors small enough to resolve the
-    control (otherwise INCONCLUSIVE).
+    control (otherwise INCONCLUSIVE).  A failed decay or smallness rule is
+    FAIL; where only the bound misses, the verdict is INCONCLUSIVE.
     details["nonzero_fraction"] holds, per branch and epsilon, the share of
     Monte-Carlo points whose integrand is nonzero (0.0 when it underflows, and
     for a space-like pairing certified as exactly 0 without sampling:
@@ -590,5 +591,7 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     details.update({"control_scale": c_val, "decay_ok": decay_ok,
                     "smallness_ok": small_ok, "effective_spacelike": eff})
     bound_ok = bound[-1] < np.log10(SMALLNESS_FACTOR * c_val)
-    return BaumannReport(*pairings, "PASS" if decay_ok and small_ok and bound_ok else "FAIL",
-                         ctrl_decays and ctrl_small, details)
+    verdict = "FAIL" if not (decay_ok and small_ok) else "PASS" if bound_ok else "INCONCLUSIVE"
+    if verdict == "INCONCLUSIVE":  # the Monte Carlo vanishes; the bound does not certify it
+        details["reason"] = "log10_spacelike_bound at the smallest epsilon above smallness"
+    return BaumannReport(*pairings, verdict, ctrl_decays and ctrl_small, details)

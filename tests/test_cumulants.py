@@ -11,7 +11,7 @@ from levylab import (ConfigurationError, CumulantEstimate, JumpLaw,
                      full_schwinger_moment, moments_from_cumulants,
                      noise_cumulant, sample_ensemble, sample_point_values,
                      set_partitions)
-from levylab.cumulants import (TWO_POINT_BLOCKS, accumulate_subset_sums,
+from levylab.cumulants import (N_BLOCKS, accumulate_subset_sums,
                                cumulant_from_subset_sums, joint_cumulant_jackknife)
 from levylab.greens import green_momentum_sq, green_real_fft, squared_momentum
 
@@ -286,7 +286,7 @@ def test_empirical_two_point_worker_count_independence(model_half, small_spec, p
 
 def test_empirical_two_point_matches_stored_fields(model_half, small_spec, poisson_chi):
     # 130 samples: 44 blocks of ceil(130 / 50) = 3, the last one of 1 sample
-    n, size = 130, -(-130 // TWO_POINT_BLOCKS)
+    n, size = 130, -(-130 // N_BLOCKS)
     fields = sample_ensemble(model_half, poisson_chi, small_spec, n, 5).fields
     axes = (1, 2, 3)
     auto = np.fft.ifftn(np.abs(np.fft.fftn(fields, axes=axes)) ** 2,

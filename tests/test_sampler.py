@@ -15,7 +15,7 @@ from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      green_real_fft, read_ensemble, sample_ensemble,
                      sample_point_values, solve_spde, write_ensemble)
 from levylab import sampler
-from levylab.cumulants import accumulate_subset_sums, sample_subset_sums
+from levylab.cumulants import N_BLOCKS, accumulate_subset_sums, sample_subset_sums
 from levylab.greens import green_momentum_sq, squared_momentum
 
 
@@ -160,16 +160,22 @@ def test_worker_pool_capped_at_cpu_count(recording_pool, model_half, small_spec,
 SUM_CONFIGS = [[(0, 0), (0, 0), (1, 0), (1, 0)], [(0, 0), (1, 0), (0, 1), (3, 3)], [(2, 1)]]
 
 
+def assert_same_bits(a, b):
+    (sums_a, counts_a), (sums_b, counts_b) = a, b
+    assert np.array_equal(counts_a, counts_b)
+    for x, y in zip(sums_a, sums_b, strict=True):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 def test_subset_sums_worker_count_independence(recording_pool, model_half, poisson_chi):
-    # 1100 samples are 5 blocks of SUM_BLOCK = 250 or fewer, so 5 chunks on 3 cores
+    # 1100 samples are N_BLOCKS = 50 blocks of 22, so 12 chunks on 3 cores
     recording_pool(3)
     spec = LatticeSpec(2, 4, 0.5)
     many = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7,
                               workers=5000)
-    assert RecordingPool.started == [(3, 5)]
-    serial = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7)
-    for a, b in zip(many, serial):
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert RecordingPool.started == [(3, 12)]
+    assert_same_bits(many, sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS,
+                                              1100, 7))
 
 
 needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2,
@@ -181,9 +187,8 @@ def test_subset_sums_real_pool_bit_identical(model_half, poisson_chi):
     spec = LatticeSpec(2, 4, 0.5)
     pooled = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7,
                                 workers=2)
-    serial = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 1100, 7)
-    for a, b in zip(pooled, serial):
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert_same_bits(pooled, sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS,
+                                                1100, 7))
 
 
 @needs_two_cpus
@@ -201,14 +206,18 @@ def test_pool_makes_no_copy_of_the_blocks(model_half, poisson_chi):
 
 
 def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
-    # equal products; only the grouping of the sums differs (blocks of 250)
+    # equal products; only the grouping of the sums differs.  min(n, N_BLOCKS)
+    # blocks: 20 of one sample, or 50 of 12
     spec = LatticeSpec(2, 4, 0.5)
-    e = sample_ensemble(model_half, poisson_chi, spec, 600, 11)
-    sums = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, 600, 11)
-    for cfg, s in zip(SUM_CONFIGS, sums):
-        ref = accumulate_subset_sums(e.fields, spec, cfg)
-        assert s.shape == ref.shape == (2 ** len(cfg) - 1, spec.n_sites)
-        assert np.all(np.abs(s - ref) <= 1e-12 * np.abs(ref))
+    for n in (20, 600):
+        e = sample_ensemble(model_half, poisson_chi, spec, n, 11)
+        sums, counts = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, n, 11)
+        assert len(counts) == min(n, N_BLOCKS) and counts.sum() == n
+        for cfg, s in zip(SUM_CONFIGS, sums, strict=True):
+            ref = accumulate_subset_sums(e.fields, spec, cfg)
+            assert ref.shape == (2 ** len(cfg) - 1, spec.n_sites)
+            assert s.shape == (len(counts),) + ref.shape
+            assert np.all(np.abs(s.sum(axis=0) - ref) <= 1e-12 * np.abs(ref))
     with pytest.raises(RangeError, match="at least one point"):
         accumulate_subset_sums(e.fields, spec, [])
 
@@ -260,21 +269,6 @@ def test_lflb_round_trip_symbol_and_seed(tmp_path):
     assert read_ensemble(path, master_seed=77).master_seed == 77
     with pytest.raises(ConfigurationError, match="master_seed"):
         read_ensemble(path, master_seed=78)
-
-
-def test_lflb_reads_v1(tmp_path, model_half, small_spec, gaussian_chi):
-    # a v1 file has no symbol or seed fields: continuum and the caller's seed
-    e = sample_ensemble(model_half, gaussian_chi, small_spec, 2, 5)
-    path = tmp_path / "v2.lflb"
-    write_ensemble(path, e)
-    data = path.read_bytes()
-    v1 = data[:4] + struct.pack("<I", 1) + data[8:HEADER] + data[HEADER + 12:]
-    path.write_bytes(v1)
-    back = read_ensemble(path, master_seed=5)
-    assert back.params == model_half
-    assert back.master_seed == 5
-    assert read_ensemble(path).master_seed == 0
-    assert np.array_equal(back.fields, e.fields)
 
 
 def test_lflb_round_trip(tmp_path, model_half, small_spec, mixed_chi):
@@ -371,14 +365,15 @@ def test_lflb_rejects_wrong_jump_param_count(tmp_path, model_half, small_spec, m
 
 
 def test_lflb_rejects_bad_version(tmp_path, model_half, small_spec, gaussian_chi):
+    # version 1 stored neither the symbol nor the seed, so it is not guessed
     e = sample_ensemble(model_half, gaussian_chi, small_spec, 1, 0)
     path = tmp_path / "v.lflb"
     write_ensemble(path, e)
-    data = bytearray(path.read_bytes())
-    data[4] = 99
-    path.write_bytes(bytes(data))
-    with pytest.raises(ConfigurationError):
-        read_ensemble(path)
+    data = path.read_bytes()
+    for version in (1, 99):
+        path.write_bytes(data[:4] + struct.pack("<I", version) + data[8:])
+        with pytest.raises(ConfigurationError, match=f"unsupported format version {version}$"):
+            read_ensemble(path)
 
 
 def test_lflb_site_cap(tmp_path, model_half, small_spec, gaussian_chi):

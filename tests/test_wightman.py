@@ -402,10 +402,23 @@ def test_widened_delta_breaks_the_bound(monkeypatch):
 
 def test_verdict_needs_the_bound(masses):
     # decay and smallness hold for the Monte Carlo, but at eps 1.5 the bound
-    # (~1e-5.4) does not lie below 1e-3 of the control (~1e-6.7)
+    # (~1e-5.4) does not lie below 1e-3 of the control (~1e-6.7): not
+    # certified, so INCONCLUSIVE rather than FAIL
     f, h1, h2, g = criterion8_tests()
     rep = baumann_check(masses, h1, h2, f, g, (4.0, 2.0, 1.5),
                         IntegratorSpec(n_samples=40_000, n_strata=8, seed=3))
     assert rep.details["decay_ok"] and rep.details["smallness_ok"]
     assert rep.details["log10_spacelike_bound"][-1] > np.log10(1e-3 * rep.details["control_scale"])
+    assert rep.verdict == "INCONCLUSIVE"
+    assert "log10_spacelike_bound" in rep.details["reason"]
+
+
+def test_verdict_fails_without_decay(masses):
+    # at eps 6, 5, 4 the space-like pairing neither falls by (e1/e0)^2 per
+    # step nor gets small: FAIL, whatever the bound
+    f, h1, h2, g = criterion8_tests()
+    rep = baumann_check(masses, h1, h2, f, g, (6.0, 5.0, 4.0),
+                        IntegratorSpec(n_samples=40_000, n_strata=8, seed=3))
+    assert not rep.details["decay_ok"] and not rep.details["smallness_ok"]
     assert rep.verdict == "FAIL"
+    assert "reason" not in rep.details
