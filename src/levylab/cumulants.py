@@ -7,19 +7,23 @@ sum,
     K(x_1, ..., x_n) = a^d * sum_y prod_j G(x_j - y),
 
 with c_n the n-th noise cumulant (c_1 = b + lam*r_1, c_2 = sigma2 + lam*r_2,
-c_n = lam*r_n for n >= 3).  Only c_n depends on the noise; the lattice sums K
-are kept in one table per (ModelParams, LatticeSpec, point set), filled on
-first use from the Green rows the point sampler also uses, so every noise law
-on the same points (an rp-scan over lambda, a witness re-check) shares it.
-Full moments are the set-partition sum of products of c_|B| * K(B) over that
-table.  Empirical joint cumulants are estimated by the set-partition Moebius
-formula over sample moments: of point values (joint_cumulant_jackknife), or
-translation-averaged from subset sums, made by one kernel (_subset_rows) on
-stored fields or inside the sampler's workers (sample_subset_sums).  That and
+c_n = lam*r_n for n >= 3).  Only c_n depends on the noise.  lattice_sum_rows
+computes K for many index tuples into a point set from the Green rows the
+point sampler also uses, each with the same bits however many are asked for;
+rp's Gram plan takes all its sums from one call, and the scalar reference
+keeps one table per (ModelParams, LatticeSpec, point set), filled on first
+use.  Full moments are the set-partition sum of products of c_|B| * K(B)
+over that table.  Empirical joint cumulants are estimated by the
+set-partition Moebius formula over sample moments: of point values
+(joint_cumulant_jackknife), or translation-averaged from subset sums, made
+by one kernel (_subset_rows) on stored fields or inside the sampler's
+workers (sample_subset_sums).  That and
 the two-point map (empirical_two_point) stream: no field leaves its worker,
 and at most N_BLOCKS block sums are kept (_stream_blocks), the blocks of the
 one delete-block jackknife (_jackknife) behind every standard error; the
-leave-one-out jackknife is the same with blocks of one sample.
+leave-one-out jackknife is the same with blocks of one sample.  The jackknife
+holds at most JACKKNIFE_BYTES of deleted pools at once, and
+sample_subset_sums hands out one configuration's block sums at a time.
 """
 
 from __future__ import annotations
@@ -89,20 +93,32 @@ def _mobius_cumulant(moments, n):
     return total
 
 
+def lattice_sum_rows(p: ModelParams, spec: LatticeSpec, points: tuple, idx) -> np.ndarray:
+    """K for each index tuple (at least one index into points) in idx:
+    a^d * sum_y prod_j G(x_j - y) from the Green rows, the product taken left
+    to right and summed over the sites as one contiguous row.  One tuple at
+    a time: products of several rows at once were no faster, and their
+    buffers stayed in the heap."""
+    rows = _green_rows(p, spec, points)
+    out = np.empty(len(idx))
+    for r, (first, *rest) in enumerate(idx):
+        prod = rows[first]
+        for i in rest:
+            prod = prod * rows[i]
+        out[r] = prod.sum()
+    return spec.cell_volume * out
+
+
 @lru_cache(maxsize=4096)
 def _lattice_sums(p: ModelParams, spec: LatticeSpec, points: tuple):
     """K over one point set as a function of a sorted tuple of indices into
-    points: a^d * sum_y prod_j G(x_j - y), from the Green rows, each computed
-    once.  Holds no noise parameter, and no rows (those stay in the smaller
-    _green_rows cache), so many point sets stay cached."""
+    points, each computed once by lattice_sum_rows.  Holds no noise
+    parameter, and no rows (those stay in the smaller _green_rows cache), so
+    many point sets stay cached."""
 
     @cache
     def lattice_sum(idx: tuple) -> float:
-        rows = _green_rows(p, spec, points)
-        prod = rows[idx[0]]
-        for i in idx[1:]:
-            prod = prod * rows[i]
-        return float(spec.cell_volume * prod.sum())
+        return float(lattice_sum_rows(p, spec, points, [idx])[0])
 
     return lattice_sum
 
@@ -229,13 +245,17 @@ def _subset_products(cols, steps, out=None) -> np.ndarray:
     return out[:-1]
 
 
+JACKKNIFE_BYTES = 1 << 22  # deleted pools held at once by _jackknife
+
+
 def _jackknife(block_sums, counts, estimate):
     """Delete-block jackknife of estimate(*pooled means).
 
     block_sums: arrays with a leading block axis, one per pooled quantity;
     counts: samples per block.  estimate is evaluated once on the pooled
-    means and once on all deleted pools together (a new leading axis), so it
-    must broadcast over leading axes.  Blocks of one sample give the
+    means and once on the deleted pools, as many together (a new leading
+    axis) as fit in JACKKNIFE_BYTES, so it must broadcast over leading axes
+    and treat each leading index alone.  Blocks of one sample give the
     leave-one-out jackknife.  Returns (value, stderr); stderr is 0 for fewer
     than two blocks.
     """
@@ -245,10 +265,13 @@ def _jackknife(block_sums, counts, estimate):
     value = estimate(*(t / n_total for t in totals))
     if b < 2:
         return value, np.zeros_like(value)
-    deleted_means = [t - s for t, s in zip(totals, block_sums)]
-    for d in deleted_means:  # in place: one pool-sized copy per quantity
-        d /= (n_total - counts).reshape((b,) + (1,) * (d.ndim - 1))
-    deleted = estimate(*deleted_means)
+    step = max(1, JACKKNIFE_BYTES // sum(s[0].nbytes for s in block_sums))
+    deleted = []
+    for lo in range(0, b, step):
+        rest = n_total - counts[lo:lo + step]
+        deleted.append(estimate(*((t - s[lo:lo + step]) / rest.reshape((-1,) + (1,) * t.ndim)
+                                  for t, s in zip(totals, block_sums))))
+    deleted = np.concatenate(deleted)
     stderr = np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean(axis=0)) ** 2, axis=0))
     return value, stderr
 
@@ -332,16 +355,19 @@ def _stream_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
 
 def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                        configs, n_samples: int, master_seed: int, workers: int = 1):
-    """(sums, counts) of _stream_blocks: sums[k] of shape (n_blocks, n_subsets,
-    V) holds the block sums of accumulate_subset_sums of configs[k] over the
-    fields sample_ensemble would draw, the input of cumulant_from_subset_sums.
-    No field leaves its worker; bit-identical for any worker count, and summed
-    over blocks equal to the stored-field sums to rounding."""
+    """(sums, counts) of _stream_blocks: sums yields, for each of configs in
+    turn, an array of shape (n_blocks, n_subsets, V) with the block sums of
+    accumulate_subset_sums of that configuration over the fields
+    sample_ensemble would draw, the input of cumulant_from_subset_sums.  Each
+    is gathered from the shared block array when asked for, so a caller that
+    drops one before taking the next holds one copy, not one per
+    configuration.  No field leaves its worker; bit-identical for any worker
+    count, and summed over blocks equal to the stored-field sums to rounding."""
     steps, rows = _product_steps(tuple(tuple(_check_points(spec, pts)) for pts in configs))
     blocks, counts = _stream_blocks(chi, spec, n_samples, master_seed,
                                     partial(_solved_subset_rows, p, spec, steps),
                                     (len(steps), spec.n_sites), workers)
-    return [blocks[:, list(r)] for r in rows], counts
+    return (blocks[:, list(r)] for r in rows), counts
 
 
 def _autocorrelation_row(p: ModelParams, eta) -> np.ndarray:

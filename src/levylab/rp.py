@@ -19,24 +19,33 @@ constant in the basis the two are congruent (same inertia), and without it
 the uncentered Gram adds mu^2 * 11^T, which only raises eigenvalues.
 
 Each entry is a moment of at most four field values at the (at most 12)
-distinct points of the basis and its reflection.  The Gram build takes them
-from one cumulants.schwinger_moments over those points: the noise cumulants
-c_n times lattice sums from a table that holds no noise parameter, so the
-builds of a lambda scan and the rebuild in verify_witness share one table.
+distinct points of the basis and its reflection: a sum over the set
+partitions of prod_B c_|B| K(B), with the noise cumulants c_n and the
+lattice sums K.  Only c_n depends on the noise, so everything else is a plan
+cached per (ModelParams, MonomialBasis) (_gram_plan): the distinct index
+tuples of the entries, the partitions without a singleton block per tuple
+length, and K of their blocks (cumulants.lattice_sum_rows).  The builds of a
+lambda scan and the rebuild in verify_witness share it, and each costs a few
+array operations; the bits are those of the scalar partition sum
+(cumulants.schwinger_moments over the same points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
+from .cumulants import (_partitions, analytic_truncated_schwinger, joint_cumulant_jackknife,
+                        lattice_sum_rows)
 # full_schwinger_moment stays a module attribute: bench/tracer patches it by name
-from .cumulants import (analytic_truncated_schwinger, full_schwinger_moment,  # noqa: F401
-                        joint_cumulant_jackknife, schwinger_moments)
+from .cumulants import full_schwinger_moment  # noqa: F401
 from .errors import ConfigurationError, ContractViolation, LevyLabError, RangeError
 from .greens import ModelParams
-from .noise import JumpLaw, LatticeSpec, LevyCharacteristic, _check_points, check_site_mean
+from .noise import (JumpLaw, LatticeSpec, LevyCharacteristic, _check_points,
+                    check_site_mean, noise_cumulant)
 from .sampler import sample_point_values
 
 MAX_MOMENT_ORDER = 4
@@ -136,20 +145,63 @@ def _reflected(basis: MonomialBasis):
     return theta, points, {pt: i for i, pt in enumerate(points)}
 
 
+@lru_cache(maxsize=8)
+def _gram_plan(p: ModelParams, basis: MonomialBasis):
+    """The part of build_reflection_gram that holds no noise parameter.
+
+    Each Gram entry is a moment over a sorted tuple of indices into the
+    distinct points of the basis and its reflection.  Returns (entry, groups,
+    k): entry (n*n,) maps each entry to its tuple among the distinct ones,
+    ordered by length; groups holds per length (start, stop, terms), with one
+    term per set partition of the tuple positions without a singleton block
+    (c_1 = 0 for the centered field): (block sizes, per block the index into
+    k of each tuple's block); k holds the blocks' lattice sums
+    (cumulants.lattice_sum_rows).  The tuples are sorted and matched in
+    Python; what is kept is a few small arrays.
+    """
+    theta, points, index = _reflected(basis)
+    keys = [tuple(sorted(index[pt] for pt in ta + mb)) for ta in theta for mb in basis.monomials]
+    if max(map(len, keys)) > MAX_MOMENT_ORDER:
+        raise RangeError("combined monomial degree exceeds supported moments")
+    distinct = sorted(set(keys), key=lambda t: (len(t), t))
+    position = {t: i for i, t in enumerate(distinct)}
+    blocks = {}  # block tuple -> its index into k
+    groups, start = [], 0
+    for length, group in groupby(distinct, key=len):
+        group = list(group)
+        terms = [(tuple(map(len, part)),
+                  [np.array([blocks.setdefault(tuple(t[i] for i in b), len(blocks))
+                             for t in group]) for b in part])
+                 for part in _partitions(length) if all(len(b) > 1 for b in part)]
+        groups.append((start, start + len(group), terms))
+        start += len(group)
+    k = lattice_sum_rows(p, basis.spec, points, list(blocks))
+    return np.array([position[t] for t in keys]), groups, k
+
+
 def build_reflection_gram(p: ModelParams, chi: LevyCharacteristic,
                           basis: MonomialBasis) -> np.ndarray:
-    """Gram matrix of reflected-times-unreflected centered monomial moments."""
-    mons = basis.monomials
-    theta, points, index = _reflected(basis)
-    moment = schwinger_moments(p, chi, basis.spec, points, centered=True)
-    n = len(mons)
-    m = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            idx = tuple(sorted(index[pt] for pt in theta[a] + mons[b]))
-            if len(idx) > MAX_MOMENT_ORDER:
-                raise RangeError("combined monomial degree exceeds supported moments")
-            m[a, b] = moment(idx)
+    """Gram matrix of reflected-times-unreflected centered monomial moments.
+
+    Each moment is the partition sum of prod_B c_|B| K(B), added partition by
+    partition in cumulants._partitions order (a partition with a zero c adds
+    nothing and is skipped); the lattice sums K and the partitions come from
+    the noise-free _gram_plan, so a lambda costs a few array operations.
+    """
+    entry, groups, k = _gram_plan(p, basis)
+    c = {s: noise_cumulant(chi, s) for _, _, terms in groups for part, _ in terms for s in part}
+    moments = np.empty(groups[-1][1])
+    for start, stop, terms in groups:
+        total = np.zeros(stop - start)
+        for part, kidx in terms:
+            if all(c[s] != 0.0 for s in part):
+                prod = 1.0
+                for s, ki in zip(part, kidx):
+                    prod = prod * (c[s] * k[ki])
+                total += prod
+        moments[start:stop] = total
+    n = basis.size
+    m = moments[entry].reshape(n, n)
     asym = np.max(np.abs(m - m.T))
     if asym > 1e-10 * max(1.0, np.max(np.abs(m))):
         raise ContractViolation(f"Gram construction produced asymmetry {asym}")

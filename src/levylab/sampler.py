@@ -103,7 +103,7 @@ def _doubled_green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
 def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
     """(n_points, V) matrix whose row for x holds G(x - y) over the sites y,
     so that a^d * row @ eta is phi(x); read-only.  Also the source of the
-    analytic lattice sums (cumulants._lattice_sums)."""
+    analytic lattice sums (cumulants.lattice_sum_rows)."""
     grid = _doubled_green(p, spec)
     rows = np.empty((len(points), spec.n_sites))
     for r, x in enumerate(points):

@@ -217,6 +217,8 @@ class WightmanEstimate:
     stderr: float
     n_samples: int
     n_nonzero: int  # points whose integrand is nonzero
+    # per stratum (s3, s4), its share of stderr**2; None where stderr is 0
+    variance_share: tuple | None = None
 
 
 def _leg_factors(k: np.ndarray, m2: float, reg: ShellRegularization):
@@ -458,9 +460,11 @@ def _stratified(tests, masses: MassAssignment, reg: ShellRegularization,
             n_nonzero += nz
     top = exps.max()
     value = float(vol * np.ldexp(np.ldexp(means, exps - top).mean(), top))
-    var_sum = np.ldexp(variances, 2 * (exps - top)).sum()
+    scaled = np.ldexp(variances, 2 * (exps - top))
+    var_sum = scaled.sum()
     stderr = float(vol * np.ldexp(np.sqrt(var_sum), top) / (S * S))
-    return WightmanEstimate(value, stderr, per * S * S, n_nonzero)
+    share = tuple(map(tuple, (scaled / var_sum).tolist())) if var_sum > 0.0 else None
+    return WightmanEstimate(value, stderr, per * S * S, n_nonzero, share)
 
 
 CONTROL_WIDTH, CONTROL_RADIUS = 0.4, 0.6  # the control's bumps, whatever the mass
@@ -548,10 +552,14 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     details["nonzero_fraction"] holds, per branch and epsilon, the share of
     Monte-Carlo points whose integrand is nonzero (0.0 when it underflows, and
     for a space-like pairing certified as exactly 0 without sampling:
-    wightman_n_regularized); details["shell_distance"] the certified d = min
-    over h1, h2 of (m^2 - sup_ball k^2), the least distance of a space-like leg
-    from its shell; details["log10_spacelike_bound"] per epsilon the log10 of
-    the closed-form bound on the space-like pairing at that d.
+    wightman_n_regularized); details["variance_share"], per branch and
+    epsilon, each stratum's share of the squared stderr as n_strata rows
+    (leg 3's radial shells) of n_strata values (leg 4's), or None where the
+    variance is 0, as for a certified pairing; details["shell_distance"] the
+    certified d = min over h1, h2 of (m^2 - sup_ball k^2), the least distance
+    of a space-like leg from its shell; details["log10_spacelike_bound"] per
+    epsilon the log10 of the closed-form bound on the space-like pairing at
+    that d.
 
     The control puts every leg on one shell, so the four masses must be equal.
     """
@@ -564,6 +572,7 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     branches = {"spacelike": (f, h1, h2, g), "control": shell_control_tests(masses.masses[0])}
     pairs = {name: [] for name in branches}
     nonzero = {name: [] for name in branches}
+    shares = {name: [] for name in branches}
     d = masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))
     bound = []
     for i, e in enumerate(eps):
@@ -574,10 +583,11 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
             est = wightman_n_regularized(tests, masses, reg, spec)
             pairs[name].append((est.value, est.stderr))
             nonzero[name].append(est.n_nonzero / est.n_samples)
+            shares[name].append(est.variance_share)
     space, ctrl = pairs["spacelike"], pairs["control"]
 
     pairings = (tuple(eps), tuple(space), tuple(ctrl))
-    details = {"nonzero_fraction": nonzero, "shell_distance": d,
+    details = {"nonzero_fraction": nonzero, "variance_share": shares, "shell_distance": d,
                "log10_spacelike_bound": bound}
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
         return BaumannReport(*pairings, "INCONCLUSIVE", False,

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -8,9 +9,9 @@ from levylab import (ConfigurationError, ContractViolation, JumpLaw,
                      LatticeSpec, LevyCharacteristic, ModelParams,
                      MonomialBasis, RangeError, analytic_truncated_schwinger,
                      build_reflection_gram, gram_report, min_eigenvalue,
-                     moments_from_cumulants, rp_scan, verify_witness,
-                     witness_record)
-from levylab import cumulants, rp
+                     moments_from_cumulants, noise_cumulant, rp_scan,
+                     set_partitions, verify_witness, witness_record)
+from levylab import rp, sampler
 from levylab.rp import witness_quadratic_form_mc
 
 
@@ -166,14 +167,87 @@ def test_gram_matches_per_entry_reference(small_spec, mixed_chi, centered):
                                    rtol=1e-12, atol=0.0)
 
     check(mixed_chi)
-    # a second lambda on the same basis reuses every lattice sum
-    points = tuple(sorted({pt for mon in basis.monomials for x in mon
-                           for pt in (x, basis.reflect(x))}))
-    table = cumulants._lattice_sums(p, small_spec, points)
-    outer, inner = cumulants._lattice_sums.cache_info().misses, table.cache_info().misses
+    # a second lambda on the same basis reuses the plan and its lattice sums
+    misses = rp._gram_plan.cache_info().misses
     check(replace(mixed_chi, lam=4.0))
-    assert cumulants._lattice_sums.cache_info().misses == outer
-    assert table.cache_info().misses == inner
+    assert rp._gram_plan.cache_info().misses == misses
+
+
+CRITERION_7_POINTS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)]
+PLAN_LAWS = {
+    "atom": LevyCharacteristic(jump_law=JumpLaw.atom(1.0)),
+    "symmetric_atoms": LevyCharacteristic(jump_law=JumpLaw.atoms([(1.0, 0.5), (-1.0, 0.5)])),
+    "two_sided_exponential": LevyCharacteristic(jump_law=JumpLaw.two_sided_exponential(1.0)),
+    "gaussian": LevyCharacteristic(sigma2=1.0),
+}
+
+
+def scalar_gram(p, basis):
+    """The centered Gram entry by entry, as a function of the noise: each
+    moment a scalar partition sum of prod_B c_|B| K(B), each K(B) one product
+    of Green rows summed over the sites."""
+    mons = basis.monomials
+    theta = [tuple(basis.reflect(pt) for pt in mon) for mon in mons]
+    points = tuple(sorted({pt for mon in mons + tuple(theta) for pt in mon}))
+    rows = sampler._green_rows(p, basis.spec, points)
+    cell = basis.spec.cell_volume
+
+    @cache
+    def lattice_sum(idx):
+        prod = rows[idx[0]]
+        for i in idx[1:]:
+            prod = prod * rows[i]
+        return float(cell * prod.sum())
+
+    def gram(chi):
+        c = [0.0, 0.0] + [noise_cumulant(chi, k) for k in range(2, 5)]  # c_1 = 0: centered
+        n = basis.size
+        m = np.empty((n, n))
+        for a in range(n):
+            for b in range(n):
+                idx = sorted(points.index(pt) for pt in theta[a] + mons[b])
+                total = 0.0
+                for part in set_partitions(range(len(idx))):
+                    prod = 1.0
+                    for block in part:
+                        if c[len(block)] == 0.0:
+                            prod = 0.0
+                            break
+                        prod *= c[len(block)] * lattice_sum(tuple(idx[i] for i in block))
+                    total += prod
+                m[a, b] = total
+        return 0.5 * (m + m.T)
+
+    return gram
+
+
+# the plan's array evaluation gives the bits of the scalar partition sum:
+# c_3 = 0 for the symmetric atoms, and the Gaussian has only c_2
+@pytest.mark.parametrize("alpha", [0.25, 0.5])
+@pytest.mark.parametrize("law", PLAN_LAWS)
+def test_gram_plan_matches_scalar_partition_sum(desk_spec, law, alpha):
+    p = ModelParams(alpha, 1.0, "discrete")
+    basis = MonomialBasis.up_to_degree_two(desk_spec, CRITERION_7_POINTS)
+    gram = scalar_gram(p, basis)
+    chi = PLAN_LAWS[law]
+    for lam in [0.0] if law == "gaussian" else [1e-2, 1.0, 1e2, 1e4]:
+        chi = replace(chi, lam=lam)
+        m = build_reflection_gram(p, chi, basis)
+        assert np.array_equal(m.view(np.uint64), gram(chi).view(np.uint64)), lam
+
+
+def test_gram_asymmetry_raises(desk_spec, basis6, monkeypatch):
+    # a translation in time in place of the reflection: <theta A, B> and
+    # <theta B, A> differ at O(1)
+    p = ModelParams(0.75, 1.0, "discrete")
+    monkeypatch.setattr(MonomialBasis, "reflect",
+                        lambda self, pt: ((pt[0] + 5) % self.spec.L,) + tuple(pt[1:]))
+    rp._gram_plan.cache_clear()
+    try:
+        with pytest.raises(ContractViolation, match="asymmetry"):
+            build_reflection_gram(p, LevyCharacteristic(sigma2=1.0), basis6)
+    finally:
+        rp._gram_plan.cache_clear()  # the plan of the translated basis
 
 
 def test_gram_entry_monte_carlo_oracle(desk_spec, basis6):

@@ -233,6 +233,37 @@ def test_report_round_trip(masses):
     assert len(d["details"]["log10_spacelike_bound"]) == 3
     import json
     json.dumps(d)  # JSON-serializable
+    # per branch and eps, a 4 x 4 table of stratum shares of stderr^2, None
+    # where eps 0.005 (and at this distance 0.05) certifies the pairing as 0
+    shares = d["details"]["variance_share"]
+    assert set(shares) == {"spacelike", "control"}
+    assert shares["spacelike"][1:] == [None, None]
+    for share in shares["control"] + shares["spacelike"][:1]:
+        assert len(share) == 4 and all(len(row) == 4 for row in share)
+        assert all(x >= 0.0 for row in share for x in row)
+        assert sum(map(sum, share)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_variance_share_is_the_stratum_variance():
+    # stderr^2 (S^2 / vol)^2 is the sum over strata of var(values) / per, so
+    # each share is one stratum's var / per over that sum
+    f, h1, h2, g = shell_control_tests(1.0)
+    spec = quick_spec(3, 2_000)
+    est = wightman_n_regularized((f, h1, h2, g), MassAssignment.fixed([1.0] * 4),
+                                 ShellRegularization(0.5), spec)
+    S = spec.n_strata
+    vol = np.prod([4.0 / 3.0 * np.pi * t.radius**3 for t in (f, h2, g)])
+    var = (est.stderr * S * S / vol) ** 2
+    per = spec.n_samples // (S * S)
+    share = np.array(est.variance_share)
+    assert share.shape == (S, S)
+    assert share.sum() == pytest.approx(1.0, rel=1e-12)
+    # a stratum's variance, recomputed from its own draws
+    vals, _ = wightman._stratum((f, h1, h2, g), MassAssignment.fixed([1.0] * 4),
+                                ShellRegularization(0.5),
+                                wightman.substream(spec.seed, 1, 2), per,
+                                (1 / S, 2 / S), (2 / S, 3 / S), 0.25)
+    assert share[1, 2] == pytest.approx(vals.var(ddof=1) / per / var, rel=1e-9)
 
 
 def _energy_reference(rng, lo, hi, peaks, sd):
