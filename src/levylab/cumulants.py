@@ -123,38 +123,6 @@ def _lattice_sums(p: ModelParams, spec: LatticeSpec, points: tuple):
     return lattice_sum
 
 
-def schwinger_moments(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
-                      points: tuple, centered: bool = False):
-    """Full Schwinger moments over distinct lattice points, as a function of a
-    sorted tuple of indices into points (repeats allowed, () gives 1).
-
-    Each moment is the partition sum of prod_B c_|B| * K(B) with the lattice
-    sums K from the table shared by every noise law on these points; with
-    centered=True c_1 is 0.  Points are not validated here.
-    """
-    lattice_sum = _lattice_sums(p, spec, points)
-    c = [0.0]  # c[k] = c_k, extended to the highest order asked for
-
-    @cache
-    def moment(idx: tuple) -> float:
-        while len(c) <= len(idx):
-            k = len(c)
-            c.append(0.0 if centered and k == 1 else noise_cumulant(chi, k))
-        total = 0.0
-        for part in _partitions(len(idx)):
-            prod = 1.0
-            for block in part:
-                c_k = c[len(block)]
-                if c_k == 0.0:
-                    prod = 0.0
-                    break
-                prod *= c_k * lattice_sum(tuple(idx[i] for i in block))
-            total += prod
-        return total
-
-    return moment
-
-
 def _canonical(spec: LatticeSpec, pts) -> tuple[tuple, tuple]:
     """(distinct points, sorted index tuple) after translating the smallest
     point to the origin; exact on the torus, and equal for any permutation."""
@@ -197,7 +165,8 @@ def moments_from_cumulants(cumulants, n: int) -> float:
 
 def full_schwinger_moment(p: ModelParams, chi: LevyCharacteristic,
                           spec: LatticeSpec, pts, centered: bool = False) -> float:
-    """Full (non-truncated) Schwinger moment via the partition sum.
+    """Full (non-truncated) Schwinger moment via the partition sum of
+    prod_B c_|B| * K(B), one scalar at a time: the reference for rp's Gram.
 
     With centered=True the order-1 cumulant is dropped (field minus its mean),
     so partitions containing singleton blocks contribute zero.
@@ -207,7 +176,18 @@ def full_schwinger_moment(p: ModelParams, chi: LevyCharacteristic,
     if not 1 <= n <= MAX_ANALYTIC_ORDER:
         raise RangeError(f"moment order {n} outside [1, {MAX_ANALYTIC_ORDER}]")
     points, idx = _canonical(spec, pts)
-    return schwinger_moments(p, chi, spec, points, centered)(idx)
+    lattice_sum = _lattice_sums(p, spec, points)
+    total = 0.0
+    for part in _partitions(n):
+        prod = 1.0
+        for block in part:
+            c_k = 0.0 if centered and len(block) == 1 else noise_cumulant(chi, len(block))
+            if c_k == 0.0:
+                prod = 0.0
+                break
+            prod *= c_k * lattice_sum(tuple(idx[i] for i in block))
+        total += prod
+    return total
 
 
 def _subset_keys(n: int):

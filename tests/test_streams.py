@@ -57,7 +57,7 @@ def test_seed_hash_matches_seed_sequence(seed):
 
 
 def test_seed_hash_keys_a_whole_block_at_once():
-    # every index of a block, the first and last one of the next
+    # every index of the first block, and the first index of the next
     seed = 2**63 - 1
     keys = [streams._key(seed, (3, i)) for i in range(streams.KEYS_PER_BLOCK + 1)]
     ref = [np.random.SeedSequence([seed, 2, 3, i]).generate_state(2, np.uint64)
