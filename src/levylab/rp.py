@@ -26,8 +26,8 @@ cached per (ModelParams, MonomialBasis) (_gram_plan): the distinct index
 tuples of the entries, the partitions without a singleton block per tuple
 length, and K of their blocks (cumulants.lattice_sum_rows).  The builds of a
 lambda scan and the rebuild in verify_witness share it, and each costs a few
-array operations; the bits are those of the scalar partition sum over the
-same points (full_schwinger_moment's sum, whose points are translated first).
+array operations; every entry has the bits of the scalar partition sum over
+the same points.
 """
 
 from __future__ import annotations

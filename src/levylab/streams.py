@@ -47,15 +47,16 @@ def _wrap(x):
     return x & _MASK if isinstance(x, int) else x
 
 
-def _seed_hash(entropy: list, n_words: int) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(n_words) for each row.
+def _seed_hash(entropy: list) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(4) for each row, the 4 uint32
+    words of a Philox key.
 
     entropy: per word a Python integer below 2^32, the same in every row, or
-    a uint32 array of the rows' values; returns the states as a shape +
-    (n_words,) uint32 array, shape that of the arrays (() without one).  A
-    word stays a Python integer until the hash mixes it with an array, so
-    only the mixing that differs between rows costs array operations; the
-    arrays wrap modulo 2^32 without a warning.
+    a uint32 array of the rows' values; returns the states as a shape + (4,)
+    uint32 array, shape that of the arrays (() without one).  A word stays a
+    Python integer until the hash mixes it with an array, so only the mixing
+    that differs between rows costs array operations; the arrays wrap modulo
+    2^32 without a warning.
     """
     h = _INIT_A
 
@@ -80,9 +81,9 @@ def _seed_hash(entropy: list, n_words: int) -> np.ndarray:
             pool[dst] = mix(pool[dst], hashmix(word))
     h = _INIT_B
     shape = next((w.shape for w in entropy if not isinstance(w, int)), ())
-    state = np.empty(shape + (n_words,), dtype=np.uint32)
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ h
+    state = np.empty(shape + (_POOL_SIZE,), dtype=np.uint32)
+    for i, value in enumerate(pool):
+        value = value ^ h
         h = h * _MULT_B & _MASK
         value = _wrap(value * h)
         state[..., i] = value ^ (value >> 16)
@@ -92,7 +93,7 @@ def _seed_hash(entropy: list, n_words: int) -> np.ndarray:
 def _philox_keys(entropy: list) -> np.ndarray:
     """The Philox keys, shape + (2,) uint64, of the rows of _seed_hash(entropy):
     generate_state(2, uint64), which pairs the words little-endian."""
-    return _seed_hash(entropy, 4).astype("<u4", copy=False).view("<u8").astype(np.uint64)
+    return _seed_hash(entropy).astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
 @lru_cache(maxsize=4)
