@@ -29,15 +29,14 @@ proposal weights and test functions only where the kernel is nonzero; the
 integrand is exactly 0 at every other point.
 
 If both middle test functions have purely space-like support, every j-term
-carries at least one shell delta at a bounded distance from its shell, so the
-pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control does
-not.  Such a pairing is certified rather than sampled where it is exactly 0:
-once two legs sit so far from their shells that the delta underflows to 0.0
-on their whole support, every integrand value is 0.0, and the pairing is
-returned as 0.0 +/- 0.0 (no nonzero point) without drawing, the bits the
-Monte Carlo gives.  At larger epsilon baumann_check reports, next to the
-Monte Carlo, the closed-form bound 4 sup|h1| ||f||_1 ||h2||_1 ||g||_1
-exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps) with the certified distance d.
+carries at least one shell delta at a bounded distance d from its shell, so
+the pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control
+does not.  baumann_check bounds the space-like pairing in closed form,
+4 sup|h1| ||f||_1 ||h2||_1 ||g||_1 exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps)
+with the certified distance d, and records a row where that bound already
+decides it as certified, not sampled: {"value": 0.0, "stderr":
+10**log10_spacelike_bound} in baumann.json, with null nonzero_fraction and
+variance_share.
 
 One shell mass per leg is enough for the model.  Its truncated Wightman
 function is c_4 times a positive-weight mass integral of fixed-mass kernels,
@@ -385,55 +384,21 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
 
     tests = (f, h1, h2, g); momentum conservation removes leg 2 analytically
     (k2 = -(k1 + k3 + k4)).  Leg l sits on the single shell k_l^2 = m_l^2 of
-    masses; the pairing carries no mass-density factor.  Where the kernel is
-    certified to be exactly 0 at every point (_kernel_vanishes), the pairing is
-    returned as 0.0 +/- 0.0 with no nonzero point and nothing drawn: the bits
-    the stratum loop would give.
-    """
-    if len(tests) != 4:
-        raise ConfigurationError("the integrator supports exactly n = 4 legs")
-    if _kernel_vanishes(tests, masses, reg):
-        S = integrator.n_strata
-        return WightmanEstimate(0.0, 0.0, integrator.n_samples // (S * S) * S * S, 0)
-    return _stratified(tests, masses, reg, integrator)
-
-
-# a shell gap above this many eps puts delta's exp(-(gap/eps)^2) below e^-1 of
-# the smallest subnormal: under the half-way point where a rounded exp returns
-# 0, with 0.13 ulp to spare for exp's own error (numpy's and libm's stay within
-# about 0.51 ulp)
-_DELTA_ZERO_RATIO = float(np.sqrt(-np.log(np.finfo(float).smallest_subnormal) + 1.0))
-
-
-def _shell_gap(test: MomentumTestFunction, m2: float) -> float:
-    """The least |k^2 - m2| over the support ball of a certified space-like
-    test (0.0 for any other), less 1e-9 of the magnitudes k^2 is formed from,
-    so that no rounding of a sampled momentum or of its square comes nearer."""
-    if test.classification != SPACELIKE:
-        return 0.0
-    c0, cs, R = abs(test.center[0]), float(np.linalg.norm(test.center[1:])), test.radius
-    return m2 - _sup_ksq(test.center, R) - 1e-9 * (m2 + (c0 + R) ** 2 + (cs + R) ** 2)
-
-
-def _kernel_vanishes(tests, masses: MassAssignment, reg: ShellRegularization) -> bool:
-    """True when at least two legs sit so far from their shells that the shell
-    delta underflows to exactly 0.0 on their whole support.  Every j-term
-    carries a delta on each leg but leg j, so it carries one of those zeros,
-    and every integrand value is exactly 0: every other factor is finite, as
-    ShellRegularization keeps the kernel scale finite."""
-    return sum(_shell_gap(t, m2) > _DELTA_ZERO_RATIO * reg.epsilon
-               for t, m2 in zip(tests, masses.m2)) >= 2
-
-
-def _stratified(tests, masses: MassAssignment, reg: ShellRegularization,
-                integrator: IntegratorSpec) -> WightmanEstimate:
-    """The stratum loop of wightman_n_regularized.
+    masses; the pairing carries no mass-density factor.  Stratum (s3, s4), leg
+    3's radial shell s3 and leg 4's s4, draws from substream(seed, s3, s4).
+    Every call samples; where the shell deltas underflow the pairing reads
+    0.0 +/- 0.0.  A space-like row that baumann_check certifies by its
+    closed-form bound does not call this; baumann.json records it as
+    {"value": 0.0, "stderr": 10**log10_spacelike_bound}.
 
     Each stratum with a value below 1 is scaled up by a power of two that
     brings its largest |value| into [1/2, 1), so that var() does not square
     values near 1e-245 to 0; the strata are combined under the largest scale.
     Power-of-two scaling is exact, so the bits are those of the unscaled
-    sums wherever these do not underflow."""
+    sums wherever these do not underflow.
+    """
+    if len(tests) != 4:
+        raise ConfigurationError("the integrator supports exactly n = 4 legs")
     f, _, h2, g = tests
     S = integrator.n_strata
     per = integrator.n_samples // (S * S)
@@ -492,6 +457,10 @@ def shell_control_tests(m: float):
 
 @dataclass(frozen=True)
 class BaumannReport:
+    """baumann_check's result.  A space-like row certified by the closed-form
+    bound reads (0.0, 10**log10_spacelike_bound), with None (null in
+    baumann.json) as its nonzero_fraction and variance_share in details."""
+
     epsilons: tuple
     spacelike: tuple          # (value, stderr) per epsilon
     control: tuple            # (value, stderr) per epsilon
@@ -544,22 +513,31 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     """Vanishing check for space-like smearing against a time-like control.
 
     PASS requires: decreasing epsilon sequence of length >= 3; space-like
-    magnitudes decaying at >= 100x per epsilon decade; the smallest-epsilon
-    space-like magnitude, and the closed-form bound there, below 1e-3 of the
-    matched control; and statistical errors small enough to resolve the
-    control (otherwise INCONCLUSIVE).  A failed decay or smallness rule is
-    FAIL; where only the bound misses, the verdict is INCONCLUSIVE.
+    magnitudes |value| + 4 stderr decaying at >= 100x per epsilon decade; the
+    smallest-epsilon space-like magnitude, and the closed-form bound there,
+    below 1e-3 of the matched control; and statistical errors small enough to
+    resolve the control (otherwise INCONCLUSIVE).  A failed decay or
+    smallness rule is FAIL; where only the bound misses, the verdict is
+    INCONCLUSIVE.
+
+    The control is sampled at every epsilon first.  A space-like row is then
+    certified by the closed-form bound, not sampled, where the row (0.0,
+    10**log10_spacelike_bound) already passes both rules after the row before
+    it, against the control's |value| at the last epsilon; in baumann.json
+    it reads {"value": 0.0, "stderr": 10**log10_spacelike_bound} with null
+    nonzero_fraction and variance_share.  Every other row is sampled.  Branch
+    b (0 space-like, 1 control) at the i-th epsilon draws from seed
+    substream_seed(seed, b, i).
+
     details["nonzero_fraction"] holds, per branch and epsilon, the share of
-    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows, and
-    for a space-like pairing certified as exactly 0 without sampling:
-    wightman_n_regularized); details["variance_share"], per branch and
-    epsilon, each stratum's share of the squared stderr as n_strata rows
-    (leg 3's radial shells) of n_strata values (leg 4's), or None where the
-    variance is 0, as for a certified pairing; details["shell_distance"] the
-    certified d = min over h1, h2 of (m^2 - sup_ball k^2), the least distance
-    of a space-like leg from its shell; details["log10_spacelike_bound"] per
-    epsilon the log10 of the closed-form bound on the space-like pairing at
-    that d.
+    Monte-Carlo points whose integrand is nonzero (0.0 when it underflows);
+    details["variance_share"], per branch and epsilon, each stratum's share
+    of the squared stderr as n_strata rows (leg 3's radial shells) of n_strata
+    values (leg 4's), or None where the variance is 0; both are None for a
+    certified row.  details["shell_distance"] is the certified d = min over
+    h1, h2 of (m^2 - sup_ball k^2), the least distance of a space-like leg
+    from its shell; details["log10_spacelike_bound"] per epsilon the log10 of
+    the closed-form bound on the space-like pairing at that d.
 
     The control puts every leg on one shell, so the four masses must be equal.
     """
@@ -569,30 +547,37 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     if h1.classification != SPACELIKE or h2.classification != SPACELIKE:
         raise ClassificationError("h1 and h2 must be certified space-like")
     eps = [float(e) for e in epsilons]
-    branches = {"spacelike": (f, h1, h2, g), "control": shell_control_tests(masses.masses[0])}
-    pairs = {name: [] for name in branches}
-    nonzero = {name: [] for name in branches}
-    shares = {name: [] for name in branches}
+    regs = [ShellRegularization(e) for e in eps]
     d = masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))
-    bound = []
-    for i, e in enumerate(eps):
-        reg = ShellRegularization(e)
-        bound.append(_log10_spacelike_bound(f, h1, h2, g, d, reg))
-        for branch, (name, tests) in enumerate(branches.items()):
-            spec = replace(integrator, seed=substream_seed(integrator.seed, branch, i))
-            est = wightman_n_regularized(tests, masses, reg, spec)
-            pairs[name].append((est.value, est.stderr))
-            nonzero[name].append(est.n_nonzero / est.n_samples)
-            shares[name].append(est.variance_share)
-    space, ctrl = pairs["spacelike"], pairs["control"]
+    bound = [_log10_spacelike_bound(f, h1, h2, g, d, reg) for reg in regs]
 
+    def sampled(tests, branch: int, i: int):
+        """(value, stderr, nonzero_fraction, variance_share) of one pairing."""
+        spec = replace(integrator, seed=substream_seed(integrator.seed, branch, i))
+        est = wightman_n_regularized(tests, masses, regs[i], spec)
+        return est.value, est.stderr, est.n_nonzero / est.n_samples, est.variance_share
+
+    control = shell_control_tests(masses.masses[0])
+    ctrl_rows = [sampled(control, 1, i) for i in range(len(eps))]
+    c_val = abs(ctrl_rows[-1][0]) if ctrl_rows else 0.0
+    space_rows = []
+    for i in range(len(eps)):
+        # certified where 0.0 +/- 10**bound already passes the decay and
+        # smallness rules after the row before it; a bound above 1e300
+        # certifies nothing, and the cap keeps 10**bound finite
+        row = (0.0, 10.0 ** min(bound[i], 300.0), None, None)
+        _, decays, small = _vanishing([r[:2] for r in space_rows[-1:] + [row]],
+                                      eps[max(i - 1, 0):i + 1], c_val)
+        space_rows.append(row if decays and small else sampled((f, h1, h2, g), 0, i))
+    rows = {"spacelike": space_rows, "control": ctrl_rows}
+    space, ctrl = ([r[:2] for r in rs] for rs in rows.values())
     pairings = (tuple(eps), tuple(space), tuple(ctrl))
-    details = {"nonzero_fraction": nonzero, "variance_share": shares, "shell_distance": d,
-               "log10_spacelike_bound": bound}
+    details = {"nonzero_fraction": {k: [r[2] for r in rs] for k, rs in rows.items()},
+               "variance_share": {k: [r[3] for r in rs] for k, rs in rows.items()},
+               "shell_distance": d, "log10_spacelike_bound": bound}
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
         return BaumannReport(*pairings, "INCONCLUSIVE", False,
                              {"reason": "need >= 3 strictly decreasing epsilons", **details})
-    c_val = abs(ctrl[-1][0])
     if c_val <= 10.0 * ctrl[-1][1]:
         return BaumannReport(*pairings, "INCONCLUSIVE", False,
                              {"reason": "control scale not statistically resolved", **details})

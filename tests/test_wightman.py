@@ -9,9 +9,8 @@ from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
 from levylab import wightman
-from levylab.wightman import (GENERIC, P_UNIFORM, _draw_energy, _energy_weight,
-                              _kernel_vanishes, _log10_spacelike_bound, _sample_spatial,
-                              _shell_energies, _stratified, minkowski_sq, truncated_kernel)
+from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _log10_spacelike_bound,
+                              _sample_spatial, _shell_energies, minkowski_sq, truncated_kernel)
 
 
 @pytest.fixture
@@ -228,17 +227,20 @@ def test_report_round_trip(masses):
                       "control_vanishes"}
     fractions = d["details"]["nonzero_fraction"]
     assert set(fractions) == {"spacelike", "control"}
-    assert all(len(fr) == 3 and all(0.0 <= x <= 1.0 for x in fr) for fr in fractions.values())
-    assert fractions["control"][0] > 0.0
-    assert len(d["details"]["log10_spacelike_bound"]) == 3
+    assert len(fractions["control"]) == 3 and all(0.0 < x <= 1.0 for x in fractions["control"])
+    bound = d["details"]["log10_spacelike_bound"]
+    assert len(bound) == 3
     import json
     json.dumps(d)  # JSON-serializable
-    # per branch and eps, a 4 x 4 table of stratum shares of stderr^2, None
-    # where eps 0.005 (and at this distance 0.05) certifies the pairing as 0
+    # the bound certifies every space-like row: 0.0 +/- 10**bound, sampled
+    # nowhere, so neither a nonzero fraction nor stratum shares
+    assert d["spacelike"] == [{"value": 0.0, "stderr": 10.0 ** b} for b in bound]
+    assert fractions["spacelike"] == [None, None, None]
     shares = d["details"]["variance_share"]
     assert set(shares) == {"spacelike", "control"}
-    assert shares["spacelike"][1:] == [None, None]
-    for share in shares["control"] + shares["spacelike"][:1]:
+    assert shares["spacelike"] == [None, None, None]
+    # per control eps, a 4 x 4 table of stratum shares of stderr^2
+    for share in shares["control"]:
         assert len(share) == 4 and all(len(row) == 4 for row in share)
         assert all(x >= 0.0 for row in share for x in row)
         assert sum(map(sum, share)) == pytest.approx(1.0, rel=1e-12)
@@ -320,7 +322,8 @@ def test_energy_proposal_matches_per_peak_reference(m2s):
 # support must not move a bit.  The mass-1.0 nonzero entries were re-recorded
 # when a slab above its peak took its truncated-normal mass in the upper tail.
 # At mass 0.7 neither m^2 nor sqrt(m^2) is exact, so those rows see how m^2 is
-# stored and recovered
+# stored and recovered.  At eps 0.05 the space-like shell deltas underflow, so
+# the stratum loop reads exactly 0
 PINNED = {
     ("spacelike", 1.0, 2.0): ("-0x1.1f2085423e999p-33", "0x1.c7a2471f585e7p-37"),
     ("spacelike", 1.0, 0.05): ("0x0.0p+0", "0x0.0p+0"),
@@ -353,41 +356,9 @@ def test_control_keeps_its_mass_above_the_peak(seed):
     assert est.value > 1e-5
 
 
-def criterion8_tests(h2_label=wightman.SPACELIKE):
+def criterion8_tests():
     return (make_test((1.0, 0.0, 0.0), 0.4, 0.8), make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8),
-            make_test((0.0, -3.0, 0.0), 0.4, 0.8, h2_label), make_test((-1.0, 0.0, 0.0), 0.4, 0.8))
-
-
-def _bits(est):
-    return (est.value.hex(), est.stderr.hex(), est.n_samples, est.n_nonzero)
-
-
-# at mass 1.0 (d = 5.2) the stratum loop is exactly 0 from eps 0.20 down
-@pytest.mark.parametrize("mass", [0.7, 1.0])
-@pytest.mark.parametrize("eps", [0.05, 0.005, 0.1904])
-def test_certified_zero_matches_stratum_loop(monkeypatch, mass, eps):
-    tests, masses = criterion8_tests(), MassAssignment.fixed([mass] * 4)
-    reg, spec = ShellRegularization(eps), IntegratorSpec(n_samples=20_000, n_strata=4, seed=2024)
-    loop = _stratified(tests, masses, reg, spec)
-    if _kernel_vanishes(tests, masses, reg):
-        def no_draw(*args):
-            raise AssertionError("a certified zero draws nothing")
-        monkeypatch.setattr(wightman, "substream", no_draw)
-    assert _bits(wightman_n_regularized(tests, masses, reg, spec)) == _bits(loop)
-    assert _kernel_vanishes(tests, masses, reg) == (eps < 0.1 or mass == 1.0)
-
-
-def test_one_certified_leg_runs_the_loop(monkeypatch):
-    # with h2 generic each j = 2 term carries no certified delta: nothing is skipped
-    tests, masses = criterion8_tests(GENERIC), MassAssignment.fixed([1.0] * 4)
-    reg, spec = ShellRegularization(0.005), IntegratorSpec(n_samples=2_000, n_strata=4, seed=3)
-    assert not _kernel_vanishes(tests, masses, reg)
-    calls = []
-    real = wightman.substream
-    monkeypatch.setattr(wightman, "substream", lambda *a: calls.append(a) or real(*a))
-    est = wightman_n_regularized(tests, masses, reg, spec)
-    assert len(calls) == 16
-    assert _bits(est) == _bits(_stratified(tests, masses, reg, spec))
+            make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8), make_test((-1.0, 0.0, 0.0), 0.4, 0.8))
 
 
 def test_stderr_survives_tiny_values():
@@ -453,3 +424,67 @@ def test_verdict_fails_without_decay(masses):
     assert not rep.details["decay_ok"] and not rep.details["smallness_ok"]
     assert rep.verdict == "FAIL"
     assert "reason" not in rep.details
+
+
+def test_bound_certifies_criterion_8_without_spacelike_draws(monkeypatch, masses):
+    # at the criterion-8 geometry the bound (10^-45.2 at eps 0.5) decides every
+    # space-like row, so only the control draws: n_strata**2 strata per eps
+    f, h1, h2, g = criterion8_tests()
+    spec = IntegratorSpec(n_samples=80_000, n_strata=4, seed=5)
+    calls = []
+    real = wightman.substream
+    monkeypatch.setattr(wightman, "substream", lambda *a: calls.append(a) or real(*a))
+    rep = baumann_check(masses, h1, h2, f, g, (0.5, 0.05, 0.005), spec)
+    assert len(calls) == 3 * spec.n_strata**2
+    assert rep.verdict == "PASS"
+    assert rep.spacelike == tuple((0.0, 10.0 ** b) for b in rep.details["log10_spacelike_bound"])
+    # c_val is read before the space-like rows, also when there are none
+    assert baumann_check(masses, h1, h2, f, g, (), spec).verdict == "INCONCLUSIVE"
+
+
+def _hex(rows):
+    return [(v.hex(), s.hex()) for v, s in rows]
+
+
+# control (value, stderr) hex at 40 000 points, 8 x 8 strata, seed 5, the
+# bits of the check that sampled every row
+CONTROL_HEX = {
+    2.0: ("0x1.59ea84f5ed834p-14", "0x1.11d8a31939b40p-20"),
+    0.5: ("0x1.4f2e554fed9bep-10", "0x1.a95f80987c1f7p-15"),
+    0.3: ("0x1.a68787d5effc9p-10", "0x1.8857d2377f65bp-14"),
+    1.3: ("0x1.2c1efee21f6a6p-12", "0x1.4c1bf07f2ee00p-18"),
+}
+SPACELIKE_EPS2_HEX = ("-0x1.fee3ba9f00757p-34", "0x1.37238f663bb9dp-37")
+
+
+def test_bound_certifies_only_where_it_decides(masses):
+    # eps 2.0: the bound 10^-3.59 lies above 1e-3 c_val = 10^-5.79, so that row
+    # is sampled (-1.16e-10 +/- 8.8e-12); eps 0.5 and 0.3 are certified
+    f, h1, h2, g = criterion8_tests()
+    eps = (2.0, 0.5, 0.3)
+    rep = baumann_check(masses, h1, h2, f, g, eps,
+                        IntegratorSpec(n_samples=40_000, n_strata=8, seed=5))
+    bound = rep.details["log10_spacelike_bound"]
+    assert _hex(rep.control) == [CONTROL_HEX[e] for e in eps]
+    assert _hex(rep.spacelike[:1]) == [SPACELIKE_EPS2_HEX]
+    assert rep.spacelike[1:] == ((0.0, 10.0 ** bound[1]), (0.0, 10.0 ** bound[2]))
+    assert rep.details["nonzero_fraction"]["spacelike"][1:] == [None, None]
+    assert rep.details["variance_share"]["spacelike"][0] is not None
+    assert rep.verdict == "PASS"
+
+
+def test_bound_that_breaks_the_decay_rule_is_sampled(masses):
+    # at eps 1.3, 4 * 10^-6.86 is below 1e-3 c_val, but a row 0.0 +/- 10^-6.86
+    # would not fall 100x per decade from eps 2.0's 1.5e-10, and the check would
+    # read FAIL for a pairing that vanishes: that row is sampled, eps 0.5 is not
+    f, h1, h2, g = criterion8_tests()
+    eps = (2.0, 1.3, 0.5)
+    rep = baumann_check(masses, h1, h2, f, g, eps,
+                        IntegratorSpec(n_samples=40_000, n_strata=8, seed=5))
+    bound = rep.details["log10_spacelike_bound"]
+    assert 4.0 * 10.0 ** bound[1] <= 1e-3 * rep.details["control_scale"]
+    assert _hex(rep.control[:2]) == [CONTROL_HEX[2.0], CONTROL_HEX[1.3]]
+    assert _hex(rep.spacelike[:2]) == [SPACELIKE_EPS2_HEX,
+                                       ("-0x1.1617e8300020fp-51", "0x1.85ac1c857150dp-54")]
+    assert rep.spacelike[2] == (0.0, 10.0 ** bound[2])
+    assert rep.verdict == "PASS"
