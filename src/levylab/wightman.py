@@ -19,14 +19,19 @@ conservation.  Each energy is drawn once from the chosen component of one
 proposal: the uniform slab mixed with truncated normals at the shell energies
 (for leg 1 also where the conserved leg 2 is on shell).
 
-Each stratum is evaluated support first, so that beyond its draws the work
-goes to points whose integrand can be nonzero.  Every uniform is drawn for every
-point, in stream order, so the results are bit-identical to evaluating all
-points.  Energies are formed only where the spatial part of leg 2 lies within
-h1's support radius (about half the points in the Baumann geometries), the
-kernel only where leg 2 lies inside h1's support ball (about a quarter), and
-proposal weights and test functions only where the kernel is nonzero; the
-integrand is exactly 0 at every other point.
+The strata are evaluated in blocks of about BLOCK_POINTS points, so that
+numpy's fixed cost per call is paid once per block, not once per stratum.
+Each stratum of a block draws every uniform of every point, in stream order,
+into its own slice of the block's arrays.  One pass over the block then works
+support first, so that beyond the draws the work goes to points whose
+integrand can be nonzero.  The ball half heights and energies are formed only
+where the spatial part of leg 2 lies within h1's support radius (about half
+the points in the Baumann geometries), the kernel only where leg 2 lies inside
+h1's support ball (about a quarter), and proposal weights and test functions
+only where the kernel is nonzero; the integrand is exactly 0 at every other
+point.  The pass is elementwise and each stratum is reduced on its own row,
+so the results are bit-identical to evaluating all points one stratum at a
+time, for any block size.
 
 If both middle test functions have purely space-like support, every j-term
 carries at least one shell delta at a bounded distance d from its shell, so
@@ -44,8 +49,8 @@ one per tuple (m_1..m_4) with every m_l >= m0.  The certified space-like shell
 distance d = m^2 - sup_ball k^2 grows with m^2, so the check at m0 bounds
 every tuple; baumann_check reports d.
 
-scipy.special (ndtr, ndtri) is loaded at the first stratum, not with the
-module.
+scipy.special (ndtr, ndtri) is loaded at the first block of strata, not with
+the module.
 """
 
 from __future__ import annotations
@@ -95,8 +100,14 @@ class MomentumTestFunction:
         c = tuple(float(x) for x in self.center)
         if len(c) != _DIM or not np.all(np.isfinite(c)):
             raise ConfigurationError(f"momentum center must have {_DIM} finite components")
-        if not (0.0 < self.width < np.inf and 0.0 < self.radius < np.inf):  # NaN fails too
-            raise ConfigurationError("width and support radius must be finite and > 0")
+        w, r = self.width, self.radius
+        # NaN fails too; the bump divides by w**2, and the sampled ball's
+        # volume 4/3 pi R^3 enters the pairing and the closed-form bound
+        if not (0.0 < w and 0.0 < w * w < np.inf):
+            raise ConfigurationError(f"width: width**2 must be finite and > 0, got width {w!r}")
+        if not (0.0 < r and 0.0 < r * r * r < np.inf):
+            raise ConfigurationError(
+                f"radius: radius**3 must be finite and > 0, got support radius {r!r}")
         if self.classification not in (SPACELIKE, TIMELIKE, GENERIC):
             raise ConfigurationError(f"unknown classification {self.classification!r}")
         if self.classification == SPACELIKE and not (
@@ -146,8 +157,9 @@ class ShellRegularization:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ConfigurationError("epsilon must be finite and > 0")
+        e = self.epsilon
+        if not (0.0 < e and e * e < np.inf):  # pv() adds eps**2
+            raise ConfigurationError(f"epsilon must be > 0 with a finite square, got {e!r}")
         if not self.log_kernel_scale < _LOG_MAX:  # else delta and the kernel overflow
             raise ConfigurationError(
                 f"epsilon: kernel scale 1/((eps sqrt(pi))^3 * 2 eps) is not finite "
@@ -177,9 +189,10 @@ class MassAssignment:
 
     def __post_init__(self):
         masses = tuple(float(m) for m in self.masses)
-        if len(masses) != 4 or not all(0.0 < m < np.inf for m in masses):
+        if len(masses) != 4 or not all(0.0 < m and m * m < np.inf for m in masses):
             raise ConfigurationError(
-                f"fixed masses must be four, finite and > 0, got {self.masses!r}")
+                f"fixed masses must be four, > 0 and with a finite square m**2, "
+                f"got {self.masses!r}")
         object.__setattr__(self, "masses", masses)
 
     @classmethod
@@ -242,19 +255,6 @@ def truncated_kernel(ks, masses: MassAssignment, reg: ShellRegularization) -> np
     return total
 
 
-def _sample_spatial(test: MomentumTestFunction, rng, n: int, u_lo: float, u_hi: float):
-    """(x, y, half): n spatial momenta uniform in the support disk, the radial
-    CDF variable restricted to [u_lo, u_hi) (stratification), and the half
-    height of the ball above each (its energy slab is center[0] -/+ half)."""
-    c = np.asarray(test.center)
-    R = test.radius
-    u = rng.uniform(u_lo, u_hi, size=n)
-    rho = R * np.sqrt(np.maximum(0.0, 1.0 - (1.0 - u) ** (2.0 / 3.0)))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    half = np.sqrt(np.maximum(R**2 - rho**2, 1e-300))
-    return c[1] + rho * np.cos(phi), c[2] + rho * np.sin(phi), half
-
-
 def _shell_energies(x, y, m2: float) -> list:
     """[+E, -E], the shell energies E = sqrt(|kvec|^2 + m2)."""
     e = np.sqrt(x**2 + y**2 + m2)
@@ -291,7 +291,7 @@ def _truncated_mass(lo, hi, mu, sd: float):
     [a, a + mass] of the standard normal CDF in z = (k - mu) / sd_s.  sd_s =
     -sd where the slab lies above its peak, so the mass is always taken in a
     lower tail: there ndtr(z_hi) - ndtr(z_lo) cancels to 0 beyond ~8.3 sd."""
-    from scipy.special import ndtr  # loaded at the first stratum only
+    from scipy.special import ndtr  # loaded at the first block of strata only
 
     sd_s = np.where(lo > mu, -sd, sd)
     p_lo, p_hi = ndtr((lo - mu) / sd_s), ndtr((hi - mu) / sd_s)
@@ -312,17 +312,39 @@ def _energy_weight(k0, lo, hi, peaks, sd: float) -> np.ndarray:
 
 
 class _Leg:
-    """One sampled leg of a stratum: the uniforms of every point, narrowed by
+    """One sampled leg of a block of strata: the uniforms of every point, drawn
+    stratum by stratum into its slice, then its spatial momenta, narrowed by
     keep() to the points still in play, then their energies and weights."""
 
-    def __init__(self, test: MomentumTestFunction, rng, n: int, radial):
-        self.x, self.y, half = _sample_spatial(test, rng, n, *radial)
-        self.u = rng.uniform(size=(3, n))
-        self.lo, self.hi = test.center[0] - half, test.center[0] + half
+    def __init__(self, test: MomentumTestFunction, n: int):
+        self.test = test
+        # per point: the radial CDF variable, the angle, then the energy
+        # uniforms (comp, u_slab, u_norm) of _draw_energy
+        self.u = np.empty((5, n))
+
+    def fill(self, rng, sl: slice, radial) -> None:
+        """Draw one stratum's points into the slice sl: the radial CDF variable
+        restricted to radial = [u_lo, u_hi) (stratification), the angle, then
+        the energy uniforms."""
+        n = sl.stop - sl.start
+        self.u[0, sl] = rng.uniform(*radial, size=n)
+        self.u[1, sl] = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        self.u[2:, sl] = rng.uniform(size=(3, n))
+
+    def place(self) -> None:
+        """Spatial momenta (x, y), uniform in the support disk, and radii rho."""
+        c, R = self.test.center, self.test.radius
+        self.rho = R * np.sqrt(np.maximum(0.0, 1.0 - (1.0 - self.u[0]) ** (2.0 / 3.0)))
+        self.x, self.y = c[1] + self.rho * np.cos(self.u[1]), c[2] + self.rho * np.sin(self.u[1])
 
     def keep(self, idx) -> None:
-        self.x, self.y, self.u = self.x[idx], self.y[idx], self.u[:, idx]
-        self.lo, self.hi = self.lo[idx], self.hi[idx]
+        """Narrow to the points idx, whose energy slabs are center[0] -/+ the
+        half height of the ball above each."""
+        c0, R, rho = self.test.center[0], self.test.radius, self.rho[idx]
+        self.x, self.y, self.u = self.x[idx], self.y[idx], self.u[2:, idx]
+        del self.rho
+        half = np.sqrt(np.maximum(R**2 - rho**2, 1e-300))
+        self.lo, self.hi = c0 - half, c0 + half
 
     def draw(self, peaks, sd: float) -> np.ndarray:
         """(n, 3) momenta with energies drawn from the proposal at the peaks."""
@@ -336,17 +358,27 @@ class _Leg:
                               [p[idx] for p in self.peaks], sd)
 
 
-def _stratum(tests, masses: MassAssignment, reg: ShellRegularization, rng, per: int,
-             radial3, radial4, sd: float):
-    """(vals, n_nonzero): the integrand at the per points of one stratum,
-    evaluated support first (module docstring), and its nonzero count."""
+BLOCK_POINTS = 8192  # points per block of strata: 2 strata of baumann's 3 906 points
+
+
+def _block(tests, masses: MassAssignment, reg: ShellRegularization, seed: int, S: int,
+           strata, per: int, sd: float) -> np.ndarray:
+    """(len(strata), per): the integrand at the per points of each stratum
+    (s3, s4) of one block, in its own row, evaluated support first (module
+    docstring) in one pass over the block."""
     f, h1, h2, g = tests
     m2 = masses.m2
-    # every uniform of the stratum, in stream order: legs 3, 4, 1, each its
-    # spatial then its energy uniforms
-    leg3 = _Leg(h2, rng, per, radial3)
-    leg4 = _Leg(g, rng, per, radial4)
-    leg1 = _Leg(f, rng, per, (0.0, 1.0))
+    leg3, leg4, leg1 = (_Leg(t, len(strata) * per) for t in (h2, g, f))
+    for b, (s3, s4) in enumerate(strata):
+        # every uniform of the stratum, in stream order: legs 3, 4, 1, each
+        # its spatial then its energy uniforms
+        rng = substream(seed, s3, s4)
+        sl = slice(b * per, (b + 1) * per)
+        leg3.fill(rng, sl, (s3 / S, (s3 + 1) / S))
+        leg4.fill(rng, sl, (s4 / S, (s4 + 1) / S))
+        leg1.fill(rng, sl, (0.0, 1.0))
+    for leg in (leg3, leg4, leg1):
+        leg.place()
     # x + y, the spatial squares of h1's distance to k2 = -(k1 + k3 + k4)
     # rounded as h1 rounds them; h1 sums (e + x) + y with an energy square
     # e >= 0, never below x + y as rounding is monotone, so no point in its
@@ -373,9 +405,9 @@ def _stratum(tests, masses: MassAssignment, reg: ShellRegularization, rng, per: 
     k1, k2, k3, k4 = (k[live] for k in ks)
     vals = (leg1.weight(k1[:, 0], at, sd) * leg3.weight(k3[:, 0], at, sd)
             * leg4.weight(k4[:, 0], at, sd) * f(k1) * h1(k2) * h2(k3) * g(k4) * kernel[live])
-    out = np.zeros(per)
+    out = np.zeros(len(strata) * per)
     out[near[at]] = vals
-    return out, int(np.count_nonzero(vals))
+    return out.reshape(len(strata), per)
 
 
 def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularization,
@@ -386,6 +418,10 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     (k2 = -(k1 + k3 + k4)).  Leg l sits on the single shell k_l^2 = m_l^2 of
     masses; the pairing carries no mass-density factor.  Stratum (s3, s4), leg
     3's radial shell s3 and leg 4's s4, draws from substream(seed, s3, s4).
+    The strata run in blocks of max(1, BLOCK_POINTS // per) strata of per
+    points each, one support-first pass per block (module docstring); each
+    stratum's scaling, mean and variance are taken on its own row, so the
+    bits do not depend on the block size.
     Every call samples; where the shell deltas underflow the pairing reads
     0.0 +/- 0.0.  A space-like row that baumann_check certifies by its
     closed-form bound does not call this; baumann.json records it as
@@ -413,15 +449,17 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     # never sets the common scale
     exps = np.full((S, S), -1100)
     n_nonzero = 0
-    for s3 in range(S):
-        for s4 in range(S):
-            vals, nz = _stratum(tests, masses, reg, substream(integrator.seed, s3, s4), per,
-                                (s3 / S, (s3 + 1) / S), (s4 / S, (s4 + 1) / S), sd)
+    strata = [(s3, s4) for s3 in range(S) for s4 in range(S)]
+    step = max(1, BLOCK_POINTS // per)
+    for j in range(0, S * S, step):
+        block = _block(tests, masses, reg, integrator.seed, S, strata[j:j + step], per, sd)
+        for s, vals in zip(strata[j:j + step], block):
+            nz = int(np.count_nonzero(vals))
             if nz:
-                exps[s3, s4] = min(np.frexp(np.abs(vals).max())[1], 0)
-                vals = np.ldexp(vals, -exps[s3, s4])
-            means[s3, s4] = vals.mean()
-            variances[s3, s4] = vals.var(ddof=1) / per
+                exps[s] = min(np.frexp(np.abs(vals).max())[1], 0)
+                vals = np.ldexp(vals, -exps[s])
+            means[s] = vals.mean()
+            variances[s] = vals.var(ddof=1) / per
             n_nonzero += nz
     top = exps.max()
     value = float(vol * np.ldexp(np.ldexp(means, exps - top).mean(), top))

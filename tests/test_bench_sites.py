@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from levylab import (JumpLaw, LatticeSpec, LevyCharacteristic, ModelParams,
-                     sample_ensemble, sample_point_values)
+                     sample_ensemble, sample_point_values, wightman)
 from levylab.cumulants import sample_subset_sums
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -70,3 +70,17 @@ def test_sampler_loop_calls_patched_stages(workloads):
     calls = Counter(span[0] for span in tracer.spans)
     assert calls["streams.substream"] == calls["noise.sample_noise"] == 12
     assert calls["sampler.solve_spde"] == 8
+
+
+def test_wightman_loop_calls_patched_substream(workloads):
+    # the block loop looks up substream on the wightman module for every
+    # stratum, so a traced baumann run sees each stratum's stream
+    tracer = _load("tracer").Tracer()
+    workloads.install(tracer, workloads.Baumann.sites)
+    try:
+        wightman.wightman_n_regularized(*workloads._baumann_args(16 * 50, 4))
+    finally:
+        tracer.restore()
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["streams.substream"] == 16
+    assert calls["wightman.wightman_n_regularized"] == 1

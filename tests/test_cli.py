@@ -546,7 +546,15 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
                        "baumann.epsilons: epsilon: kernel scale"),
     "epsilon_1e-320": ("baumann", "baumann", "epsilons", "0.5, 0.05, 1e-320",
                        "baumann.epsilons: epsilon: kernel scale"),
+    # m**2 and eps**2 overflowed to an OverflowError traceback
+    "mass_1e200": ("baumann", "baumann", "mass", "1e200", "[baumann]: fixed masses"),
+    "epsilon_1e200": ("baumann", "baumann", "epsilons", "1e200, 1e100, 1",
+                      "baumann.epsilons: epsilon must be > 0 with a finite square"),
     "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
+    # w**2 and the ball volume R**3 underflow to 0: a divide by zero at every
+    # point, and a -Infinity log10_spacelike_bound that certified every row
+    "width_1e-300": ("baumann", "baumann", "width", "1e-300", "[baumann]: width: width**2"),
+    "radius_1e-200": ("baumann", "baumann", "radius", "1e-200", "[baumann]: radius: radius**3"),
     "n_samples_1": ("baumann", "baumann", "n_samples", "1", "baumann.n_samples"),
     "alpha_1.5": ("rp-scan", "scan", "alphas", "1.5", "scan.alphas"),
     "lambda_nan": ("rp-scan", "scan", "lambdas", "nan", "scan.lambdas"),

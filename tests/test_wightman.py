@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,8 +11,9 @@ from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      shell_control_tests, wightman_n_regularized)
 from levylab.errors import ClassificationError
 from levylab import wightman
-from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _log10_spacelike_bound,
-                              _sample_spatial, _shell_energies, minkowski_sq, truncated_kernel)
+from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _Leg,
+                              _log10_spacelike_bound, _shell_energies, minkowski_sq,
+                              truncated_kernel)
 
 
 @pytest.fixture
@@ -99,8 +102,17 @@ NAN, INF = float("nan"), float("inf")
     (lambda: make_test((1.0, 0.0, 0.0), NAN, 0.8), "width"),
     (lambda: make_test((1.0, 0.0, 0.0), 0.4, INF), "radius"),
     (lambda: make_test((NAN, 0.0, 0.0), 0.4, 0.8), "finite components"),
+    # squares and cubes that overflow or underflow
+    (lambda: ShellRegularization(1e200), "epsilon must be > 0 with a finite square"),
+    (lambda: MassAssignment.fixed([1e200] * 4), "fixed masses"),
+    (lambda: make_test((1.0, 0.0, 0.0), 1e-300, 0.8), "width"),
+    (lambda: make_test((1.0, 0.0, 0.0), 1e200, 0.8), "width"),
+    (lambda: make_test((1.0, 0.0, 0.0), 0.4, 1e-200), "radius"),
+    (lambda: make_test((1.0, 0.0, 0.0), 0.4, 1e200), "radius"),
+    (lambda: make_test((1.0, 0.0, 0.0), -0.4, 0.8), "width"),
 ], ids=["epsilon_nan", "epsilon_inf", "mass_nan", "mass_inf", "direct_mass_nan",
-        "width_nan", "radius_inf", "center_nan"])
+        "width_nan", "radius_inf", "center_nan", "epsilon_1e200", "mass_1e200",
+        "width_1e-300", "width_1e200", "radius_1e-200", "radius_1e200", "width_negative"])
 def test_non_finite_wightman_inputs_rejected(build, field):
     with pytest.raises(ConfigurationError, match=field):
         build()
@@ -260,11 +272,9 @@ def test_variance_share_is_the_stratum_variance():
     share = np.array(est.variance_share)
     assert share.shape == (S, S)
     assert share.sum() == pytest.approx(1.0, rel=1e-12)
-    # a stratum's variance, recomputed from its own draws
-    vals, _ = wightman._stratum((f, h1, h2, g), MassAssignment.fixed([1.0] * 4),
-                                ShellRegularization(0.5),
-                                wightman.substream(spec.seed, 1, 2), per,
-                                (1 / S, 2 / S), (2 / S, 3 / S), 0.25)
+    # a stratum's variance, recomputed from its own draws in a block of one
+    (vals,) = wightman._block((f, h1, h2, g), MassAssignment.fixed([1.0] * 4),
+                              ShellRegularization(0.5), spec.seed, S, [(1, 2)], per, 0.25)
     assert share[1, 2] == pytest.approx(vals.var(ddof=1) / per / var, rel=1e-9)
 
 
@@ -300,8 +310,11 @@ def _energy_reference(rng, lo, hi, peaks, sd):
 @pytest.mark.parametrize("m2s", [(1.0,), (1.0, 2.0, 4.0)], ids=lambda m2s: str(len(m2s)))
 def test_energy_proposal_matches_per_peak_reference(m2s):
     test = make_test((1.0, 0.5, 0.0), 0.4, 0.8)
-    x, y, half = _sample_spatial(test, np.random.default_rng(4), 5000, 0.0, 1.0)
-    lo, hi = test.center[0] - half, test.center[0] + half
+    leg = _Leg(test, 5000)
+    leg.fill(np.random.default_rng(4), slice(0, 5000), (0.0, 1.0))
+    leg.place()
+    leg.keep(np.arange(5000))
+    x, y, lo, hi = leg.x, leg.y, leg.lo, leg.hi
     shells = [e for m2 in m2s for e in _shell_energies(x, y, m2)]
     peaks = shells + [-0.3 + e for e in shells]
     sub = np.flatnonzero(np.random.default_rng(5).uniform(size=5000) < 0.3)
@@ -336,14 +349,55 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("tests_name, mass, eps", PINNED)
-def test_pairing_bits_pinned(tests_name, mass, eps):
+def _pinned_pairing(tests_name, mass, eps):
     tests = shell_control_tests(mass) if tests_name == "control" else (
         make_test((1.0, 0.0, 0.0), 0.4, 0.8), make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8),
         make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8), make_test((-1.0, 0.0, 0.0), 0.4, 0.8))
-    est = wightman_n_regularized(tests, MassAssignment.fixed([mass] * 4), ShellRegularization(eps),
-                                 IntegratorSpec(n_samples=20_000, n_strata=4, seed=2024))
+    return wightman_n_regularized(tests, MassAssignment.fixed([mass] * 4),
+                                  ShellRegularization(eps),
+                                  IntegratorSpec(n_samples=20_000, n_strata=4, seed=2024))
+
+
+@pytest.mark.parametrize("tests_name, mass, eps", PINNED)
+def test_pairing_bits_pinned(tests_name, mass, eps):
+    est = _pinned_pairing(tests_name, mass, eps)
     assert (est.value.hex(), est.stderr.hex()) == PINNED[tests_name, mass, eps]
+
+
+@pytest.mark.parametrize("tests_name, mass, eps", PINNED)
+def test_block_size_does_not_move_bits(monkeypatch, tests_name, mass, eps):
+    # 1250 points per stratum: blocks of 6, 6 and 4 strata by default, then
+    # one stratum per block, then all 16 in one
+    def bits():
+        est = _pinned_pairing(tests_name, mass, eps)
+        share = None if est.variance_share is None else [
+            [x.hex() for x in row] for row in est.variance_share]
+        return est.value.hex(), est.stderr.hex(), est.n_nonzero, share
+
+    default = bits()
+    for points in (1, 16 * 1250):
+        monkeypatch.setattr(wightman, "BLOCK_POINTS", points)
+        assert bits() == default
+
+
+# twice the 1.58 MiB that one such pairing allocated at peak when each stratum
+# was evaluated on its own; baumann's 5% peak_rss_mb bound absorbs that rise
+PAIRING_PEAK_BYTES = 3.2 * 2**20
+
+
+def test_pairing_peak_memory_at_baumann_size():
+    masses, tests = MassAssignment.fixed([1.0] * 4), shell_control_tests(1.0)
+    reg = ShellRegularization(0.5)
+    # scipy.special loads at the first stratum; keep its import out of the peak
+    wightman_n_regularized(tests, masses, reg, IntegratorSpec(n_samples=2_000, n_strata=2))
+    tracemalloc.start()
+    try:
+        wightman_n_regularized(tests, masses, reg,
+                               IntegratorSpec(n_samples=250_000, n_strata=8, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PAIRING_PEAK_BYTES
 
 
 @pytest.mark.parametrize("seed", [1, 2024])
