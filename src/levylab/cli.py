@@ -239,7 +239,10 @@ def _write_report(path: str, command: str, cfg: dict, seed: int, results) -> Non
         "config": _config_snapshot(cfg),
         "results": results,
     }
-    data = json.dumps(report, sort_keys=True, indent=2, default=_jsonify)
+    try:  # strict JSON: NaN and Infinity are not JSON tokens
+        data = json.dumps(report, sort_keys=True, indent=2, default=_jsonify, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{os.path.basename(path)}: a result is not finite ({exc})") from exc
     _atomic_write(path, lambda tmp: Path(tmp).write_bytes((data + "\n").encode()))
 
 
@@ -280,9 +283,9 @@ def _cmd_noise_check(cfg, p, chi, spec, args):
     with _named("noise_check.amplitudes"):  # every amplitude, before any draw
         exact = [characteristic_functional(chi, LatticeField(spec, amp * base))
                  for amp in amplitudes]
-    phases = _sample_blocks(chi, spec, n_samples, args.seed,
-                            partial(_phases, base, amplitudes), (len(amplitudes), 2),
-                            workers=args.workers)
+    phases, _ = _sample_blocks(chi, spec, n_samples, args.seed,
+                               partial(_phases, base, amplitudes), (len(amplitudes), 2),
+                               workers=args.workers)
     rows = []
     for j, amp in enumerate(amplitudes):
         # the first cumulant is the mean; its jackknife stderr is std / sqrt(n)
@@ -421,10 +424,10 @@ def _cmd_baumann(cfg, p, chi, spec, args):
         with _named("baumann.epsilons"):  # every shell scale, before any pairing runs
             for eps in b["epsilons"]:
                 ShellRegularization(eps)
-    with _named("baumann", sep="."):  # the message starts with n_samples or n_strata
+    with _named("baumann", sep="."):  # the message starts with n_samples, n_strata or mass
         ispec = IntegratorSpec(n_samples=b["n_samples"],
                                n_strata=b.get("n_strata", 8), seed=args.seed)
-    report = baumann_check(masses, h1, h2, f, g, b["epsilons"], ispec)
+        report = baumann_check(masses, h1, h2, f, g, b["epsilons"], ispec)
     return report.to_dict(), 0 if report.verdict == "PASS" else 3
 
 

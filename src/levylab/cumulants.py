@@ -10,17 +10,17 @@ with c_n the n-th noise cumulant (c_1 = b + lam*r_1, c_2 = sigma2 + lam*r_2,
 c_n = lam*r_n for n >= 3).  Only c_n depends on the noise.  lattice_sum_rows
 computes K for many index tuples into a point set from the Green rows the
 point sampler also uses, each with the same bits however many are asked for;
-rp's Gram plan takes all its sums from one call, and the scalar reference
-keeps one table per (ModelParams, LatticeSpec, point set), filled on first
-use.  Full moments are the set-partition sum of products of c_|B| * K(B)
-over that table.  Empirical joint cumulants are estimated by the
-set-partition Moebius formula over sample moments: of point values
-(joint_cumulant_jackknife), or translation-averaged from subset sums, made
-by one kernel (_subset_rows) on stored fields or inside the sampler's
-workers (sample_subset_sums).  That and
-the two-point map (empirical_two_point) stream: no field leaves its worker,
-and at most N_BLOCKS block sums are kept (_stream_blocks), the blocks of the
-one delete-block jackknife (_jackknife) behind every standard error; the
+rp's Gram plan takes all its sums from one call, and each scalar value
+(analytic_truncated_schwinger, full_schwinger_moment) from one call of its
+own, with no cache.  A full moment is moments_from_cumulants over the
+c_|S| * K(S) of every subset S of its points.  Empirical joint cumulants are
+estimated by the set-partition Moebius formula over sample moments: of point
+values (joint_cumulant_jackknife), or translation-averaged from subset sums,
+made by one kernel (_subset_rows) on stored fields or inside the sampler's
+workers (sample_subset_sums).  That and the two-point map
+(empirical_two_point) stream: no field leaves its worker, and the sampler
+keeps min(n_samples, N_BLOCKS) block sums, the blocks of the one
+delete-block jackknife (_jackknife) behind every standard error; the
 leave-one-out jackknife is the same with blocks of one sample.  The jackknife
 holds at most JACKKNIFE_BYTES of deleted pools at once, and
 sample_subset_sums hands out one configuration's block sums at a time.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -109,20 +109,6 @@ def lattice_sum_rows(p: ModelParams, spec: LatticeSpec, points: tuple, idx) -> n
     return spec.cell_volume * out
 
 
-@lru_cache(maxsize=4096)
-def _lattice_sums(p: ModelParams, spec: LatticeSpec, points: tuple):
-    """K over one point set as a function of a sorted tuple of indices into
-    points, each computed once by lattice_sum_rows.  Holds no noise
-    parameter, and no rows (those stay in the smaller _green_rows cache), so
-    many point sets stay cached."""
-
-    @cache
-    def lattice_sum(idx: tuple) -> float:
-        return float(lattice_sum_rows(p, spec, points, [idx])[0])
-
-    return lattice_sum
-
-
 def _canonical(spec: LatticeSpec, pts) -> tuple[tuple, tuple]:
     """(distinct points, sorted index tuple) after translating the smallest
     point to the origin; exact on the torus, and equal for any permutation."""
@@ -133,18 +119,23 @@ def _canonical(spec: LatticeSpec, pts) -> tuple[tuple, tuple]:
     return points, tuple(index[q] for q in canon)
 
 
-def analytic_truncated_schwinger(p: ModelParams, chi: LevyCharacteristic,
-                                 spec: LatticeSpec, pts) -> float:
-    """Exact lattice S_n^T at the given integer lattice points (n <= 6)."""
+def _checked(spec: LatticeSpec, pts, what: str) -> tuple[int, tuple, tuple]:
+    """(n, *_canonical) of points checked on the lattice, 1 <= n <= 6."""
     pts = _check_points(spec, pts)
     n = len(pts)
     if not 1 <= n <= MAX_ANALYTIC_ORDER:
-        raise RangeError(f"analytic order {n} outside [1, {MAX_ANALYTIC_ORDER}]")
+        raise RangeError(f"{what} order {n} outside [1, {MAX_ANALYTIC_ORDER}]")
+    return n, *_canonical(spec, pts)
+
+
+def analytic_truncated_schwinger(p: ModelParams, chi: LevyCharacteristic,
+                                 spec: LatticeSpec, pts) -> float:
+    """Exact lattice S_n^T at the given integer lattice points (n <= 6)."""
+    n, points, idx = _checked(spec, pts, "analytic")
     c_n = noise_cumulant(chi, n)
     if c_n == 0.0:
         return 0.0
-    points, idx = _canonical(spec, pts)
-    return c_n * _lattice_sums(p, spec, points)(idx)
+    return c_n * float(lattice_sum_rows(p, spec, points, [idx])[0])
 
 
 def moments_from_cumulants(cumulants, n: int) -> float:
@@ -165,29 +156,19 @@ def moments_from_cumulants(cumulants, n: int) -> float:
 
 def full_schwinger_moment(p: ModelParams, chi: LevyCharacteristic,
                           spec: LatticeSpec, pts, centered: bool = False) -> float:
-    """Full (non-truncated) Schwinger moment via the partition sum of
-    prod_B c_|B| * K(B), one scalar at a time: the reference for rp's Gram.
+    """Full (non-truncated) Schwinger moment: moments_from_cumulants over
+    the c_|S| * K(S) of every subset S of the points, all K from one
+    lattice_sum_rows call; one moment at a time.
 
     With centered=True the order-1 cumulant is dropped (field minus its mean),
     so partitions containing singleton blocks contribute zero.
     """
-    pts = _check_points(spec, pts)
-    n = len(pts)
-    if not 1 <= n <= MAX_ANALYTIC_ORDER:
-        raise RangeError(f"moment order {n} outside [1, {MAX_ANALYTIC_ORDER}]")
-    points, idx = _canonical(spec, pts)
-    lattice_sum = _lattice_sums(p, spec, points)
-    total = 0.0
-    for part in _partitions(n):
-        prod = 1.0
-        for block in part:
-            c_k = 0.0 if centered and len(block) == 1 else noise_cumulant(chi, len(block))
-            if c_k == 0.0:
-                prod = 0.0
-                break
-            prod *= c_k * lattice_sum(tuple(idx[i] for i in block))
-        total += prod
-    return total
+    n, points, idx = _checked(spec, pts, "moment")
+    c = {size: 0.0 if centered and size == 1 else noise_cumulant(chi, size)
+         for size in range(1, n + 1)}
+    keys = _subset_keys(n)
+    k = lattice_sum_rows(p, spec, points, [[idx[i] for i in sorted(key)] for key in keys])
+    return moments_from_cumulants({key: c[len(key)] * ks for key, ks in zip(keys, k.tolist())}, n)
 
 
 def _subset_keys(n: int):
@@ -325,18 +306,11 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
     return sums[list(rows)]
 
 
-def _stream_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
-                   master_seed: int, fn, shape: tuple, workers: int):
-    """(sums of fn(eta_i), samples) per block of ceil(n_samples / N_BLOCKS) samples."""
-    size = -(-n_samples // N_BLOCKS)
-    sums = sampler._sample_blocks(chi, spec, n_samples, master_seed, fn, shape, size, workers)
-    return sums, np.minimum(size, n_samples - size * np.arange(len(sums)))
-
-
 def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                        configs, n_samples: int, master_seed: int, workers: int = 1):
-    """(sums, counts) of _stream_blocks: sums yields, for each of configs in
-    turn, an array of shape (n_blocks, n_subsets, V) with the block sums of
+    """(sums, counts) of sampler._sample_blocks in at most N_BLOCKS blocks:
+    sums yields, for each of configs in turn, an array of shape
+    (n_blocks, n_subsets, V) with the block sums of
     accumulate_subset_sums of that configuration over the fields
     sample_ensemble would draw, the input of cumulant_from_subset_sums.  Each
     is gathered from the shared block array when asked for, so a caller that
@@ -344,9 +318,9 @@ def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpe
     configuration.  No field leaves its worker; bit-identical for any worker
     count, and summed over blocks equal to the stored-field sums to rounding."""
     steps, rows = _product_steps(tuple(tuple(_check_points(spec, pts)) for pts in configs))
-    blocks, counts = _stream_blocks(chi, spec, n_samples, master_seed,
-                                    partial(_solved_subset_rows, p, spec, steps),
-                                    (len(steps), spec.n_sites), workers)
+    blocks, counts = sampler._sample_blocks(chi, spec, n_samples, master_seed,
+                                            partial(_solved_subset_rows, p, spec, steps),
+                                            (len(steps), spec.n_sites), N_BLOCKS, workers)
     return (blocks[:, list(r)] for r in rows), counts
 
 
@@ -362,15 +336,15 @@ def _autocorrelation_row(p: ModelParams, eta) -> np.ndarray:
 def empirical_two_point(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                         n_samples: int, master_seed: int, workers: int = 1):
     """Translation-averaged connected two-point map C(x) of the fields
-    sample_ensemble would draw, with jackknife errors over _stream_blocks; no
+    sample_ensemble would draw, with jackknife errors over N_BLOCKS blocks; no
     field leaves its worker, and the map is bit-identical for any worker count.
 
     Returns (values, stderr) arrays of lattice shape; C(x) estimates
     S_2^T(0, x).
     """
-    blocks, counts = _stream_blocks(chi, spec, n_samples, master_seed,
-                                    partial(_autocorrelation_row, p),
-                                    (spec.n_sites + 1,), workers)
+    blocks, counts = sampler._sample_blocks(chi, spec, n_samples, master_seed,
+                                            partial(_autocorrelation_row, p),
+                                            (spec.n_sites + 1,), N_BLOCKS, workers)
     value, stderr = _jackknife([blocks[:, :-1], blocks[:, -1:]], counts,
                                lambda auto, mean: auto - mean ** 2)
     return value.reshape(spec.shape), stderr.reshape(spec.shape)

@@ -123,11 +123,12 @@ def _point_values(p: ModelParams, spec: LatticeSpec, points: tuple, eta) -> np.n
     return spec.cell_volume * (_green_rows(p, spec, points) @ eta.values.ravel())
 
 
-def _sample_chunk(chi, spec, master_seed, lo, hi, size, fn, out):
-    """Add fn(eta_i), from zero and in sample order, into out[i // size] for
-    i in lo..hi-1."""
+def _sample_chunk(chi, spec, master_seed, lo, hi, n_samples, fn, out):
+    """Add fn(eta_i), from zero and in sample order, into its block's row of
+    out for i in lo..hi-1: block i * len(out) // n_samples (_sample_blocks)."""
+    n_blocks = len(out)
     for i in range(lo, hi):
-        out[i // size] += fn(sample_noise(chi, spec, substream(master_seed, i)))
+        out[i * n_blocks // n_samples] += fn(sample_noise(chi, spec, substream(master_seed, i)))
 
 
 _shared = None  # in a pool worker: the parent's output array, in shared memory
@@ -143,24 +144,29 @@ def _pool_chunk(args) -> None:
 
 
 def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
-                   master_seed: int, fn, shape: tuple, size: int = 1,
-                   workers: int = 1) -> np.ndarray:
-    """Sums of fn(eta_i) (a module-level function, so it pickles) over blocks
-    of `size` samples, shape (n_blocks,) + shape; eta_i draws from
-    substream(master_seed, i).  Chunks are runs of whole blocks, so the sums
-    are bit-identical for any worker count; at most os.cpu_count() workers.
-    A pool allocates the sums as one anonymous shared mapping and forks its
-    workers (an explicit fork context, so they inherit it); each worker adds
-    its chunks straight into their rows and returns nothing."""
+                   master_seed: int, fn, shape: tuple, max_blocks: int | None = None,
+                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, counts): sums of fn(eta_i) (a module-level function, so it
+    pickles) over B = min(n_samples, max_blocks) blocks, shape (B,) + shape,
+    and the samples per block; eta_i draws from substream(master_seed, i).
+    Block b holds samples ceil(b * n / B) to ceil((b + 1) * n / B) - 1, so
+    sizes differ by at most one; without max_blocks every sample is a block.
+    Chunks are runs of whole blocks, so the sums are bit-identical for any
+    worker count; at most os.cpu_count() workers.  A pool allocates the sums
+    as one anonymous shared mapping and forks its workers (an explicit fork
+    context, so they inherit it); each worker adds its chunks straight into
+    their rows and returns nothing."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    n_blocks = -(-n_samples // size)
+    n_blocks = n_samples if max_blocks is None else min(n_samples, max_blocks)
+    bounds = -(-np.arange(n_blocks + 1) * n_samples // n_blocks)
+    counts = np.diff(bounds)
     # a fork pool starts all its processes at once: never more than the cores
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         out = np.zeros((n_blocks,) + shape)
-        _sample_chunk(chi, spec, master_seed, 0, n_samples, size, fn, out)
-        return out
+        _sample_chunk(chi, spec, master_seed, 0, n_samples, n_samples, fn, out)
+        return out, counts
     import mmap  # only a pool needs these
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -174,21 +180,21 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
     out = np.frombuffer(mmap.mmap(-1, max(8 * count, 8), flags=flags), count=count)
     out = out.reshape((n_blocks,) + shape)
     chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
-    args = [(chi, spec, master_seed, int(c[0]) * size, min(n_samples, int(c[-1] + 1) * size),
-             size, fn) for c in chunks]
+    args = [(chi, spec, master_seed, int(bounds[c[0]]), int(bounds[c[-1] + 1]), n_samples, fn)
+            for c in chunks]
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
                              initializer=_share, initargs=(out,)) as ex:
         list(ex.map(_pool_chunk, args))  # re-raises a worker's error
-    return out
+    return out, counts
 
 
 def sample_ensemble(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                     n_samples: int, master_seed: int, workers: int = 1) -> Ensemble:
     """Generate an ensemble; bit-identical for any worker count, and never
     more worker processes than os.cpu_count()."""
-    fields = _sample_blocks(chi, spec, n_samples, master_seed, partial(_solved, p),
-                            spec.shape, workers=workers)
+    fields, _ = _sample_blocks(chi, spec, n_samples, master_seed, partial(_solved, p),
+                               spec.shape, workers=workers)
     return Ensemble(p, chi, spec, master_seed, fields)
 
 
@@ -202,7 +208,7 @@ def sample_point_values(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSp
     points = tuple(_check_points(spec, points))
     return _sample_blocks(chi, spec, n_samples, master_seed,
                           partial(_point_values, p, spec, points), (len(points),),
-                          workers=workers)
+                          workers=workers)[0]
 
 
 def write_ensemble(path, e: Ensemble) -> None:

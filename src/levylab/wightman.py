@@ -578,6 +578,9 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     the closed-form bound on the space-like pairing at that d.
 
     The control puts every leg on one shell, so the four masses must be equal.
+    A mass whose ((m^2 + K^2) / min(eps, 1))^2 is not finite, with K the sum
+    of |center| + radius over the test functions and the control's, is
+    rejected before any pairing: a square the pairings form would overflow.
     """
     if len(set(masses.masses)) != 1:
         raise ConfigurationError(
@@ -586,6 +589,15 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
         raise ClassificationError("h1 and h2 must be certified space-like")
     eps = [float(e) for e in epsilons]
     regs = [ShellRegularization(e) for e in eps]
+    control = shell_control_tests(masses.masses[0])
+    # |k^2 - m^2| and every squared momentum component stay below m^2 + K^2,
+    # so no square a pairing or the bound forms overflows if this one does not
+    k_max = sum(sum(map(abs, t.center)) + t.radius for t in (f, h1, h2, g, *control))
+    scale = (masses.m2[0] + k_max * k_max) / min([*eps, 1.0])
+    if not scale * scale < np.inf:
+        raise ConfigurationError(
+            f"mass: ((m^2 + K^2) / min(eps, 1))^2 is not finite at mass {masses.masses[0]!r}, "
+            f"with K = {k_max:g}, the sum of |center| + radius over the test functions")
     d = masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))
     bound = [_log10_spacelike_bound(f, h1, h2, g, d, reg) for reg in regs]
 
@@ -595,7 +607,6 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
         est = wightman_n_regularized(tests, masses, regs[i], spec)
         return est.value, est.stderr, est.n_nonzero / est.n_samples, est.variance_share
 
-    control = shell_control_tests(masses.masses[0])
     ctrl_rows = [sampled(control, 1, i) for i in range(len(eps))]
     c_val = abs(ctrl_rows[-1][0]) if ctrl_rows else 0.0
     space_rows = []

@@ -6,6 +6,7 @@ renamed function or a call that no longer goes through the patched module
 attribute would silently drop a metric.  The module is imported as it is.
 """
 
+import ast
 import importlib
 import importlib.util
 from collections import Counter
@@ -41,6 +42,24 @@ def test_patched_sites_resolve(workloads):
     for wl in workloads.WORKLOADS.values():
         for module, attr, _, _, _ in wl.sites:
             assert callable(getattr(module, attr, None)), (wl.name, module.__name__, attr)
+
+
+def test_trace_only_imports_are_patched_sites(workloads):
+    # a name imported with "# noqa: F401" and unused in its module is kept
+    # only as a site to patch; once no workload patches it, the import goes
+    sites = {(module.__name__, attr)
+             for wl in workloads.WORKLOADS.values() for module, attr, *_ in wl.sites}
+    kept = set()
+    for path in (BENCH.parent / "src" / "levylab").glob("*.py"):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                kept |= {(f"levylab.{path.stem}", alias.asname or alias.name)
+                         for alias in node.names if (alias.asname or alias.name) not in used}
+    assert kept, "no trace-only import found"
+    assert kept <= sites, sorted(kept - sites)
 
 
 def test_direct_entries_resolve(workloads):

@@ -237,6 +237,18 @@ def test_reports_are_atomic_no_tmp_left(config_path, tmp_path):
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("value", [float("nan"), np.float64(-np.inf)])
+def test_non_finite_result_exit_2_writes_no_report(config_path, tmp_path, capsys,
+                                                   monkeypatch, value):
+    # NaN and Infinity are no JSON tokens: such a report is refused, not written
+    _, sections, report = levylab.cli._COMMANDS["schwinger"]
+    monkeypatch.setitem(levylab.cli._COMMANDS, "schwinger",
+                        (lambda *args: ({"rows": [1.0, value]}, 0), sections, report))
+    assert run_cli("schwinger", config_path, tmp_path) == 2
+    assert "schwinger.json: a result is not finite" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.ini"]
+
+
 def test_negative_seed_is_config_error(config_path, tmp_path, capsys):
     assert run_cli("schwinger", config_path, tmp_path, "--seed", "-1") == 1
     assert "run.seed: must be >= 0" in capsys.readouterr().err
@@ -550,6 +562,10 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "mass_1e200": ("baumann", "baumann", "mass", "1e200", "[baumann]: fixed masses"),
     "epsilon_1e200": ("baumann", "baumann", "epsilons", "1e200, 1e100, 1",
                       "baumann.epsilons: epsilon must be > 0 with a finite square"),
+    # squares of the control's momenta overflowed: an OverflowError traceback
+    # from the closed-form bound at 1e100, NaN rows in baumann.json at 1e154
+    "mass_1e100": ("baumann", "baumann", "mass", "1e100", "baumann.mass: ((m^2 + K^2)"),
+    "mass_1e154": ("baumann", "baumann", "mass", "1e154", "baumann.mass: ((m^2 + K^2)"),
     "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
     # w**2 and the ball volume R**3 underflow to 0: a divide by zero at every
     # point, and a -Infinity log10_spacelike_bound that certified every row

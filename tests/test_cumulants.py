@@ -1,3 +1,5 @@
+import hashlib
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -181,6 +183,33 @@ def test_full_moment_centered_drops_singletons(model_half, desk_spec, mixed_chi)
     assert val == pytest.approx(s2, rel=1e-12)
 
 
+# The scalar route's bits on 8^3 at alpha 0.6, m0 1.2, per symbol: the sha256
+# of (S_n^T, moment, centered moment) of SCALAR_PTS[:n] for n = 1..6 under
+# the uniform law and a Gaussian law with a negative mean, then the hex of
+# S_4^T and of the three values at n = 6 under the uniform law.
+SCALAR_PTS = [(0, 0, 0), (1, 0, 0), (0, 0, 0), (2, 3, 1), (7, 1, 0), (1, 0, 0)]
+SCALAR_PINS = {
+    "continuum": ("e6ed4f0f24b2a355e9eca09ebd8fee570cffc654dad5f7716a4731c7f45d8648",
+                  "0x1.1b46687059050p-10", "0x1.69dc6373d10f2p-15",
+                  "0x1.cf82aec93258ap+5", "0x1.636ad2b0aa1c6p-6"),
+    "discrete": ("f10c2e7ad9a8651b43e5623bbecd7f1fabf8f03449297014d2b5017797731b64",
+                 "0x1.606df7d399ffap-10", "0x1.8ed904d75b215p-15",
+                 "0x1.ffd06dd6655e2p+5", "0x1.e426a6c47cdcdp-6"),
+}
+
+
+@pytest.mark.parametrize("symbol", sorted(SCALAR_PINS))
+def test_scalar_route_bits_pinned(small_spec, mixed_chi, symbol):
+    p = ModelParams(0.6, 1.2, symbol)
+    vals = [route(p, chi, small_spec, SCALAR_PTS[:n])
+            for chi in (mixed_chi, LevyCharacteristic(b=-0.4, sigma2=1.0))
+            for n in range(1, 7)
+            for route in (analytic_truncated_schwinger, full_schwinger_moment,
+                          partial(full_schwinger_moment, centered=True))]
+    digest = hashlib.sha256(np.array(vals, "<f8").tobytes()).hexdigest()
+    assert (digest, vals[9].hex(), *(v.hex() for v in vals[15:18])) == SCALAR_PINS[symbol]
+
+
 def test_full_moment_matches_simulation(model_half, desk_spec, poisson_chi):
     pts = [(0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 0)]
     e = sample_ensemble(model_half, poisson_chi, desk_spec, 4000, 17, workers=2)
@@ -285,8 +314,10 @@ def test_empirical_two_point_worker_count_independence(model_half, small_spec, p
 
 
 def test_empirical_two_point_matches_stored_fields(model_half, small_spec, poisson_chi):
-    # 130 samples: 44 blocks of ceil(130 / 50) = 3, the last one of 1 sample
-    n, size = 130, -(-130 // N_BLOCKS)
+    # 130 samples: N_BLOCKS = 50 blocks, block b from sample ceil(b * 130 / 50),
+    # so blocks of 3, 3, 2, 3, 2 samples, ten times over
+    n = 130
+    starts = [-(-b * n // N_BLOCKS) for b in range(N_BLOCKS)]
     fields = sample_ensemble(model_half, poisson_chi, small_spec, n, 5).fields
     axes = (1, 2, 3)
     auto = np.fft.ifftn(np.abs(np.fft.fftn(fields, axes=axes)) ** 2,
@@ -296,8 +327,9 @@ def test_empirical_two_point_matches_stored_fields(model_half, small_spec, poiss
     def two_point(keep):
         return auto[keep].mean(axis=0) - mean[keep].mean() ** 2
 
-    blocks = np.arange(n) // size
-    deleted = np.array([two_point(blocks != b) for b in range(blocks[-1] + 1)])
+    blocks = np.searchsorted(starts, np.arange(n), side="right") - 1
+    assert np.bincount(blocks).tolist() == [3, 3, 2, 3, 2] * 10
+    deleted = np.array([two_point(blocks != b) for b in range(N_BLOCKS)])
     b = len(deleted)
     stderr = np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean(axis=0)) ** 2, axis=0))
     vals, err = empirical_two_point(model_half, poisson_chi, small_spec, n, 5)

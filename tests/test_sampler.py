@@ -207,12 +207,13 @@ def test_pool_makes_no_copy_of_the_blocks(model_half, poisson_chi):
 
 def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
     # equal products; only the grouping of the sums differs.  min(n, N_BLOCKS)
-    # blocks: 20 of one sample, or 50 of 12
+    # blocks: 20 of one sample, 49 of one and one of two, or 50 of 12
     spec = LatticeSpec(2, 4, 0.5)
-    for n in (20, 600):
+    for n in (20, 51, 600):
         e = sample_ensemble(model_half, poisson_chi, spec, n, 11)
         sums, counts = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, n, 11)
         assert len(counts) == min(n, N_BLOCKS) and counts.sum() == n
+        assert counts.max() - counts.min() <= 1
         for cfg, s in zip(SUM_CONFIGS, sums, strict=True):
             ref = accumulate_subset_sums(e.fields, spec, cfg)
             assert ref.shape == (2 ** len(cfg) - 1, spec.n_sites)
