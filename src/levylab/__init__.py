@@ -15,9 +15,8 @@ from .errors import (ClassificationError, ConfigurationError,
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     characteristic_functional, noise_cumulant, psi,
                     sample_noise)
-from .greens import (ModelParams, SpectralDensity, green_real_fft,
-                     green_real_kl, kl_momentum, rho, spectral_integral,
-                     squared_momentum)
+from .greens import (ModelParams, green_real_fft, green_real_kl,
+                     kl_momentum, rho, spectral_integral, squared_momentum)
 from .sampler import (Ensemble, read_ensemble, sample_ensemble,
                       sample_point_values, solve_spde, write_ensemble)
 from .cumulants import (CumulantEstimate, analytic_truncated_schwinger,
@@ -39,7 +38,7 @@ __all__ = [
     "NumericalError", "ContractViolation", "ClassificationError",
     "JumpLaw", "LevyCharacteristic", "LatticeSpec", "LatticeField",
     "psi", "noise_cumulant", "characteristic_functional", "sample_noise",
-    "ModelParams", "SpectralDensity", "squared_momentum", "green_real_fft",
+    "ModelParams", "squared_momentum", "green_real_fft",
     "green_real_kl", "kl_momentum", "rho", "spectral_integral",
     "Ensemble", "solve_spde", "sample_ensemble", "sample_point_values",
     "write_ensemble", "read_ensemble",

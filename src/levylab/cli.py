@@ -33,8 +33,7 @@ from .cumulants import (MAX_ANALYTIC_ORDER, analytic_truncated_schwinger,
                         joint_cumulant_jackknife)
 from .errors import (ConfigurationError, ContractViolation, LevyLabError,
                      NumericalError, RangeError, SingularityError)
-from .greens import (ANALYTIC, PAPER, ModelParams, SpectralDensity,
-                     green_momentum_sq, kl_momentum)
+from .greens import ModelParams, green_momentum_sq, kl_momentum
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     _check_points, characteristic_functional, check_site_mean)
 from .rp import MonomialBasis, gram_report, rp_scan, verify_witness, witness_record
@@ -415,19 +414,24 @@ def _cmd_baumann(cfg, p, chi, spec, args):
     b = cfg["baumann"]
     width = b.get("width", 0.4)
     radius = b.get("radius", 0.8)
+    tests = {}  # baumann_check's order
     with _named("[baumann]"):
-        h1 = make_spacelike_test(b["h1_center"], width, radius)
-        h2 = make_spacelike_test(b["h2_center"], width, radius)
-        f = make_test(b["f_center"], width, radius)
-        g = make_test(b["g_center"], width, radius)
+        for key, make in (("h1", make_spacelike_test), ("h2", make_spacelike_test),
+                          ("f", make_test), ("g", make_test)):
+            try:
+                tests[key] = make(b[f"{key}_center"], width, radius)
+            except ConfigurationError as exc:
+                if str(exc).startswith("center"):  # name it by its key, {key}_center
+                    raise ConfigurationError(f"{key}_{exc}") from exc
+                raise
         masses = MassAssignment.fixed([b["mass"]] * 4)
         with _named("baumann.epsilons"):  # every shell scale, before any pairing runs
             for eps in b["epsilons"]:
                 ShellRegularization(eps)
-    with _named("baumann", sep="."):  # the message starts with n_samples, n_strata or mass
+    with _named("baumann", sep="."):  # the message starts with a key: n_samples, mass, ..._center
         ispec = IntegratorSpec(n_samples=b["n_samples"],
                                n_strata=b.get("n_strata", 8), seed=args.seed)
-        report = baumann_check(masses, h1, h2, f, g, b["epsilons"], ispec)
+        report = baumann_check(masses, *tests.values(), b["epsilons"], ispec)
     return report.to_dict(), 0 if report.verdict == "PASS" else 3
 
 
@@ -444,18 +448,16 @@ def _cmd_spectral(cfg, p, chi, spec, args):
     rows = []
     worst = 0.0
     for model in models:
-        alpha = model.alpha
-        sd = SpectralDensity(alpha, p.m0, ANALYTIC)
-        sd_paper = SpectralDensity(alpha, p.m0, PAPER)
         for q2 in q2_grid:
             exact = green_momentum_sq(model, q2)
-            val = kl_momentum(sd, q2)
+            val = kl_momentum(model, q2)
             rel = abs(val - exact) / abs(exact)
             worst = max(worst, rel)
             rows.append({
-                "alpha": float(alpha), "q2": float(q2),
+                "alpha": float(model.alpha), "q2": float(q2),
                 "closed_form": exact, "quadrature": val, "rel_error": rel,
-                "paper_normalization_ratio": kl_momentum(sd_paper, q2) / val,
+                # the paper's constant 2 sin(pi alpha) over sin(pi alpha)/pi
+                "paper_normalization_ratio": 2.0 * np.pi,
             })
     return {"identity": rows, "worst_rel_error": worst}, 0
 

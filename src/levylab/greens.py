@@ -11,10 +11,9 @@ The propagator admits a superposition over masses,
 
     (q^2 + m0^2)^(-alpha) = integral_{m0^2}^inf rho(s) / (q^2 + s) ds,
 
-with rho(s) = C * (s - m0^2)^(-alpha).  The working normalization is
-C = sin(pi*alpha)/pi, which makes the identity exact; the alternative
-constant 2*sin(pi*alpha) is kept as an option (it differs by the factor
-2*pi and only affects overall positive scales downstream).
+with rho(s) = C * (s - m0^2)^(-alpha) and the one constant
+C = sin(pi*alpha)/pi, which makes the identity exact.  The paper's constant
+2*sin(pi*alpha) differs from it by the factor 2*pi for every alpha.
 
 The FFT route needs numpy only.  scipy.integrate (quad) is loaded at the first
 spectral_integral, and scipy.special (kv) at the first yukawa call.
@@ -32,22 +31,11 @@ from .noise import LatticeField, LatticeSpec
 CONTINUUM = "continuum"
 DISCRETE = "discrete"
 
-ANALYTIC = "analytic"
-PAPER = "paper"
-
 IMAG_TOL = 1e-10  # inverse_transform: largest relative imaginary residue
 # spectral_integral: adaptive quadrature budget of the mass superposition
 QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-12
 QUAD_LIMIT = 200
-
-
-def _check_alpha_m0(alpha: float, m0: float) -> None:
-    """Range policy for the exponent and mass of every model object."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
-    if not 0.0 <= m0 < np.inf:  # NaN fails too
-        raise ConfigurationError("m0 must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,29 +47,12 @@ class ModelParams:
     symbol: str = CONTINUUM
 
     def __post_init__(self):
-        _check_alpha_m0(self.alpha, self.m0)
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigurationError("alpha must lie in (0, 1)")
+        if not 0.0 <= self.m0 < np.inf:  # NaN fails too
+            raise ConfigurationError("m0 must be finite and >= 0")
         if self.symbol not in (CONTINUUM, DISCRETE):
             raise ConfigurationError(f"unknown momentum symbol {self.symbol!r}")
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Mass-superposition weight rho_{alpha,m0}(m^2)."""
-
-    alpha: float
-    m0: float
-    normalization: str = ANALYTIC
-
-    def __post_init__(self):
-        _check_alpha_m0(self.alpha, self.m0)
-        if self.normalization not in (ANALYTIC, PAPER):
-            raise ConfigurationError(f"unknown normalization {self.normalization!r}")
-
-    @property
-    def constant(self) -> float:
-        if self.normalization == ANALYTIC:
-            return np.sin(np.pi * self.alpha) / np.pi
-        return 2.0 * np.sin(np.pi * self.alpha)
 
 
 def squared_momentum(spec: LatticeSpec, symbol: str = CONTINUUM) -> np.ndarray:
@@ -135,26 +106,26 @@ def green_real_fft(p: ModelParams, spec: LatticeSpec) -> LatticeField:
     return inverse_transform(spec, ghat)
 
 
-def rho(sd: SpectralDensity, m2) -> float:
+def rho(p: ModelParams, m2) -> float:
     """Spectral density value at squared mass m2 (0 below m0^2)."""
     m2 = float(m2)
-    if m2 == sd.m0**2:
+    if m2 == p.m0**2:
         raise SingularityError("rho has an (integrable) singularity at m^2 = m0^2")
-    if m2 < sd.m0**2:
+    if m2 < p.m0**2:
         return 0.0
-    return sd.constant * (m2 - sd.m0**2) ** (-sd.alpha)
+    return np.sin(np.pi * p.alpha) / np.pi * (m2 - p.m0**2) ** (-p.alpha)
 
 
-def spectral_integral(sd: SpectralDensity, kernel) -> float:
+def spectral_integral(p: ModelParams, kernel) -> float:
     """integral_{m0^2}^inf rho(s) * kernel(s) ds with the endpoint removed.
 
     Substituting u = (s - m0^2)^(1-alpha) turns rho(s) ds into the smooth
-    measure constant/(1-alpha) du, eliminating the (s-m0^2)^(-alpha)
+    measure C/(1-alpha) du, eliminating the (s-m0^2)^(-alpha)
     singularity exactly.
     """
     from scipy.integrate import quad  # loaded by the quadrature routes only
 
-    alpha, m0sq = sd.alpha, sd.m0**2
+    alpha, m0sq = p.alpha, p.m0**2
     pwr = 1.0 / (1.0 - alpha)
 
     def integrand(u):
@@ -168,12 +139,12 @@ def spectral_integral(sd: SpectralDensity, kernel) -> float:
     if not np.isfinite(val) or err > max(QUAD_ABS_TOL, 10.0 * QUAD_REL_TOL * abs(val)):
         raise NumericalError(
             f"mass-superposition quadrature did not converge (value={val}, err={err})")
-    return sd.constant / (1.0 - alpha) * val
+    return np.sin(np.pi * p.alpha) / np.pi / (1.0 - alpha) * val
 
 
-def kl_momentum(sd: SpectralDensity, q2: float) -> float:
+def kl_momentum(p: ModelParams, q2: float) -> float:
     """Propagator at |q|^2 via the mass superposition (quadrature route)."""
-    return spectral_integral(sd, lambda s: 1.0 / (q2 + s))
+    return spectral_integral(p, lambda s: 1.0 / (q2 + s))
 
 
 def yukawa(m: float, r: float, d: int) -> float:
@@ -191,8 +162,7 @@ def yukawa(m: float, r: float, d: int) -> float:
 def green_real_kl(p: ModelParams, x) -> float:
     """Position-space Green function via the mass superposition.
 
-    G_alpha(x) = integral rho(s) * Yukawa(sqrt(s), |x|) ds, with the analytic
-    normalization (required for the identity to hold without extra constants).
+    G_alpha(x) = integral rho(s) * Yukawa(sqrt(s), |x|) ds.
     """
     if p.m0 == 0.0:
         raise SingularityError("mass superposition needs m0 > 0")
@@ -201,5 +171,4 @@ def green_real_kl(p: ModelParams, x) -> float:
     if r <= 0.0:
         raise SingularityError("green_real_kl requires |x| > 0")
     d = x.size
-    sd = SpectralDensity(p.alpha, p.m0, ANALYTIC)
-    return spectral_integral(sd, lambda s: yukawa(np.sqrt(s), r, d))
+    return spectral_integral(p, lambda s: yukawa(np.sqrt(s), r, d))

@@ -263,7 +263,9 @@ class LatticeField:
 def psi(chi: LevyCharacteristic, t):
     """Characteristic exponent psi(t); accepts scalars or arrays."""
     t = np.asarray(t, dtype=float)
-    out = 1j * chi.b * t - 0.5 * chi.sigma2 * t**2
+    out = 1j * chi.b * t
+    if chi.sigma2 > 0.0:  # else 0 * t**2 reads NaN where t**2 overflows
+        out = out - 0.5 * chi.sigma2 * t**2
     if chi.lam > 0.0:
         out = out + chi.lam * chi.jump_law.char_minus_one(t)
     if out.ndim == 0:

@@ -39,9 +39,7 @@ the pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control
 does not.  baumann_check bounds the space-like pairing in closed form,
 4 sup|h1| ||f||_1 ||h2||_1 ||g||_1 exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps)
 with the certified distance d, and records a row where that bound already
-decides it as certified, not sampled: {"value": 0.0, "stderr":
-10**log10_spacelike_bound} in baumann.json, with null nonzero_fraction and
-variance_share.
+decides it as certified, not sampled (BaumannReport).
 
 One shell mass per leg is enough for the model.  Its truncated Wightman
 function is c_4 times a positive-weight mass integral of fixed-mass kernels,
@@ -63,7 +61,6 @@ from .errors import ClassificationError, ConfigurationError
 from .streams import substream, substream_seed
 
 SPACELIKE = "spacelike"
-TIMELIKE = "timelike"
 GENERIC = "generic"
 
 _DIM = 3  # Minkowski dimension supported by the integrator
@@ -94,12 +91,11 @@ class MomentumTestFunction:
     width: float
     radius: float
     classification: str = GENERIC
-    amplitude: float = 1.0
 
     def __post_init__(self):
         c = tuple(float(x) for x in self.center)
         if len(c) != _DIM or not np.all(np.isfinite(c)):
-            raise ConfigurationError(f"momentum center must have {_DIM} finite components")
+            raise ConfigurationError(f"center: must have {_DIM} finite components, got {c!r}")
         w, r = self.width, self.radius
         # NaN fails too; the bump divides by w**2, and the sampled ball's
         # volume 4/3 pi R^3 enters the pairing and the closed-form bound
@@ -108,12 +104,16 @@ class MomentumTestFunction:
         if not (0.0 < r and 0.0 < r * r * r < np.inf):
             raise ConfigurationError(
                 f"radius: radius**3 must be finite and > 0, got support radius {r!r}")
-        if self.classification not in (SPACELIKE, TIMELIKE, GENERIC):
+        k = sum(map(abs, c)) + r  # k * k bounds the norm and _sup_ksq's squares
+        if not k * k < np.inf:
+            raise ConfigurationError(
+                f"center: (sum |center| + radius)**2 is not finite, got center {c!r}")
+        if self.classification not in (SPACELIKE, GENERIC):
             raise ConfigurationError(f"unknown classification {self.classification!r}")
         if self.classification == SPACELIKE and not (
-                np.linalg.norm(c[1:]) > self.radius and _sup_ksq(c, self.radius) < 0.0):
+                np.linalg.norm(c[1:]) > r and _sup_ksq(c, r) < 0.0):
             raise ClassificationError(
-                "support ball is not certifiably space-like; refusing the label")
+                "center: support ball is not certifiably space-like; refusing the label")
         object.__setattr__(self, "center", c)
 
     def _dsq(self, k: np.ndarray) -> np.ndarray:
@@ -125,10 +125,7 @@ class MomentumTestFunction:
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         dsq = self._dsq(k)
-        return self.amplitude * np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
-
-    def scaled(self, c: float) -> "MomentumTestFunction":
-        return replace(self, amplitude=self.amplitude * c)
+        return np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
 
 
 def _sup_ksq(center, radius) -> float:
@@ -145,9 +142,8 @@ def make_spacelike_test(k_c, w: float, R: float) -> MomentumTestFunction:
     return MomentumTestFunction(tuple(k_c), w, R, SPACELIKE)
 
 
-def make_test(k_c, w: float, R: float,
-              classification: str = GENERIC) -> MomentumTestFunction:
-    return MomentumTestFunction(tuple(k_c), w, R, classification)
+def make_test(k_c, w: float, R: float) -> MomentumTestFunction:
+    return MomentumTestFunction(tuple(k_c), w, R)
 
 
 @dataclass(frozen=True)
@@ -424,8 +420,7 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     bits do not depend on the block size.
     Every call samples; where the shell deltas underflow the pairing reads
     0.0 +/- 0.0.  A space-like row that baumann_check certifies by its
-    closed-form bound does not call this; baumann.json records it as
-    {"value": 0.0, "stderr": 10**log10_spacelike_bound}.
+    closed-form bound does not call this (BaumannReport).
 
     Each stratum with a value below 1 is scaled up by a power of two that
     brings its largest |value| into [1/2, 1), so that var() does not square
@@ -486,18 +481,19 @@ def shell_control_tests(m: float):
     """
     e = float(m)
     e2 = float(np.sqrt(2.0) * m)
-    f = make_test((e, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
-    h1 = make_test((2.0 * e2 - e, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
-    h2 = make_test((-e2, e, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
-    g = make_test((-e2, -e, 0.0), CONTROL_WIDTH, CONTROL_RADIUS, TIMELIKE)
+    f = make_test((e, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS)
+    h1 = make_test((2.0 * e2 - e, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS)
+    h2 = make_test((-e2, e, 0.0), CONTROL_WIDTH, CONTROL_RADIUS)
+    g = make_test((-e2, -e, 0.0), CONTROL_WIDTH, CONTROL_RADIUS)
     return f, h1, h2, g
 
 
 @dataclass(frozen=True)
 class BaumannReport:
     """baumann_check's result.  A space-like row certified by the closed-form
-    bound reads (0.0, 10**log10_spacelike_bound), with None (null in
-    baumann.json) as its nonzero_fraction and variance_share in details."""
+    bound reads (0.0, 10**log10_spacelike_bound), in baumann.json
+    {"value": 0.0, "stderr": 10**log10_spacelike_bound}, with None (null) as
+    its nonzero_fraction and variance_share in details."""
 
     epsilons: tuple
     spacelike: tuple          # (value, stderr) per epsilon
@@ -536,11 +532,10 @@ def _log10_spacelike_bound(f, h1, h2, g, d: float, reg: ShellRegularization) -> 
     h1's or h2's leg, at most exp(-(d/eps)^2) / (eps sqrt(pi)) there, so with
     the kernel scale |P_eps| <= 4 sup|h1| ||f||_1 ||h2||_1 ||g||_1
     exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps); leg 2 is fixed by momentum
-    conservation, so h1 enters through its sup.  An L1 norm is at most
-    |amplitude| times the volume 4/3 pi R^3 of the ball the integrator samples."""
-    log_l1 = sum(np.log(abs(t.amplitude) * 4.0 / 3.0 * np.pi * t.radius**3) for t in (f, h2, g))
-    log_bound = (np.log(4.0 * abs(h1.amplitude)) + log_l1 - (d / reg.epsilon) ** 2
-                 + reg.log_kernel_scale)
+    conservation, so h1 enters through its sup, 1.  An L1 norm is at most the
+    volume 4/3 pi R^3 of the ball the integrator samples."""
+    log_l1 = sum(np.log(4.0 / 3.0 * np.pi * t.radius**3) for t in (f, h2, g))
+    log_bound = np.log(4.0) + log_l1 - (d / reg.epsilon) ** 2 + reg.log_kernel_scale
     return float(log_bound / np.log(10.0))
 
 
@@ -561,9 +556,8 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     The control is sampled at every epsilon first.  A space-like row is then
     certified by the closed-form bound, not sampled, where the row (0.0,
     10**log10_spacelike_bound) already passes both rules after the row before
-    it, against the control's |value| at the last epsilon; in baumann.json
-    it reads {"value": 0.0, "stderr": 10**log10_spacelike_bound} with null
-    nonzero_fraction and variance_share.  Every other row is sampled.  Branch
+    it, against the control's |value| at the last epsilon; BaumannReport
+    gives the certified row's form.  Every other row is sampled.  Branch
     b (0 space-like, 1 control) at the i-th epsilon draws from seed
     substream_seed(seed, b, i).
 
@@ -578,9 +572,11 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     the closed-form bound on the space-like pairing at that d.
 
     The control puts every leg on one shell, so the four masses must be equal.
-    A mass whose ((m^2 + K^2) / min(eps, 1))^2 is not finite, with K the sum
-    of |center| + radius over the test functions and the control's, is
-    rejected before any pairing: a square the pairings form would overflow.
+    Before any pairing, ((m^2 + K^2) / min(eps, 1))^2 must be finite, with K
+    the sum of |center| + radius over the test functions and the control's,
+    or a square the pairings form would overflow.  Where it is not finite
+    with m = 0 and K over f, h1, h2 and g alone, the error names the center
+    of the largest of them (f_center, ...); otherwise it names the mass.
     """
     if len(set(masses.masses)) != 1:
         raise ConfigurationError(
@@ -589,15 +585,25 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
         raise ClassificationError("h1 and h2 must be certified space-like")
     eps = [float(e) for e in epsilons]
     regs = [ShellRegularization(e) for e in eps]
+    reach = {name: sum(map(abs, t.center)) + t.radius
+             for name, t in (("f", f), ("h1", h1), ("h2", h2), ("g", g))}
+
+    def check(field: str, m2: float, k: float, over: str) -> None:
+        # |k^2 - m^2| and every squared momentum component stay below m^2 + K^2,
+        # so no square a pairing or the bound forms overflows if this one does not
+        scale = (m2 + k * k) / min([*eps, 1.0])
+        if not scale * scale < np.inf:
+            raise ConfigurationError(
+                f"{field}: ((m^2 + K^2) / min(eps, 1))^2 is not finite with m^2 = {m2:g} "
+                f"and K = {k:g}, the sum of |center| + radius over {over}")
+
+    k_max = sum(reach.values())
+    check(f"{max(reach, key=reach.get)}_center", 0.0, k_max, "f, h1, h2 and g")
+    # the control's bumps scale with the mass: check it first, or their centers overflow
+    check("mass", masses.m2[0], k_max, "f, h1, h2 and g")
     control = shell_control_tests(masses.masses[0])
-    # |k^2 - m^2| and every squared momentum component stay below m^2 + K^2,
-    # so no square a pairing or the bound forms overflows if this one does not
-    k_max = sum(sum(map(abs, t.center)) + t.radius for t in (f, h1, h2, g, *control))
-    scale = (masses.m2[0] + k_max * k_max) / min([*eps, 1.0])
-    if not scale * scale < np.inf:
-        raise ConfigurationError(
-            f"mass: ((m^2 + K^2) / min(eps, 1))^2 is not finite at mass {masses.masses[0]!r}, "
-            f"with K = {k_max:g}, the sum of |center| + radius over the test functions")
+    k_max = sum((sum(map(abs, t.center)) + t.radius for t in control), k_max)
+    check("mass", masses.m2[0], k_max, "the test functions and the control's")
     d = masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))
     bound = [_log10_spacelike_bound(f, h1, h2, g, d, reg) for reg in regs]
 

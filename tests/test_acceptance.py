@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from levylab import (IntegratorSpec, JumpLaw, LatticeSpec, LevyCharacteristic,
-                     MassAssignment, ModelParams, MonomialBasis, SpectralDensity,
+                     MassAssignment, ModelParams, MonomialBasis,
                      analytic_truncated_schwinger, baumann_check,
                      empirical_two_point, gram_report, green_real_fft,
                      green_real_kl, kl_momentum, make_spacelike_test,
@@ -148,10 +148,10 @@ def test_criterion_4_green_cross_validation():
 
 def test_criterion_4_kl_quadrature_identity():
     for alpha in (0.3, 0.5, 0.75):
-        sd = SpectralDensity(alpha, 1.0)
+        p = ModelParams(alpha, 1.0)
         for q2 in (0.0, 0.5, 1.0, 4.0, 10.0):
             exact = (q2 + 1.0) ** (-alpha)
-            assert abs(kl_momentum(sd, q2) - exact) / exact <= 1e-6
+            assert abs(kl_momentum(p, q2) - exact) / exact <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,8 @@ def test_criterion_8_baumann():
     masses = MassAssignment.fixed([1.0] * 4)
     h1 = make_spacelike_test((0.0, 3.0, 0.0), 0.4, 0.8)
     h2 = make_spacelike_test((0.0, -3.0, 0.0), 0.4, 0.8)
-    f = make_test((1.0, 0.0, 0.0), 0.4, 0.8, "timelike")
-    g = make_test((-1.0, 0.0, 0.0), 0.4, 0.8, "timelike")
+    f = make_test((1.0, 0.0, 0.0), 0.4, 0.8)
+    g = make_test((-1.0, 0.0, 0.0), 0.4, 0.8)
     report = baumann_check(masses, h1, h2, f, g, (0.5, 0.05, 0.005),
                            IntegratorSpec(n_samples=1_000_000, n_strata=8,
                                           seed=801))

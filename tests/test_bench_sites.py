@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from levylab import (JumpLaw, LatticeSpec, LevyCharacteristic, ModelParams,
-                     sample_ensemble, sample_point_values, wightman)
+                     cli, sample_ensemble, sample_point_values, wightman)
 from levylab.cumulants import sample_subset_sums
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -71,6 +71,21 @@ def test_direct_entries_resolve(workloads):
 def test_probe_names_resolve(workloads):
     for name in workloads.PROBES:
         assert callable(_resolve(name)), name
+
+
+def test_cli_workload_configs_validate(workloads, tmp_path):
+    # each CLI workload's INI, as its constructor writes it, parses and passes
+    # its command's section checks: a broken config fails here, not only as
+    # failed operations in a benchmark run
+    cli_workloads = [wl for wl in workloads.WORKLOADS.values()
+                     if issubclass(wl, workloads._CliWorkload)]
+    assert cli_workloads
+    for wl in cli_workloads:
+        workdir = tmp_path / wl.name
+        workdir.mkdir()
+        ini = Path(wl(1234, str(workdir)).ini)
+        _, sections, _ = cli._COMMANDS[wl.command]
+        cli._validate(cli.parse_config(ini.read_text()), sections)
 
 
 def test_sampler_loop_calls_patched_stages(workloads):

@@ -566,6 +566,14 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     # from the closed-form bound at 1e100, NaN rows in baumann.json at 1e154
     "mass_1e100": ("baumann", "baumann", "mass", "1e100", "baumann.mass: ((m^2 + K^2)"),
     "mass_1e154": ("baumann", "baumann", "mass", "1e154", "baumann.mass: ((m^2 + K^2)"),
+    # the square of a center's reach overflowed, and the error named the mass
+    "f_center_1e160": ("baumann", "baumann", "f_center", "1e160, 0.0, 0.0",
+                       "[baumann]: f_center: (sum |center| + radius)**2"),
+    "h1_center_1e200": ("baumann", "baumann", "h1_center", "0.0, 1e200, 0.0",
+                        "[baumann]: h1_center: (sum |center| + radius)**2"),
+    # its own square is finite, that of K over f, h1, h2 and g is not
+    "g_center_1e100": ("baumann", "baumann", "g_center", "-1e100, 0.0, 0.0",
+                       "baumann.g_center: ((m^2 + K^2)"),
     "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
     # w**2 and the ball volume R**3 underflow to 0: a divide by zero at every
     # point, and a -Infinity log10_spacelike_bound that certified every row
@@ -590,9 +598,13 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "spectral_alphas_empty": ("spectral", "spectral", "alphas", "", "spectral.alphas: empty"),
     "q2_grid_empty": ("spectral", "spectral", "q2_grid", "", "spectral.q2_grid: empty"),
     "workers_-7": ("sample", "run", "workers", "-7", "run.workers: must be >= 1"),
+    # the one path to LatticeField's check for non-finite values
+    "amplitude_nan": ("noise-check", "noise_check", "amplitudes", "0.5, nan",
+                      "noise_check.amplitudes"),
 }
 BAD_FLAGS = {  # case -> (command, command-line flags, text of the message)
     "workers_flag_0": ("sample", ("--workers", "0"), "run.workers: must be >= 1"),
+    "no_witness_flag": ("verify-witness", (), "--witness"),
 }
 # invalid whatever else the config holds (d = 30 is valid with L = 1)
 _ALWAYS_BAD = {(sec, key, value) for _, sec, key, value, _ in BAD_INPUTS.values()
@@ -666,6 +678,40 @@ def test_ini_config_fuzz_every_command(ini_dir, mutations):
     for command in _READS:
         code = run_cli(command, path, ini_dir)
         assert code == 1 if _must_reject(cfg, command) else code in (0, 1, 2, 3), command
+
+
+def test_rp_scan_m0_zero_writes_error_rows(ini_dir):
+    # every alpha's Gram needs the zero mode, which diverges at m0 = 0: the
+    # scan records the failure per row and archives no witness
+    cfg = copy.deepcopy(FUZZ_ALL)
+    cfg["model"]["m0"] = "0.0"
+    out = ini_dir / "m0_zero"
+    assert run_cli("rp-scan", write_ini(ini_dir / "m0.ini", cfg), out) == 0
+    rows = (out / "rp_scan.csv").read_text().splitlines()
+    assert rows[0] == "alpha,lambda,min_eig,error"
+    assert rows[1:] == [f"0.5,{lam},,SingularityError: zero mode diverges for m0 = 0"
+                        for lam in ("0.5", "2.0")]
+    report = json.loads((out / "rp_scan_witnesses.json").read_text())
+    assert report["results"]["witnesses"] == []
+
+
+def test_malformed_ini_exit_1(tmp_path, capsys):
+    path = tmp_path / "broken.ini"
+    path.write_text(BASE_CONFIG.replace("[model]", "[model", 1))
+    assert run_cli("schwinger", str(path), tmp_path) == 1
+    assert "config syntax" in capsys.readouterr().err
+
+
+def test_noise_check_huge_amplitude_without_gaussian_part(tmp_path):
+    # sigma2 = 0: psi formed 0 * t**2 = NaN where t**2 overflows, and the
+    # report was refused as not finite (exit 2)
+    cfg = copy.deepcopy(FUZZ_INI)
+    cfg["noise"]["sigma2"] = "0.0"
+    cfg["noise_check"]["amplitudes"] = "0.5, 1e300"
+    assert run_cli("noise-check", write_ini(tmp_path / "nc.ini", cfg), tmp_path) in (0, 3)
+    rows = json.loads((tmp_path / "noise_check.json").read_text())["results"]["tests"]
+    assert [row["amplitude"] for row in rows] == [0.5, 1e300]
+    assert all(np.isfinite(row[k]).all() for row in rows for k in ("exact", "empirical"))
 
 
 def test_verify_witness_site_cap_exit_1(witness_dir, capsys):

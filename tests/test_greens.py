@@ -3,11 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from levylab import (ConfigurationError, LatticeSpec, ModelParams,
-                     NumericalError, SingularityError, SpectralDensity,
-                     green_real_fft, green_real_kl, kl_momentum, rho,
-                     spectral_integral, squared_momentum)
-from levylab.greens import (ANALYTIC, DISCRETE, PAPER, green_momentum_sq,
-                            inverse_transform, yukawa)
+                     NumericalError, SingularityError, green_real_fft,
+                     green_real_kl, kl_momentum, rho, spectral_integral,
+                     squared_momentum)
+from levylab.greens import DISCRETE, green_momentum_sq, inverse_transform, yukawa
 
 
 def test_model_params_validation():
@@ -94,42 +93,34 @@ def test_yukawa_closed_form():
 
 
 def test_rho_heaviside():
-    sd = SpectralDensity(0.5, 1.0)
-    assert rho(sd, 0.5) == 0.0
-    assert rho(sd, 2.0) > 0.0
+    p = ModelParams(0.5, 1.0)
+    assert rho(p, 0.5) == 0.0
+    assert rho(p, 2.0) > 0.0
     with pytest.raises(SingularityError):
-        rho(sd, 1.0)
-
-
-def test_rho_normalization_ratio():
-    sd_a = SpectralDensity(0.5, 1.0, ANALYTIC)
-    sd_p = SpectralDensity(0.5, 1.0, PAPER)
-    assert rho(sd_p, 3.0) / rho(sd_a, 3.0) == pytest.approx(2.0 * np.pi, rel=1e-12)
+        rho(p, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
 @pytest.mark.parametrize("q2", [0.0, 1.0, 10.0])
 def test_kl_identity(alpha, q2):
-    sd = SpectralDensity(alpha, 1.0, ANALYTIC)
     exact = (q2 + 1.0) ** (-alpha)
-    assert kl_momentum(sd, q2) == pytest.approx(exact, rel=1e-6)
+    assert kl_momentum(ModelParams(alpha, 1.0), q2) == pytest.approx(exact, rel=1e-6)
 
 
 def test_spectral_integral_against_direct_quad():
     # same integral without the endpoint substitution, split at the singularity
-    sd = SpectralDensity(0.4, 1.0, ANALYTIC)
+    p = ModelParams(0.4, 1.0)
     kern = lambda s: np.exp(-0.3 * (s - 1.0))
-    direct = (quad(lambda s: rho(sd, s) * kern(s), 1.0, 50.0,
+    direct = (quad(lambda s: rho(p, s) * kern(s), 1.0, 50.0,
                    points=[1.0], limit=400)[0]
-              + quad(lambda s: rho(sd, s) * kern(s), 50.0, np.inf)[0])
-    assert spectral_integral(sd, kern) == pytest.approx(direct, rel=1e-8)
+              + quad(lambda s: rho(p, s) * kern(s), 50.0, np.inf)[0])
+    assert spectral_integral(p, kern) == pytest.approx(direct, rel=1e-8)
 
 
 def test_spectral_integral_nonconvergence():
-    sd = SpectralDensity(0.5, 1.0)
     with pytest.raises(NumericalError):
         # growing kernel: integral diverges
-        spectral_integral(sd, lambda s: np.exp(min(s, 700.0)))
+        spectral_integral(ModelParams(0.5, 1.0), lambda s: np.exp(min(s, 700.0)))
 
 
 def test_green_real_kl_monotone_decay(model_half):

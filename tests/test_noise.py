@@ -14,7 +14,7 @@ from scipy.stats import poisson
 
 import levylab
 from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
-                     LevyCharacteristic, ModelParams, RangeError, SpectralDensity,
+                     LevyCharacteristic, ModelParams, RangeError,
                      characteristic_functional, noise_cumulant, psi, sample_noise,
                      substream)
 from levylab.noise import (MAX_CUMULANT_ORDER, MAX_SITE_MEAN, MAX_SITES, SCATTER_CHUNK,
@@ -103,7 +103,6 @@ NON_FINITE = {  # case -> (constructor call, field named in the message)
     "lattice_a_inf": (lambda: LatticeSpec(3, 4, INF), "spacing a"),
     "model_m0_nan": (lambda: ModelParams(0.5, NAN), "m0"),
     "model_m0_inf": (lambda: ModelParams(0.5, INF), "m0"),
-    "spectral_m0_nan": (lambda: SpectralDensity(0.5, NAN), "m0"),
     "sigma2_nan": (lambda: LevyCharacteristic(sigma2=NAN), "sigma2"),
     "lambda_nan": (lambda: LevyCharacteristic(lam=NAN, jump_law=JumpLaw.atom(1.0)),
                    "lambda"),
@@ -175,6 +174,15 @@ def test_psi_gaussian_closed_form():
     t = np.linspace(-3, 3, 11)
     expected = 1j * 0.5 * t - 1.0 * t**2
     assert np.allclose(psi(chi, t), expected)
+
+
+@pytest.mark.parametrize("law", [JumpLaw.atom(1.0), JumpLaw.uniform(0.5, 2.0)],
+                         ids=["atom", "uniform"])
+def test_psi_finite_at_large_argument_without_gaussian_part(law):
+    # sigma2 = 0: the Gaussian term 0 * t**2 read NaN where t**2 overflows
+    chi = LevyCharacteristic(b=0.5, lam=2.0, jump_law=law)
+    assert np.isfinite(psi(chi, 1e200))
+    assert np.all(np.isfinite(psi(chi, np.array([-1e200, 1e300]))))
 
 
 def test_noise_cumulant_examples():

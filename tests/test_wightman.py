@@ -49,7 +49,6 @@ def test_test_function_support_is_hard():
     outside = np.array([0.0, 3.0, 0.9])
     assert f(inside) > 0.0
     assert f(outside) == 0.0
-    assert f.scaled(2.5)(inside) == pytest.approx(2.5 * f(inside))
 
 
 def test_delta_normalization():
@@ -132,22 +131,13 @@ def test_kernel_term_structure(masses):
     assert val == pytest.approx(dp * pv2 * dp * dp, rel=1e-10)
 
 
-def test_zero_test_function_gives_zero(masses, control):
-    f, h1, h2, g = control
-    est = wightman_n_regularized((f.scaled(0.0), h1, h2, g), masses,
-                                 ShellRegularization(0.1), quick_spec())
+def test_zero_test_function_gives_zero():
+    # space-like h1, h2 at eps 0.05: every shell delta underflows to 0
+    est = _pinned_pairing("spacelike", 1.0, 0.05)
     assert est.value == 0.0
     assert est.stderr == 0.0
     assert est.n_nonzero == 0
-
-
-def test_multilinearity_at_fixed_seed(masses, control):
-    f, h1, h2, g = control
-    reg = ShellRegularization(0.1)
-    base = wightman_n_regularized((f, h1, h2, g), masses, reg, quick_spec(3))
-    scaled = wightman_n_regularized((f, h1.scaled(2.0), h2, g), masses, reg,
-                                    quick_spec(3))
-    assert scaled.value == pytest.approx(2.0 * base.value, rel=1e-12)
+    assert est.variance_share is None
 
 
 def test_determinism(masses, control):
@@ -162,8 +152,7 @@ def test_rotation_covariance(masses, control):
     # rotate all centers by 90 degrees about the x3 spatial axis
     def rot(t):
         c = t.center
-        return MomentumTestFunction((c[0], -c[2], c[1]), t.width, t.radius,
-                                    "generic", t.amplitude)
+        return MomentumTestFunction((c[0], -c[2], c[1]), t.width, t.radius)
 
     reg = ShellRegularization(0.1)
     a = wightman_n_regularized(control, masses, reg, quick_spec(5, 100_000))
