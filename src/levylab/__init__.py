@@ -9,9 +9,8 @@ moments, and runs a momentum-support vanishing check on the regularized
 truncated four-point Wightman kernel.
 """
 
-from .errors import (ClassificationError, ConfigurationError,
-                     ContractViolation, LevyLabError, NumericalError,
-                     RangeError, SingularityError)
+from .errors import (ConfigurationError, ContractViolation, LevyLabError,
+                     NumericalError, RangeError, SingularityError)
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     characteristic_functional, noise_cumulant, psi,
                     sample_noise)
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LevyLabError", "ConfigurationError", "RangeError", "SingularityError",
-    "NumericalError", "ContractViolation", "ClassificationError",
+    "NumericalError", "ContractViolation",
     "JumpLaw", "LevyCharacteristic", "LatticeSpec", "LatticeField",
     "psi", "noise_cumulant", "characteristic_functional", "sample_noise",
     "ModelParams", "squared_momentum", "green_real_fft",

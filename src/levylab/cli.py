@@ -40,7 +40,7 @@ from .rp import MonomialBasis, gram_report, rp_scan, verify_witness, witness_rec
 from .sampler import _sample_blocks, sample_ensemble, sample_point_values, write_ensemble
 from .streams import substream_seed
 from .wightman import (IntegratorSpec, MassAssignment, ShellRegularization,
-                       baumann_check, make_spacelike_test, make_test)
+                       baumann_check, make_test)
 
 # ---------------------------------------------------------------------------
 # Config schema: (section, key) -> (type tag, required).  A required key must
@@ -414,24 +414,23 @@ def _cmd_baumann(cfg, p, chi, spec, args):
     b = cfg["baumann"]
     width = b.get("width", 0.4)
     radius = b.get("radius", 0.8)
-    tests = {}  # baumann_check's order
-    with _named("[baumann]"):
-        for key, make in (("h1", make_spacelike_test), ("h2", make_spacelike_test),
-                          ("f", make_test), ("g", make_test)):
+    tests = []  # baumann_check's order
+    with _named("baumann", sep="."):  # every message starts with its key
+        for key in ("h1", "h2", "f", "g"):
             try:
-                tests[key] = make(b[f"{key}_center"], width, radius)
+                tests.append(make_test(b[f"{key}_center"], width, radius))
             except ConfigurationError as exc:
                 if str(exc).startswith("center"):  # name it by its key, {key}_center
                     raise ConfigurationError(f"{key}_{exc}") from exc
                 raise
-        masses = MassAssignment.fixed([b["mass"]] * 4)
-        with _named("baumann.epsilons"):  # every shell scale, before any pairing runs
+        with _named("mass"):
+            masses = MassAssignment.fixed([b["mass"]] * 4)
+        with _named("epsilons"):  # every shell scale, before any pairing runs
             for eps in b["epsilons"]:
                 ShellRegularization(eps)
-    with _named("baumann", sep="."):  # the message starts with a key: n_samples, mass, ..._center
         ispec = IntegratorSpec(n_samples=b["n_samples"],
                                n_strata=b.get("n_strata", 8), seed=args.seed)
-        report = baumann_check(masses, *tests.values(), b["epsilons"], ispec)
+        report = baumann_check(masses, *tests, b["epsilons"], ispec)
     return report.to_dict(), 0 if report.verdict == "PASS" else 3
 
 

@@ -23,7 +23,3 @@ class NumericalError(LevyLabError):
 
 class ContractViolation(LevyLabError):
     """Caller broke an interface contract (e.g. non-symmetric Gram matrix)."""
-
-
-class ClassificationError(ConfigurationError):
-    """A momentum test function cannot be certified with the requested support class."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, SingularityError
-from .noise import LatticeField, LatticeSpec
+from .noise import LatticeField, LatticeSpec, _real
 
 CONTINUUM = "continuum"
 DISCRETE = "discrete"
@@ -47,6 +47,8 @@ class ModelParams:
     symbol: str = CONTINUUM
 
     def __post_init__(self):
+        for name in ("alpha", "m0"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
         if not 0.0 <= self.m0 < np.inf:  # NaN fails too

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -50,6 +50,17 @@ _KINDS = (_ATOMS, _UNIFORM, _TWO_SIDED_EXP)
 _N_PARAMS = {_UNIFORM: 2, _TWO_SIDED_EXP: 1}  # atoms: (position, weight) pairs
 
 
+def _real(field: str, value) -> float:
+    """float(value) for a real number that is not a bool; any other value, or
+    one beyond the float range, raises ConfigurationError naming field."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{field}: must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ConfigurationError(f"{field}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class JumpLaw:
     """Jump distribution r from a closed catalogue with analytic moments.
@@ -67,7 +78,7 @@ class JumpLaw:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unsupported jump law kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(_real("jump_params", p) for p in self.params))
         count = len(self.params)
         if self.kind == _ATOMS and count % 2:
             raise ConfigurationError(
@@ -169,6 +180,8 @@ class LevyCharacteristic:
     jump_law: JumpLaw | None = None
 
     def __post_init__(self):
+        for name, field in (("b", "b"), ("sigma2", "sigma2"), ("lam", "lambda")):
+            object.__setattr__(self, name, _real(field, getattr(self, name)))
         if not np.isfinite(self.b):
             raise ConfigurationError("drift b must be finite")
         if not 0.0 <= self.sigma2 < np.inf:
@@ -188,7 +201,8 @@ class LatticeSpec:
     a: float
 
     def __post_init__(self):
-        if not isinstance(self.d, Integral) or not isinstance(self.L, Integral):
+        if not all(isinstance(n, Integral) and not isinstance(n, bool)
+                   for n in (self.d, self.L)):
             raise ConfigurationError("lattice d and L must be integers")
         if not 1 <= self.d < 64:  # numpy arrays have at most 64 axes
             raise ConfigurationError(f"dimension d must be in [1, 64), got {self.d}")
@@ -197,6 +211,7 @@ class LatticeSpec:
         if int(self.L) ** int(self.d) > MAX_SITES:
             raise ConfigurationError(
                 f"L**d = {self.L}**{self.d} sites exceed the cap MAX_SITES = {MAX_SITES}")
+        object.__setattr__(self, "a", _real("a", self.a))
         if not 0.0 < self.a < np.inf:
             raise ConfigurationError("lattice spacing a must be finite and > 0")
 

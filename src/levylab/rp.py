@@ -42,13 +42,11 @@ from .cumulants import (_partitions, analytic_truncated_schwinger, joint_cumulan
                         lattice_sum_rows)
 # full_schwinger_moment stays a module attribute: bench/tracer patches it by name
 from .cumulants import full_schwinger_moment  # noqa: F401
-from .errors import ConfigurationError, ContractViolation, LevyLabError, RangeError
+from .errors import ConfigurationError, ContractViolation, LevyLabError
 from .greens import ModelParams
 from .noise import (JumpLaw, LatticeSpec, LevyCharacteristic, _check_points,
                     check_site_mean, noise_cumulant)
 from .sampler import sample_point_values
-
-MAX_MOMENT_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -126,13 +124,18 @@ def params_snapshot(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec) 
 
 
 def params_from_snapshot(snap: dict):
+    """(ModelParams, LevyCharacteristic, LatticeSpec) of a witness's params; a
+    rejected value raises ConfigurationError "witness: params: ..."."""
     law = snap.get("jump_law")
-    jl = None if law is None else JumpLaw(law["kind"], tuple(law["params"]))
-    p = ModelParams(snap["alpha"], snap["m0"], snap.get("symbol", "continuum"))
-    chi = LevyCharacteristic(b=snap["b"], sigma2=snap["sigma2"],
-                             lam=snap["lambda"], jump_law=jl)
-    lat = snap["lattice"]
-    spec = LatticeSpec(lat["d"], lat["L"], lat["a"])
+    try:
+        jl = None if law is None else JumpLaw(law["kind"], tuple(law["params"]))
+        p = ModelParams(snap["alpha"], snap["m0"], snap.get("symbol", "continuum"))
+        chi = LevyCharacteristic(b=snap["b"], sigma2=snap["sigma2"],
+                                 lam=snap["lambda"], jump_law=jl)
+        lat = snap["lattice"]
+        spec = LatticeSpec(lat["d"], lat["L"], lat["a"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"witness: params: {exc}") from exc
     return p, chi, spec
 
 
@@ -161,8 +164,6 @@ def _gram_plan(p: ModelParams, basis: MonomialBasis):
     """
     theta, points, index = _reflected(basis)
     keys = [tuple(sorted(index[pt] for pt in ta + mb)) for ta in theta for mb in basis.monomials]
-    if max(map(len, keys)) > MAX_MOMENT_ORDER:
-        raise RangeError("combined monomial degree exceeds supported moments")
     distinct = sorted(set(keys), key=lambda t: (len(t), t))
     position = {t: i for i, t in enumerate(distinct)}
     blocks = {}  # block tuple -> its index into k
@@ -295,12 +296,14 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
 
     CONFIRMED requires the recomputed quadratic form to be negative and the
     Monte-Carlo estimate to be consistent with it (within 4 stderr) and not
-    significantly positive.
+    significantly positive.  Whether the Monte Carlo resolves the sign on its
+    own is reported beside it: sign_z = mc_form / mc_stderr (None where the
+    stderr is 0), and sign_resolved, true where mc_form + 4 mc_stderr < 0.
     """
     if n_samples < 2:  # the Monte-Carlo stderr needs two samples
         raise ConfigurationError(f"n_samples: must be >= 2, got {n_samples}")
     try:
-        w = np.asarray(record["coefficients"], dtype=float)
+        coefficients = record["coefficients"]
         p, chi, spec = params_from_snapshot(record["params"])
         monomials = tuple(tuple(tuple(pt) for pt in mon) for mon in record["basis"])
         # records written while these were options carry the fixed values
@@ -314,6 +317,10 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
         check_site_mean(chi, spec)
     except ConfigurationError as exc:
         raise ConfigurationError(f"witness: params.{exc}") from exc
+    try:
+        w = np.asarray(coefficients, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:  # e.g. an int beyond float range
+        raise ConfigurationError(f"witness: coefficients: {exc}") from exc
     if w.ndim != 1:
         raise ConfigurationError("witness: coefficients: must be a flat list")
     if not np.all(np.isfinite(w)):
@@ -321,7 +328,10 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
     if np.linalg.norm(w) < 1e-12:
         raise ConfigurationError("degenerate witness: zero coefficient vector")
     w = w / np.linalg.norm(w)
-    basis = MonomialBasis(spec, monomials)
+    try:
+        basis = MonomialBasis(spec, monomials)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"witness: basis: {exc}") from exc
     if len(w) != basis.size:
         raise ConfigurationError("witness length does not match basis size")
     m = build_reflection_gram(p, chi, basis)
@@ -338,4 +348,6 @@ def verify_witness(record: dict, fresh_seed: int, n_samples: int = 20_000,
         "n_samples": n_samples,
         "seed": fresh_seed,
         "status": status,
+        "sign_z": mc / mc_err if mc_err > 0 else None,
+        "sign_resolved": mc + 4.0 * mc_err < 0.0,
     }

@@ -36,7 +36,8 @@ time, for any block size.
 If both middle test functions have purely space-like support, every j-term
 carries at least one shell delta at a bounded distance d from its shell, so
 the pairing vanishes as epsilon -> 0; a matched on-shell (time-like) control
-does not.  baumann_check bounds the space-like pairing in closed form,
+does not.  baumann_check certifies that support (_sup_ksq), then bounds the
+space-like pairing in closed form,
 4 sup|h1| ||f||_1 ||h2||_1 ||g||_1 exp(-(d/eps)^2) / ((eps sqrt(pi))^3 * 2 eps)
 with the certified distance d, and records a row where that bound already
 decides it as certified, not sampled (BaumannReport).
@@ -57,11 +58,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClassificationError, ConfigurationError
+from .errors import ConfigurationError
 from .streams import substream, substream_seed
-
-SPACELIKE = "spacelike"
-GENERIC = "generic"
 
 _DIM = 3  # Minkowski dimension supported by the integrator
 _LOG_MAX = float(np.log(np.finfo(float).max))
@@ -90,7 +88,6 @@ class MomentumTestFunction:
     center: tuple
     width: float
     radius: float
-    classification: str = GENERIC
 
     def __post_init__(self):
         c = tuple(float(x) for x in self.center)
@@ -108,12 +105,6 @@ class MomentumTestFunction:
         if not k * k < np.inf:
             raise ConfigurationError(
                 f"center: (sum |center| + radius)**2 is not finite, got center {c!r}")
-        if self.classification not in (SPACELIKE, GENERIC):
-            raise ConfigurationError(f"unknown classification {self.classification!r}")
-        if self.classification == SPACELIKE and not (
-                np.linalg.norm(c[1:]) > r and _sup_ksq(c, r) < 0.0):
-            raise ClassificationError(
-                "center: support ball is not certifiably space-like; refusing the label")
         object.__setattr__(self, "center", c)
 
     def _dsq(self, k: np.ndarray) -> np.ndarray:
@@ -128,22 +119,27 @@ class MomentumTestFunction:
         return np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
 
 
-def _sup_ksq(center, radius) -> float:
-    """Upper bound (|c0| + R)^2 - (|cvec| - R)^2 on k^2 over the Euclidean
-    R-ball around the center, valid where |cvec| > R.  A SPACELIKE label
-    certifies it < 0."""
-    c0 = abs(center[0])
-    cs = float(np.linalg.norm(center[1:]))
-    return (c0 + radius) ** 2 - (cs - radius) ** 2
-
-
-def make_spacelike_test(k_c, w: float, R: float) -> MomentumTestFunction:
-    """Bump with a hard, analytically certified space-like support."""
-    return MomentumTestFunction(tuple(k_c), w, R, SPACELIKE)
+def _sup_ksq(t: MomentumTestFunction, field: str) -> float:
+    """The bound (|c0| + R)^2 - (|cvec| - R)^2 on k^2 over t's support ball,
+    certified < 0: it holds where |cvec| > R, and a ball it does not certify
+    space-like raises ConfigurationError naming field."""
+    c, R = t.center, t.radius
+    cs = float(np.linalg.norm(c[1:]))
+    sup = (abs(c[0]) + R) ** 2 - (cs - R) ** 2
+    if not (cs > R and sup < 0.0):
+        raise ConfigurationError(f"{field}: support ball is not certifiably space-like")
+    return sup
 
 
 def make_test(k_c, w: float, R: float) -> MomentumTestFunction:
     return MomentumTestFunction(tuple(k_c), w, R)
+
+
+def make_spacelike_test(k_c, w: float, R: float) -> MomentumTestFunction:
+    """Bump with a hard, analytically certified space-like support."""
+    t = make_test(k_c, w, R)
+    _sup_ksq(t, "center")
+    return t
 
 
 @dataclass(frozen=True)
@@ -545,13 +541,14 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
                   integrator: IntegratorSpec) -> BaumannReport:
     """Vanishing check for space-like smearing against a time-like control.
 
-    PASS requires: decreasing epsilon sequence of length >= 3; space-like
-    magnitudes |value| + 4 stderr decaying at >= 100x per epsilon decade; the
-    smallest-epsilon space-like magnitude, and the closed-form bound there,
-    below 1e-3 of the matched control; and statistical errors small enough to
-    resolve the control (otherwise INCONCLUSIVE).  A failed decay or
-    smallness rule is FAIL; where only the bound misses, the verdict is
-    INCONCLUSIVE.
+    h1 and h2 must be certified space-like (_sup_ksq names h1_center or
+    h2_center otherwise).  PASS requires: decreasing epsilon sequence of
+    length >= 3; space-like magnitudes |value| + 4 stderr decaying at >= 100x
+    per epsilon decade; the smallest-epsilon space-like magnitude, and the
+    closed-form bound there, below 1e-3 of the matched control; and
+    statistical errors small enough to resolve the control (otherwise
+    INCONCLUSIVE).  A failed decay or smallness rule is FAIL; where only the
+    bound misses, the verdict is INCONCLUSIVE.
 
     The control is sampled at every epsilon first.  A space-like row is then
     certified by the closed-form bound, not sampled, where the row (0.0,
@@ -581,8 +578,7 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     if len(set(masses.masses)) != 1:
         raise ConfigurationError(
             f"masses: baumann_check needs four equal masses, got {masses.masses}")
-    if h1.classification != SPACELIKE or h2.classification != SPACELIKE:
-        raise ClassificationError("h1 and h2 must be certified space-like")
+    d = masses.m2[0] - max(_sup_ksq(h1, "h1_center"), _sup_ksq(h2, "h2_center"))
     eps = [float(e) for e in epsilons]
     regs = [ShellRegularization(e) for e in eps]
     reach = {name: sum(map(abs, t.center)) + t.radius
@@ -604,7 +600,6 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
     control = shell_control_tests(masses.masses[0])
     k_max = sum((sum(map(abs, t.center)) + t.radius for t in control), k_max)
     check("mass", masses.m2[0], k_max, "the test functions and the control's")
-    d = masses.m2[0] - max(_sup_ksq(h.center, h.radius) for h in (h1, h2))
     bound = [_log10_spacelike_bound(f, h1, h2, g, d, reg) for reg in regs]
 
     def sampled(tests, branch: int, i: int):

@@ -213,6 +213,20 @@ def test_criterion_7_poisson_scan_with_reverification():
                 verdict["mc_stderr"].hex()) == CRITERION_7_PINS[row["lambda"]]
 
 
+def test_criterion_7_sign_unresolved_at_lambda_100():
+    # a finding: at the benchmark's 1000 samples the lambda = 100 witness is
+    # CONFIRMED, yet its Monte-Carlo stderr is about 2000 times the analytic
+    # form, so the sample resolves no sign
+    basis = MonomialBasis.up_to_degree_two(DESK_SPEC, PSD_BASIS_POINTS)
+    chi = LevyCharacteristic(lam=100.0, jump_law=JumpLaw.atom(1.0))
+    rep = gram_report(ModelParams(0.5, 1.0, "discrete"), chi, basis)
+    verdict = verify_witness(witness_record(rep), fresh_seed=substream_seed(701, 2),
+                             n_samples=1000)
+    assert verdict["status"] == "CONFIRMED"
+    assert verdict["sign_resolved"] is False
+    assert verdict["mc_stderr"] > 1000.0 * abs(verdict["analytic_form"])
+
+
 # ---------------------------------------------------------------------------
 # 8. Baumann vanishing check
 

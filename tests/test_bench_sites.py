@@ -88,6 +88,18 @@ def test_cli_workload_configs_validate(workloads, tmp_path):
         cli._validate(cli.parse_config(ini.read_text()), sections)
 
 
+@pytest.mark.parametrize("name", ["ensemble4pt", "rpscan", "baumann"])
+def test_workload_round_checks_pass(workloads, tmp_path, name):
+    # one untraced round of each workload: a change that breaks a workload's
+    # checks fails here, not only as failed operations in a benchmark run
+    # (ensemble4pt's finish needs many rounds and is not run)
+    wl = workloads.WORKLOADS[name](1234, str(tmp_path))
+    wl.reset()
+    ops = wl.round(0, wl.calls(None))["ops"]
+    assert len(ops) == wl.ops_per_round
+    assert [op for op in ops if not op[1]] == []
+
+
 def test_sampler_loop_calls_patched_stages(workloads):
     # the loop looks up substream, sample_noise and solve_spde on the sampler
     # module at call time, so a traced run sees every sample

@@ -416,13 +416,29 @@ def test_verify_witness_parent_format_same_verdict(witness_dir):
     (("coefficients", 1), float("nan"), "witness: coefficients: non-finite"),
     (("coefficients", 1), float("inf"), "witness: coefficients: non-finite"),
     (("params", "lattice", "L"), 6.0, "d and L must be integers"),
+    # each ended in a numpy or OverflowError traceback
+    (("params", "b"), True, "witness: params: b: must be a real number, got True"),
+    (("params", "lattice", "a"), 10**400, "witness: params: a: int too large"),
+    (("coefficients", 1), 10**400, "witness: coefficients: int too large"),
+    # named no file
+    (("params", "symbol"), "foo", "witness: params: unknown momentum symbol 'foo'"),
+    (("basis", 0, 0), [4, 1, 0], "witness: basis: monomial point (4, 1, 0) must have time"),
 ], ids=["time_axis_5", "time_axis_-1", "time_axis_1", "centered_false", "point_1.7",
-        "coefficient_nan", "coefficient_inf", "float_L"])
+        "coefficient_nan", "coefficient_inf", "float_L", "b_true", "a_1e400",
+        "coefficient_1e400", "symbol_foo", "point_time_4"])
 def test_verify_witness_bad_field_exit_1(witness_dir, capsys, path, value, field):
     record = copy.deepcopy(WITNESS)
     _mutate(record, "set", path, value)
     assert run_witness(record, witness_dir) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("b", [0, -1])
+def test_verify_witness_integer_drift_runs(witness_dir, b):
+    # np.full(n, b) kept the int dtype, and adding the Gaussian part raised
+    record = copy.deepcopy(WITNESS)
+    _mutate(record, "set", ("params", "b"), b)
+    assert run_witness(record, witness_dir) in (0, 3)
 
 
 _PATHS = list(_paths(WITNESS))
@@ -551,15 +567,16 @@ _READS = {  # the sections each command reads
     "spectral": {"model", "spectral"},
 }
 BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
-    "mass_nan": ("baumann", "baumann", "mass", "nan", "[baumann]"),
-    "epsilon_nan": ("baumann", "baumann", "epsilons", "0.5, nan, 0.005", "[baumann]"),
+    "mass_nan": ("baumann", "baumann", "mass", "nan", "baumann.mass: fixed masses"),
+    "epsilon_nan": ("baumann", "baumann", "epsilons", "0.5, nan, 0.005",
+                    "baumann.epsilons: epsilon must be > 0"),
     # the kernel scale 1/((eps sqrt(pi))^3 * 2 eps) overflows: delta did too
     "epsilon_1e-200": ("baumann", "baumann", "epsilons", "0.5, 0.05, 1e-200",
                        "baumann.epsilons: epsilon: kernel scale"),
     "epsilon_1e-320": ("baumann", "baumann", "epsilons", "0.5, 0.05, 1e-320",
                        "baumann.epsilons: epsilon: kernel scale"),
     # m**2 and eps**2 overflowed to an OverflowError traceback
-    "mass_1e200": ("baumann", "baumann", "mass", "1e200", "[baumann]: fixed masses"),
+    "mass_1e200": ("baumann", "baumann", "mass", "1e200", "baumann.mass: fixed masses"),
     "epsilon_1e200": ("baumann", "baumann", "epsilons", "1e200, 1e100, 1",
                       "baumann.epsilons: epsilon must be > 0 with a finite square"),
     # squares of the control's momenta overflowed: an OverflowError traceback
@@ -568,17 +585,22 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     "mass_1e154": ("baumann", "baumann", "mass", "1e154", "baumann.mass: ((m^2 + K^2)"),
     # the square of a center's reach overflowed, and the error named the mass
     "f_center_1e160": ("baumann", "baumann", "f_center", "1e160, 0.0, 0.0",
-                       "[baumann]: f_center: (sum |center| + radius)**2"),
+                       "baumann.f_center: (sum |center| + radius)**2"),
     "h1_center_1e200": ("baumann", "baumann", "h1_center", "0.0, 1e200, 0.0",
-                        "[baumann]: h1_center: (sum |center| + radius)**2"),
+                        "baumann.h1_center: (sum |center| + radius)**2"),
     # its own square is finite, that of K over f, h1, h2 and g is not
     "g_center_1e100": ("baumann", "baumann", "g_center", "-1e100, 0.0, 0.0",
                        "baumann.g_center: ((m^2 + K^2)"),
-    "width_nan": ("baumann", "baumann", "width", "nan", "[baumann]"),
+    "width_nan": ("baumann", "baumann", "width", "nan", "baumann.width: width**2"),
     # w**2 and the ball volume R**3 underflow to 0: a divide by zero at every
     # point, and a -Infinity log10_spacelike_bound that certified every row
-    "width_1e-300": ("baumann", "baumann", "width", "1e-300", "[baumann]: width: width**2"),
-    "radius_1e-200": ("baumann", "baumann", "radius", "1e-200", "[baumann]: radius: radius**3"),
+    "width_1e-300": ("baumann", "baumann", "width", "1e-300", "baumann.width: width**2"),
+    "radius_1e-200": ("baumann", "baumann", "radius", "1e-200", "baumann.radius: radius**3"),
+    # a time-like support ball: no test covered baumann_check's certificate
+    "h1_center_timelike": ("baumann", "baumann", "h1_center", "0.5, 0.0, 0.0",
+                           "baumann.h1_center: support ball is not certifiably space-like"),
+    "h2_center_timelike": ("baumann", "baumann", "h2_center", "0.0, 0.5, 0.0",
+                           "baumann.h2_center: support ball is not certifiably space-like"),
     "n_samples_1": ("baumann", "baumann", "n_samples", "1", "baumann.n_samples"),
     "alpha_1.5": ("rp-scan", "scan", "alphas", "1.5", "scan.alphas"),
     "lambda_nan": ("rp-scan", "scan", "lambdas", "nan", "scan.lambdas"),

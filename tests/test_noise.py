@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ NON_FINITE = {  # case -> (constructor call, field named in the message)
     "atom_weight_nan": (lambda: JumpLaw.atoms([(1.0, NAN)]), "atom weights"),
     "uniform_hi_inf": (lambda: JumpLaw.uniform(1.0, INF), "lo < hi"),
     "exponential_scale_nan": (lambda: JumpLaw.two_sided_exponential(NAN), "scale"),
+    # a bool, a string and an int beyond the float range are not stored as floats
+    "drift_true": (lambda: LevyCharacteristic(b=True), "b: must be a real number"),
+    "sigma2_string": (lambda: LevyCharacteristic(sigma2="1.0"), "sigma2: must be a real number"),
+    "lambda_1e400": (lambda: LevyCharacteristic(lam=10**400, jump_law=JumpLaw.atom(1.0)),
+                     "lambda: int too large"),
+    "alpha_true": (lambda: ModelParams(True, 1.0), "alpha: must be a real number"),
+    "m0_1e400": (lambda: ModelParams(0.5, 10**400), "m0: int too large"),
+    "lattice_a_1e400": (lambda: LatticeSpec(3, 4, 10**400), "a: int too large"),
+    "lattice_d_true": (lambda: LatticeSpec(True, 4, 0.5), "d and L must be integers"),
+    "lattice_L_false": (lambda: LatticeSpec(3, False, 0.5), "d and L must be integers"),
+    "jump_param_1e400": (lambda: JumpLaw.atom(10**400), "jump_params: int too large"),
 }
 
 
@@ -119,6 +131,14 @@ def test_non_finite_parameters_rejected(case):
     build, field = NON_FINITE[case]
     with pytest.raises(ConfigurationError, match=field):
         build()
+
+
+def test_integer_parameters_stored_as_floats():
+    chi = LevyCharacteristic(b=-1, sigma2=2, lam=np.int64(3), jump_law=JumpLaw.atom(1))
+    p, spec = ModelParams(np.float32(0.5), 1), LatticeSpec(3, 4, 1)
+    values = (chi.b, chi.sigma2, chi.lam, p.alpha, p.m0, spec.a, *chi.jump_law.params)
+    assert values == (-1.0, 2.0, 3.0, 0.5, 1.0, 1.0, 1.0, 1.0)
+    assert {type(v) for v in values} == {float}
 
 
 def test_jump_moment_order_cap():
@@ -248,6 +268,15 @@ def test_sample_noise_pure_drift(small_spec, rng):
     chi = LevyCharacteristic(b=1.0)
     eta = sample_noise(chi, small_spec, rng)
     assert np.all(eta.values == 1.0)
+
+
+def test_sample_noise_integer_drift(small_spec):
+    # stored as float: np.full(n, 1) kept the int dtype, and += of the jumps raised
+    chi = LevyCharacteristic(b=1, lam=2.0, jump_law=JumpLaw.atom(1.0))
+    assert chi.b == 1.0 and type(chi.b) is float
+    eta = sample_noise(chi, small_spec, substream(5))
+    ref = sample_noise(replace(chi, b=1.0), small_spec, substream(5))
+    assert np.array_equal(eta.values, ref.values)
 
 
 def pairing(spec, f, eta):

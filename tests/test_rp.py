@@ -329,6 +329,19 @@ def test_verify_witness_non_finite_coefficients(basis6, monkeypatch, bad):
         verify_witness(record, fresh_seed=1)
 
 
+@pytest.mark.parametrize("mc, err, z, resolved", [
+    (-1.0, 0.2, -5.0, True), (-1.0, 0.25, -4.0, False), (0.5, 0.25, 2.0, False),
+    (-0.3, 0.0, None, True), (0.0, 0.0, None, False)])
+def test_verify_witness_sign_fields(basis6, monkeypatch, mc, err, z, resolved):
+    # sign_z = mc_form / mc_stderr, None at stderr 0; resolved iff mc + 4 stderr < 0
+    p = ModelParams(0.75, 1.0, "discrete")
+    record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))
+    monkeypatch.setattr(rp, "witness_quadratic_form_mc", lambda *args, **kwargs: (mc, err))
+    verdict = verify_witness(record, fresh_seed=1)
+    assert verdict["sign_z"] == z
+    assert verdict["sign_resolved"] is resolved
+
+
 def test_verify_witness_needs_two_samples(basis6, monkeypatch):
     p = ModelParams(0.75, 1.0, "discrete")
     record = witness_record(gram_report(p, LevyCharacteristic(sigma2=1.0), basis6))

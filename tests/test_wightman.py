@@ -9,7 +9,6 @@ from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      MassAssignment, MomentumTestFunction, ShellRegularization,
                      baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
-from levylab.errors import ClassificationError
 from levylab import wightman
 from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _Leg,
                               _log10_spacelike_bound, _shell_energies, minkowski_sq,
@@ -37,9 +36,9 @@ def test_minkowski_sq():
 
 def test_spacelike_certification():
     make_spacelike_test((0.0, 3.0, 0.0), 0.4, 1.0)  # sup k^2 = 1 - 4 < 0
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ConfigurationError, match="not certifiably space-like"):
         make_spacelike_test((2.0, 1.0, 0.0), 0.4, 0.1)  # center timelike
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ConfigurationError, match="not certifiably space-like"):
         make_spacelike_test((0.0, 3.0, 0.0), 0.4, 3.0)  # ball touches the cone
 
 
@@ -170,13 +169,15 @@ def test_control_scale_is_order_one(masses, control):
     assert 0 < est.n_nonzero < est.n_samples // 2
 
 
-def test_baumann_requires_spacelike_labels(masses):
+def test_baumann_requires_spacelike_supports(masses):
     f = make_test((1.0, 0.0, 0.0), 0.4, 0.8)
     g = make_test((-1.0, 0.0, 0.0), 0.4, 0.8)
-    h_bad = make_test((0.0, 3.0, 0.0), 0.4, 0.8)  # unlabeled
-    with pytest.raises(ClassificationError):
-        baumann_check(masses, h_bad, h_bad, f, g, (0.5, 0.05, 0.005),
-                      quick_spec())
+    h = make_test((0.0, 3.0, 0.0), 0.4, 0.8)
+    timelike = make_test((2.0, 1.0, 0.0), 0.4, 0.1)
+    for args, field in (((timelike, h), "h1_center"), ((h, timelike), "h2_center")):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field}: support ball is not certifiably space-like"):
+            baumann_check(masses, *args, f, g, (0.5, 0.05, 0.005), quick_spec())
 
 
 def test_baumann_short_sequence_inconclusive(masses):
