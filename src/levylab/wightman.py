@@ -16,8 +16,9 @@ The pairing with four momentum-space test functions is evaluated by
 stratified, importance-sampled Monte Carlo: legs 1, 3, 4 are sampled inside
 their hard-support balls (radially stratified), leg 2 is fixed by momentum
 conservation.  Each energy is drawn once from the chosen component of one
-proposal: the uniform slab mixed with truncated normals at the shell energies
-(for leg 1 also where the conserved leg 2 is on shell).
+proposal: the uniform slab mixed with truncated Laplace peaks at the shell
+energies (for leg 1 also where the conserved leg 2 is on shell), whose CDF and
+inverse need only exp and log.
 
 The strata are evaluated in blocks of about BLOCK_POINTS points, so that
 numpy's fixed cost per call is paid once per block, not once per stratum.
@@ -48,8 +49,7 @@ one per tuple (m_1..m_4) with every m_l >= m0.  The certified space-like shell
 distance d = m^2 - sup_ball k^2 grows with m^2, so the check at m0 bounds
 every tuple; baumann_check reports d.
 
-scipy.special (ndtr, ndtri) is loaded at the first block of strata, not with
-the module.
+The module needs numpy only; no code path here loads scipy.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
+from .noise import _real
 from .streams import substream, substream_seed
 
 _DIM = 3  # Minkowski dimension supported by the integrator
@@ -90,10 +91,10 @@ class MomentumTestFunction:
     radius: float
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.center)
+        c = tuple(_real("center", x) for x in self.center)
         if len(c) != _DIM or not np.all(np.isfinite(c)):
             raise ConfigurationError(f"center: must have {_DIM} finite components, got {c!r}")
-        w, r = self.width, self.radius
+        w, r = _real("width", self.width), _real("radius", self.radius)
         # NaN fails too; the bump divides by w**2, and the sampled ball's
         # volume 4/3 pi R^3 enters the pairing and the closed-form bound
         if not (0.0 < w and 0.0 < w * w < np.inf):
@@ -105,7 +106,8 @@ class MomentumTestFunction:
         if not k * k < np.inf:
             raise ConfigurationError(
                 f"center: (sum |center| + radius)**2 is not finite, got center {c!r}")
-        object.__setattr__(self, "center", c)
+        for name, value in (("center", c), ("width", w), ("radius", r)):
+            object.__setattr__(self, name, value)
 
     def _dsq(self, k: np.ndarray) -> np.ndarray:
         return _sum_sq(np.asarray(k, dtype=float) - np.asarray(self.center))
@@ -149,9 +151,10 @@ class ShellRegularization:
     epsilon: float
 
     def __post_init__(self):
-        e = self.epsilon
+        e = _real("epsilon", self.epsilon)
         if not (0.0 < e and e * e < np.inf):  # pv() adds eps**2
             raise ConfigurationError(f"epsilon must be > 0 with a finite square, got {e!r}")
+        object.__setattr__(self, "epsilon", e)
         if not self.log_kernel_scale < _LOG_MAX:  # else delta and the kernel overflow
             raise ConfigurationError(
                 f"epsilon: kernel scale 1/((eps sqrt(pi))^3 * 2 eps) is not finite "
@@ -180,7 +183,7 @@ class MassAssignment:
     masses: tuple
 
     def __post_init__(self):
-        masses = tuple(float(m) for m in self.masses)
+        masses = tuple(_real("masses", m) for m in self.masses)
         if len(masses) != 4 or not all(0.0 < m and m * m < np.inf for m in masses):
             raise ConfigurationError(
                 f"fixed masses must be four, > 0 and with a finite square m**2, "
@@ -254,52 +257,65 @@ def _shell_energies(x, y, m2: float) -> list:
 
 
 P_UNIFORM = 0.4  # proposal share of the uniform slab; the peaks split the rest
+MASS_FLOOR = 1e-300  # a peak with no more mass on its slab draws as the slab
 
 
 def _draw_energy(u, lo, hi, peaks, sd: float) -> np.ndarray:
     """Energies on the slabs [lo, hi] from the uniforms u = (comp, u_slab,
-    u_norm), each (n,): each point picks one component of a mixture of the
-    uniform slab and truncated normals of width sd at the peaks (one (n,) array
-    per peak) and draws once from it.  ndtr/ndtri run at the chosen peak only."""
-    from scipy.special import ndtri
-
-    comp, u_slab, u_norm = u
+    u_peak), each (n,): each point picks one component of a mixture of the
+    uniform slab and truncated Laplace peaks of variance sd**2 at the peaks
+    (one (n,) array per peak) and draws once from it.  A chosen peak with at
+    most MASS_FLOOR on the slab keeps the slab's draw; the inverse CDF runs at
+    the other chosen peaks only."""
+    comp, u_slab, u_peak = u
     mu = np.array(peaks)
     p_peak = (1.0 - P_UNIFORM) / len(mu)
     # peak i owns [P_UNIFORM + i p_peak, P_UNIFORM + (i+1) p_peak); the rest is the slab
     edges = P_UNIFORM + np.arange(len(mu) + 1) * p_peak
     pick = np.searchsorted(edges, comp, side="right") - 1
     chosen = np.flatnonzero((pick >= 0) & (pick < len(mu)))
-    mu_c, lo_c, hi_c = mu[pick[chosen], chosen], lo[chosen], hi[chosen]
-    sd_s, a, mass = _truncated_mass(lo_c, hi_c, mu_c, sd)
+    b_s, a, mass = _truncated_mass(lo[chosen], hi[chosen], mu[pick[chosen], chosen], sd)
+    live = mass > MASS_FLOOR
+    at = chosen[live]
     k0 = lo + (hi - lo) * u_slab
-    u_c = np.clip(a + mass * u_norm[chosen], 1e-300, 1.0 - 1e-16)
-    k0[chosen] = np.clip(mu_c + sd_s * ndtri(u_c), lo_c, hi_c)
+    p = np.clip(a[live] + mass[live] * u_peak[at], 1e-300, 1.0 - 1e-16)
+    t = np.log(2.0 * np.minimum(p, 1.0 - p))  # the inverse CDF is z = t, or -t above 1/2
+    k0[at] = np.clip(mu[pick[at], at] + b_s[live] * np.where(p <= 0.5, t, -t), lo[at], hi[at])
     return k0
 
 
-def _truncated_mass(lo, hi, mu, sd: float):
-    """(sd_s, a, mass): the normal of mean mu and width sd on [lo, hi] spans
-    [a, a + mass] of the standard normal CDF in z = (k - mu) / sd_s.  sd_s =
-    -sd where the slab lies above its peak, so the mass is always taken in a
-    lower tail: there ndtr(z_hi) - ndtr(z_lo) cancels to 0 beyond ~8.3 sd."""
-    from scipy.special import ndtr  # loaded at the first block of strata only
+def _laplace_cdf(z: np.ndarray) -> np.ndarray:
+    """The standard Laplace CDF, 0.5 exp(z) for z <= 0 and 1 - 0.5 exp(-z)
+    above; exp(-|z|) never overflows."""
+    e = 0.5 * np.exp(-np.abs(z))
+    return np.where(z <= 0.0, e, 1.0 - e)
 
-    sd_s = np.where(lo > mu, -sd, sd)
-    p_lo, p_hi = ndtr((lo - mu) / sd_s), ndtr((hi - mu) / sd_s)
-    return sd_s, np.minimum(p_lo, p_hi), np.maximum(np.abs(p_hi - p_lo), 1e-300)
+
+def _truncated_mass(lo, hi, mu, sd: float):
+    """(b_s, a, mass): the Laplace law of mean mu and scale b = sd / sqrt(2)
+    (variance sd**2) on [lo, hi] spans [a, a + mass] of the standard Laplace
+    CDF in z = (k - mu) / b_s.  b_s = -b where the slab lies above its peak, so
+    the mass is always taken in a lower tail, 0.5 exp(z): it stays exact out
+    to about 745 b, and is 0 beyond."""
+    b = sd / np.sqrt(2.0)
+    b_s = np.where(lo > mu, -b, b)
+    p_lo, p_hi = _laplace_cdf((lo - mu) / b_s), _laplace_cdf((hi - mu) / b_s)
+    return b_s, np.minimum(p_lo, p_hi), np.abs(p_hi - p_lo)
 
 
 def _energy_weight(k0, lo, hi, peaks, sd: float) -> np.ndarray:
     """The uniform over the proposal density of _draw_energy at the energies k0,
-    so that vol * mean(weight * f) is unbiased for the ball integral of f.
+    so that vol * mean(weight * f) is unbiased for the ball integral of f: a
+    peak with at most MASS_FLOOR on the slab adds its share as a uniform.
     Elementwise: weights on an index subset are the full weights there."""
+    b = sd / np.sqrt(2.0)
     p_peak = (1.0 - P_UNIFORM) / len(peaks)
     dens = np.full(len(k0), P_UNIFORM) / (hi - lo)
     for mu in peaks:  # peak by peak, in order
         mass = _truncated_mass(lo, hi, mu, sd)[2]
-        pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-        dens = dens + p_peak * pdf / mass
+        pdf = np.exp(-np.abs(k0 - mu) / b) / (2.0 * b)
+        dens = dens + p_peak * np.divide(pdf, mass, out=1.0 / (hi - lo),
+                                         where=mass > MASS_FLOOR)
     return (1.0 / (hi - lo)) / dens
 
 
@@ -311,7 +327,7 @@ class _Leg:
     def __init__(self, test: MomentumTestFunction, n: int):
         self.test = test
         # per point: the radial CDF variable, the angle, then the energy
-        # uniforms (comp, u_slab, u_norm) of _draw_energy
+        # uniforms (comp, u_slab, u_peak) of _draw_energy
         self.u = np.empty((5, n))
 
     def fill(self, rng, sl: slice, radial) -> None:
@@ -364,7 +380,7 @@ def _block(tests, masses: MassAssignment, reg: ShellRegularization, seed: int, S
     for b, (s3, s4) in enumerate(strata):
         # every uniform of the stratum, in stream order: legs 3, 4, 1, each
         # its spatial then its energy uniforms
-        rng = substream(seed, s3, s4)
+        rng = substream(seed, s3 * S + s4)
         sl = slice(b * per, (b + 1) * per)
         leg3.fill(rng, sl, (s3 / S, (s3 + 1) / S))
         leg4.fill(rng, sl, (s4 / S, (s4 + 1) / S))
@@ -409,7 +425,8 @@ def wightman_n_regularized(tests, masses: MassAssignment, reg: ShellRegularizati
     tests = (f, h1, h2, g); momentum conservation removes leg 2 analytically
     (k2 = -(k1 + k3 + k4)).  Leg l sits on the single shell k_l^2 = m_l^2 of
     masses; the pairing carries no mass-density factor.  Stratum (s3, s4), leg
-    3's radial shell s3 and leg 4's s4, draws from substream(seed, s3, s4).
+    3's radial shell s3 and leg 4's s4, draws from substream(seed, s3 * S + s4)
+    with S = n_strata.
     The strata run in blocks of max(1, BLOCK_POINTS // per) strata of per
     points each, one support-first pass per block (module docstring); each
     stratum's scaling, mean and variance are taken on its own row, so the
@@ -579,8 +596,8 @@ def baumann_check(masses: MassAssignment, h1: MomentumTestFunction,
         raise ConfigurationError(
             f"masses: baumann_check needs four equal masses, got {masses.masses}")
     d = masses.m2[0] - max(_sup_ksq(h1, "h1_center"), _sup_ksq(h2, "h2_center"))
-    eps = [float(e) for e in epsilons]
-    regs = [ShellRegularization(e) for e in eps]
+    regs = [ShellRegularization(e) for e in epsilons]
+    eps = [reg.epsilon for reg in regs]
     reach = {name: sum(map(abs, t.center)) + t.radius
              for name, t in (("f", f), ("h1", h1), ("h2", h2), ("g", g))}
 

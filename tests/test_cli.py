@@ -599,7 +599,8 @@ BAD_INPUTS = {  # case -> (command, section, key, value, text of the message)
     # a time-like support ball: no test covered baumann_check's certificate
     "h1_center_timelike": ("baumann", "baumann", "h1_center", "0.5, 0.0, 0.0",
                            "baumann.h1_center: support ball is not certifiably space-like"),
-    "h2_center_timelike": ("baumann", "baumann", "h2_center", "0.0, 0.5, 0.0",
+    # |cvec| = |c0|: sup k^2 = 2 |c0| R > 0 at every radius
+    "h2_center_timelike": ("baumann", "baumann", "h2_center", "0.5, 0.5, 0.0",
                            "baumann.h2_center: support ball is not certifiably space-like"),
     "n_samples_1": ("baumann", "baumann", "n_samples", "1", "baumann.n_samples"),
     "alpha_1.5": ("rp-scan", "scan", "alphas", "1.5", "scan.alphas"),
@@ -759,7 +760,6 @@ IMPORT_INI = {**FUZZ_ALL,  # 8^3 sites; the basis has a negative witness at both
               "lattice": {"d": "3", "L": "8", "a": "0.5"},
               "basis": {"points": "1,0,0; 2,0,0; 3,0,0; 1,1,0; 2,1,0; 3,1,0", "degree": "2"},
               "scan": {"alphas": "0.5", "lambdas": "1.0"}}
-_SPECIAL = ("scipy.special",)
 _INTEGRATE = ("scipy.integrate", "scipy.special")  # scipy.integrate imports scipy.special
 # case -> (command, changed INI values, witness lambda, scipy modules loaded)
 # per-site atom mean lambda * a^3: 0.125 at lambda 1 (scattered), 2.5 at 20 (table route)
@@ -774,7 +774,7 @@ COLD_START = {
     "rp-scan_table": ("rp-scan", {("scan", "lambdas"): "1.0, 20.0"}, None, ()),
     "verify-witness_scattered": ("verify-witness", {}, 1.0, ()),
     "verify-witness_table": ("verify-witness", {}, 20.0, ()),
-    "baumann": ("baumann", {}, None, _SPECIAL),
+    "baumann": ("baumann", {}, None, ()),
     "spectral": ("spectral", {}, None, _INTEGRATE),
 }
 

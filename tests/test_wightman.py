@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
 
 from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      MassAssignment, MomentumTestFunction, ShellRegularization,
@@ -108,12 +107,32 @@ NAN, INF = float("nan"), float("inf")
     (lambda: make_test((1.0, 0.0, 0.0), 0.4, 1e-200), "radius"),
     (lambda: make_test((1.0, 0.0, 0.0), 0.4, 1e200), "radius"),
     (lambda: make_test((1.0, 0.0, 0.0), -0.4, 0.8), "width"),
+    # booleans, and integers beyond the float range, are not real inputs
+    (lambda: MassAssignment.fixed([True] * 4), "masses: must be a real number"),
+    (lambda: MassAssignment.fixed([10**400] * 4), "masses: int too large"),
+    (lambda: ShellRegularization(True), "epsilon: must be a real number"),
+    (lambda: ShellRegularization(10**400), "epsilon: int too large"),
+    (lambda: make_test((0, 3, 0), True, 0.8), "width: must be a real number"),
+    (lambda: make_test((0, 3, 0), 0.4, True), "radius: must be a real number"),
+    (lambda: make_test((0, 10**400, 0), 0.4, 0.8), "center: int too large"),
+    (lambda: make_test((True, 3, 0), 0.4, 0.8), "center: must be a real number"),
 ], ids=["epsilon_nan", "epsilon_inf", "mass_nan", "mass_inf", "direct_mass_nan",
         "width_nan", "radius_inf", "center_nan", "epsilon_1e200", "mass_1e200",
-        "width_1e-300", "width_1e200", "radius_1e-200", "radius_1e200", "width_negative"])
+        "width_1e-300", "width_1e200", "radius_1e-200", "radius_1e200", "width_negative",
+        "mass_bool", "mass_1e400", "epsilon_bool", "epsilon_1e400", "width_bool",
+        "radius_bool", "center_1e400", "center_bool"])
 def test_non_finite_wightman_inputs_rejected(build, field):
     with pytest.raises(ConfigurationError, match=field):
         build()
+
+
+def test_integer_wightman_inputs_are_floats():
+    # an int converts to the float it names, so every pairing keeps its bits
+    t = make_test((1, 0, 0), 1, 2)
+    assert (t.center, t.width, t.radius) == ((1.0, 0.0, 0.0), 1.0, 2.0)
+    assert all(type(x) is float for x in (*t.center, t.width, t.radius))
+    assert type(ShellRegularization(1).epsilon) is float
+    assert MassAssignment.fixed([2] * 4).masses == (2.0,) * 4
 
 
 def test_kernel_term_structure(masses):
@@ -271,28 +290,35 @@ def test_variance_share_is_the_stratum_variance():
 def _energy_reference(rng, lo, hi, peaks, sd):
     # the per-peak loop the integrator's proposal must reproduce bit for bit:
     # every peak draws for all samples, the chosen one is kept; a slab above its
-    # peak is drawn in the reflected coordinate -z, whose mass is a lower tail
+    # peak is drawn in the reflected coordinate -z, whose mass is a lower tail;
+    # a peak with no mass above the floor keeps the slab's draw and weighs as it
     n = len(lo)
     p_peak = (1.0 - P_UNIFORM) / len(peaks)
-    comp, u_slab, u_norm = (rng.uniform(size=n) for _ in range(3))
+    b = sd / np.sqrt(2.0)
+    comp, u_slab, u_peak = (rng.uniform(size=n) for _ in range(3))
     k0 = lo + (hi - lo) * u_slab
 
+    def cdf(z):
+        e = 0.5 * np.exp(-np.abs(z))
+        return np.where(z <= 0.0, e, 1.0 - e)
+
     def truncated(mu):
-        z_lo, z_hi = (lo - mu) / sd, (hi - mu) / sd
+        z_lo, z_hi = (lo - mu) / b, (hi - mu) / b
         above = z_lo > 0.0
-        a = ndtr(np.where(above, -z_hi, z_lo))
-        mass = np.maximum(ndtr(np.where(above, -z_lo, z_hi)) - a, 1e-300)
-        return np.where(above, -1.0, 1.0), a, mass
+        a = cdf(np.where(above, -z_hi, z_lo))
+        mass = cdf(np.where(above, -z_lo, z_hi)) - a
+        return np.where(above, -1.0, 1.0), a, mass, mass > wightman.MASS_FLOOR
 
     trunc = [truncated(mu) for mu in peaks]
-    for i, (mu, (sign, a, mass)) in enumerate(zip(peaks, trunc)):
+    for i, (mu, (sign, a, mass, live)) in enumerate(zip(peaks, trunc)):
         in_comp = (comp >= P_UNIFORM + i * p_peak) & (comp < P_UNIFORM + (i + 1) * p_peak)
-        draw = mu + sign * sd * ndtri(np.clip(a + mass * u_norm, 1e-300, 1.0 - 1e-16))
-        k0 = np.where(in_comp, np.clip(draw, lo, hi), k0)
+        p = np.clip(a + mass * u_peak, 1e-300, 1.0 - 1e-16)
+        z = np.where(p <= 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+        k0 = np.where(in_comp & live, np.clip(mu + sign * b * z, lo, hi), k0)
     dens = np.full(n, P_UNIFORM) / (hi - lo)
-    for mu, (_, a, mass) in zip(peaks, trunc):
-        pdf = np.exp(-0.5 * ((k0 - mu) / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
-        dens = dens + p_peak * pdf / mass
+    for mu, (_, a, mass, live) in zip(peaks, trunc):
+        pdf = np.exp(-np.abs(k0 - mu) / b) / (2.0 * b)
+        dens = dens + p_peak * np.where(live, pdf / np.where(live, mass, 1.0), 1.0 / (hi - lo))
     return k0, (1.0 / (hi - lo)) / dens
 
 
@@ -308,7 +334,7 @@ def test_energy_proposal_matches_per_peak_reference(m2s):
     shells = [e for m2 in m2s for e in _shell_energies(x, y, m2)]
     peaks = shells + [-0.3 + e for e in shells]
     sub = np.flatnonzero(np.random.default_rng(5).uniform(size=5000) < 0.3)
-    for sd in (0.25, 0.025):
+    for sd in (0.25, 0.025, 0.0025):  # at 0.0025 the far peaks have no mass on a slab
         u = np.random.default_rng(9).uniform(size=(3, 5000))
         k0 = _draw_energy(u, lo, hi, peaks, sd)
         w = _energy_weight(k0, lo, hi, peaks, sd)
@@ -320,22 +346,45 @@ def test_energy_proposal_matches_per_peak_reference(m2s):
         assert np.array_equal(_energy_weight(k0[sub], lo[sub], hi[sub], sub_peaks, sd), w[sub])
 
 
+@pytest.mark.parametrize("offset", [0.0, 40.0, 400.0, 2000.0])
+def test_energy_proposal_is_unbiased_on_a_slab_far_from_its_peaks(offset):
+    # 200 000 slabs of height 0.5 whose low end lies offset Laplace scales b
+    # above the peak at 1.0; the peaks at 1.2 and -1.0 lie inside or below.
+    # E[w] = 1 and E[w (k0 - lo)] = (hi - lo) / 2 for any proposal that covers
+    # the slab; a peak whose mass on the slab is at the floor (all three at
+    # 2000 b) draws and weighs as the slab, so no draw sits at the slab's end
+    n, sd = 200_000, 0.025
+    lo = np.full(n, 1.0 + offset * sd / np.sqrt(2.0))
+    hi = lo + 0.5
+    peaks = [np.full(n, mu) for mu in (1.0, 1.2, -1.0)]
+    k0 = _draw_energy(np.random.default_rng(13).uniform(size=(3, n)), lo, hi, peaks, sd)
+    w = _energy_weight(k0, lo, hi, peaks, sd)
+    assert np.all((lo <= k0) & (k0 <= hi))
+    if offset == 2000.0:  # every point weighs as the uniform: 1 up to rounding
+        assert np.all(w == w[0]) and w[0] == pytest.approx(1.0, rel=1e-15)
+    else:
+        assert abs(w.mean() - 1.0) <= 4.0 * w.std(ddof=1) / np.sqrt(n)
+    x = w * (k0 - lo)
+    assert abs(x.mean() - 0.25) <= 4.0 * x.std(ddof=1) / np.sqrt(n)
+
+
 # (value, stderr) hex of each pairing at 20000 points, 4 x 4 strata, seed 2024,
 # keyed by the shell mass of all four legs: skipping the points off h1's
-# support must not move a bit.  The mass-1.0 nonzero entries were re-recorded
-# when a slab above its peak took its truncated-normal mass in the upper tail.
+# support must not move a bit.  The nonzero entries were re-recorded when the
+# energy peaks became truncated Laplace laws and each stratum took a one-index
+# seed path.
 # At mass 0.7 neither m^2 nor sqrt(m^2) is exact, so those rows see how m^2 is
 # stored and recovered.  At eps 0.05 the space-like shell deltas underflow, so
 # the stratum loop reads exactly 0
 PINNED = {
-    ("spacelike", 1.0, 2.0): ("-0x1.1f2085423e999p-33", "0x1.c7a2471f585e7p-37"),
+    ("spacelike", 1.0, 2.0): ("-0x1.ffd8323f2acb4p-34", "0x1.5e89c04d2a78ap-37"),
     ("spacelike", 1.0, 0.05): ("0x0.0p+0", "0x0.0p+0"),
-    ("spacelike", 0.7, 2.0): ("-0x1.63d4a6f70ab19p-31", "0x1.fff471c7ceb4dp-35"),
+    ("spacelike", 0.7, 2.0): ("-0x1.492151888a328p-31", "0x1.9adcaf7ec8351p-35"),
     ("spacelike", 0.7, 0.05): ("0x0.0p+0", "0x0.0p+0"),
-    ("control", 1.0, 2.0): ("0x1.51646964db666p-14", "0x1.81f7e9d656482p-20"),
-    ("control", 1.0, 0.05): ("0x1.275b5aeedbea0p-9", "0x1.2feeb102df8dep-12"),
-    ("control", 0.7, 2.0): ("0x1.2f13dd2e4b247p-14", "0x1.8727b8f000b10p-20"),
-    ("control", 0.7, 0.05): ("0x1.76e863956ea4dp-7", "0x1.5ca4698eebd98p-9"),
+    ("control", 1.0, 2.0): ("0x1.60e55a1603727p-14", "0x1.660f345708502p-20"),
+    ("control", 1.0, 0.05): ("0x1.1d2bb1274219ep-9", "0x1.e65878b0c6f38p-13"),
+    ("control", 0.7, 2.0): ("0x1.3c14c44906431p-14", "0x1.7eb83d70eb1f4p-20"),
+    ("control", 0.7, 0.05): ("0x1.abb20795302efp-7", "0x1.2d750392847a5p-9"),
 }
 
 
@@ -378,7 +427,7 @@ PAIRING_PEAK_BYTES = 3.2 * 2**20
 def test_pairing_peak_memory_at_baumann_size():
     masses, tests = MassAssignment.fixed([1.0] * 4), shell_control_tests(1.0)
     reg = ShellRegularization(0.5)
-    # scipy.special loads at the first stratum; keep its import out of the peak
+    # a first, small pairing keeps one-time allocations out of the peak
     wightman_n_regularized(tests, masses, reg, IntegratorSpec(n_samples=2_000, n_strata=2))
     tracemalloc.start()
     try:
@@ -410,8 +459,8 @@ def test_stderr_survives_tiny_values():
     est = wightman_n_regularized(criterion8_tests(), MassAssignment.fixed([1.0] * 4),
                                  ShellRegularization(0.25),
                                  IntegratorSpec(n_samples=250_000, n_strata=8, seed=5))
-    assert est.n_nonzero == 2242
-    assert est.value == pytest.approx(-3.345e-245, rel=1e-3)
+    assert est.n_nonzero == 2405
+    assert est.value == pytest.approx(-1.855e-250, rel=1e-3)
     assert est.stderr > 0.0
 
 
@@ -493,17 +542,17 @@ def _hex(rows):
 # control (value, stderr) hex at 40 000 points, 8 x 8 strata, seed 5, the
 # bits of the check that sampled every row
 CONTROL_HEX = {
-    2.0: ("0x1.59ea84f5ed834p-14", "0x1.11d8a31939b40p-20"),
-    0.5: ("0x1.4f2e554fed9bep-10", "0x1.a95f80987c1f7p-15"),
-    0.3: ("0x1.a68787d5effc9p-10", "0x1.8857d2377f65bp-14"),
-    1.3: ("0x1.2c1efee21f6a6p-12", "0x1.4c1bf07f2ee00p-18"),
+    2.0: ("0x1.61175d7d9e7f5p-14", "0x1.f6495185d0030p-21"),
+    0.5: ("0x1.4a7b4ac35b0f1p-10", "0x1.18026a2b24c25p-15"),
+    0.3: ("0x1.c45b745e58e6dp-10", "0x1.26ddab8d715a6p-14"),
+    1.3: ("0x1.2ca25857cf777p-12", "0x1.e13394fb154aap-19"),
 }
-SPACELIKE_EPS2_HEX = ("-0x1.fee3ba9f00757p-34", "0x1.37238f663bb9dp-37")
+SPACELIKE_EPS2_HEX = ("-0x1.04a1b2a626379p-33", "0x1.0f2c36fbb9815p-37")
 
 
 def test_bound_certifies_only_where_it_decides(masses):
     # eps 2.0: the bound 10^-3.59 lies above 1e-3 c_val = 10^-5.79, so that row
-    # is sampled (-1.16e-10 +/- 8.8e-12); eps 0.5 and 0.3 are certified
+    # is sampled (-1.19e-10 +/- 7.7e-12); eps 0.5 and 0.3 are certified
     f, h1, h2, g = criterion8_tests()
     eps = (2.0, 0.5, 0.3)
     rep = baumann_check(masses, h1, h2, f, g, eps,
@@ -529,6 +578,6 @@ def test_bound_that_breaks_the_decay_rule_is_sampled(masses):
     assert 4.0 * 10.0 ** bound[1] <= 1e-3 * rep.details["control_scale"]
     assert _hex(rep.control[:2]) == [CONTROL_HEX[2.0], CONTROL_HEX[1.3]]
     assert _hex(rep.spacelike[:2]) == [SPACELIKE_EPS2_HEX,
-                                       ("-0x1.1617e8300020fp-51", "0x1.85ac1c857150dp-54")]
+                                       ("-0x1.4383d20c04e8bp-51", "0x1.57797d075265ap-54")]
     assert rep.spacelike[2] == (0.0, 10.0 ** bound[2])
     assert rep.verdict == "PASS"
