@@ -195,15 +195,19 @@ def _product_steps(configs: tuple) -> tuple:
     return tuple(steps), tuple(rows)
 
 
-def _subset_products(cols, steps, out=None) -> np.ndarray:
-    """The rows of a _product_steps plan, with cols[point] the point's column;
-    out, if given, is a (len(steps) + 1, n) buffer to fill."""
-    if out is None:
-        out = np.empty((len(steps) + 1,) + cols[steps[0][1]].shape)
-    out[-1] = 1.0  # the parent of the singletons
+def _subset_products(steps, column, out: np.ndarray) -> np.ndarray:
+    """Fill out, a (len(steps), n) buffer, with the rows of a _product_steps
+    plan: column(q, row) writes the column of point q into the row of the
+    singleton {q}, and every other row is its parent's row times that row.
+    A singleton's step precedes every step that uses its point."""
+    single = {}
     for k, (parent, q) in enumerate(steps):
-        np.multiply(out[parent], cols[q], out=out[k])
-    return out[:-1]
+        if parent < 0:
+            column(q, out[k])
+            single[q] = k
+        else:
+            np.multiply(out[parent], out[single[q]], out=out[k])
+    return out
 
 
 JACKKNIFE_BYTES = 1 << 22  # deleted pools held at once by _jackknife
@@ -262,7 +266,9 @@ def joint_cumulant_jackknife(values: np.ndarray) -> tuple[float, float]:
     leave-one-out jackknife standard error."""
     x = np.asarray(values, dtype=float)
     # (n_subsets, N) in memory, so sums over samples stay pairwise
-    prods = _subset_products(x.T, _product_steps((tuple(range(x.shape[1])),))[0])
+    steps = _product_steps((tuple(range(x.shape[1])),))[0]
+    prods = _subset_products(steps, lambda q, row: np.copyto(row, x[:, q]),
+                             np.empty((len(steps), len(x))))
     est = cumulant_from_subset_sums(prods.T[:, :, None], np.ones(len(x)), x.shape[1])
     return est.value, est.stderr
 
@@ -281,11 +287,22 @@ def _translation_index(spec: LatticeSpec, q: tuple) -> np.ndarray:
 def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.ndarray:
     """The subset-sum kernel: the rows of a _product_steps plan over the
     lattice translations tau of one field, point x standing for phi(tau + x).
-    Each distinct point's column is one gather; out as in _subset_products."""
+    Each distinct point's column is gathered straight into its singleton's
+    row, the origin's copied; out, if given, is the (len(steps), V) buffer
+    to fill."""
     # a gather from unaligned data (say a view into file bytes) is several times slower
     flat = np.require(field, float, "CA").ravel()
-    cols = {q: flat[_translation_index(spec, q)] for q in {q for _, q in steps}}
-    return _subset_products(cols, steps, out)
+    origin = (0,) * spec.d
+
+    def column(q, row):
+        if q == origin:
+            np.copyto(row, flat)
+        else:  # the indices are in range: "clip" gathers unbuffered into row
+            np.take(flat, _translation_index(spec, q), out=row, mode="clip")
+
+    if out is None:
+        out = np.empty((len(steps), spec.n_sites))
+    return _subset_products(steps, column, out)
 
 
 def _solved_subset_rows(p: ModelParams, spec: LatticeSpec, steps, eta) -> np.ndarray:
@@ -300,7 +317,7 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
     """
     steps, (rows,) = _product_steps((tuple(_check_points(spec, pts)),))
     sums = np.zeros((len(steps), spec.n_sites))
-    products = np.empty((len(steps) + 1, spec.n_sites))  # one buffer for every sample
+    products = np.empty((len(steps), spec.n_sites))  # one buffer for every sample
     for f in fields:
         sums += _subset_rows(spec, steps, f, products)
     return sums[list(rows)]

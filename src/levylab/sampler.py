@@ -14,8 +14,10 @@ fixed blocks of samples in sample order, so sums are bit-identical for any
 worker count.  A worker pool forks its workers from an explicit fork context
 after the block sums are allocated as one anonymous shared mapping; each
 worker adds its blocks into its own rows of it, so no result is pickled back
-or concatenated.  concurrent.futures, multiprocessing and mmap are imported only when a pool
-starts.
+or concatenated.  An ensemble file's samples are read into such a mapping
+too, so that their pages go back to the system when the ensemble is freed.
+concurrent.futures and multiprocessing are imported only when a pool starts,
+mmap only when a mapping is made.
 """
 
 from __future__ import annotations
@@ -143,6 +145,22 @@ def _pool_chunk(args) -> None:
     _sample_chunk(*args, _shared)
 
 
+def _mapped_zeros(shape: tuple, dtype=float) -> np.ndarray:
+    """A zero-filled array in its own anonymous shared mapping (MAP_SHARED):
+    workers forked while it lives share its pages, and freeing it unmaps
+    them.  An array of this size from the heap can stay resident after it is
+    freed, in every process forked later too, once glibc has raised its
+    mmap threshold.  MAP_POPULATE (Linux) maps every page in one call, not
+    one page fault each later.  A mapping cannot be empty, so an empty array
+    still maps one word."""
+    import mmap
+
+    count = math.prod(shape)
+    size = count * np.dtype(dtype).itemsize
+    flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, max(size, 8), flags=flags), dtype, count).reshape(shape)
+
+
 def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
                    master_seed: int, fn, shape: tuple, max_blocks: int | None = None,
                    workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -167,18 +185,10 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
         out = np.zeros((n_blocks,) + shape)
         _sample_chunk(chi, spec, master_seed, 0, n_samples, n_samples, fn, out)
         return out, counts
-    import mmap  # only a pool needs these
-    import multiprocessing
+    import multiprocessing  # only a pool needs these
     from concurrent.futures import ProcessPoolExecutor
 
-    count = n_blocks * math.prod(shape)
-    # zero-filled and shared with the forked workers (MAP_SHARED).  The parent
-    # reads every page in the end; MAP_POPULATE (Linux) maps them in one call
-    # here, not one page fault each later.  A mapping cannot be empty, and an
-    # empty point set gives count 0.
-    flags = mmap.MAP_SHARED | getattr(mmap, "MAP_POPULATE", 0)
-    out = np.frombuffer(mmap.mmap(-1, max(8 * count, 8), flags=flags), count=count)
-    out = out.reshape((n_blocks,) + shape)
+    out = _mapped_zeros((n_blocks,) + shape)  # shared with the forked workers
     chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
     args = [(chi, spec, master_seed, int(bounds[c[0]]), int(bounds[c[-1] + 1]), n_samples, fn)
             for c in chunks]
@@ -248,8 +258,8 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
     passed here must agree with the stored one.  Any other version (v1 stored
     neither), a truncated file, an unknown tag, trailing bytes or a seed
     mismatch raise ConfigurationError.  The samples are read straight into a
-    new, aligned array: the header leaves them at a file offset of 4 mod 8,
-    which np.frombuffer would keep.
+    new, aligned array in its own mapping (_mapped_zeros): the header leaves
+    them at a file offset of 4 mod 8, which np.frombuffer would keep.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -278,7 +288,7 @@ def read_ensemble(path, master_seed: int | None = None) -> Ensemble:
             raise ConfigurationError(f"{path}: sample data: truncated file")
         if extra > 0:
             raise ConfigurationError(f"{path}: sample data: {extra} trailing bytes")
-        fields = np.empty((n_samples,) + spec.shape, dtype="<f8")
+        fields = _mapped_zeros((n_samples,) + spec.shape, "<f8")
         if fh.readinto(fields) != fields.nbytes:  # the file shrank since fstat
             raise ConfigurationError(f"{path}: sample data: truncated file")
     kind = _TAG_KINDS[tag]

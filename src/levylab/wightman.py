@@ -22,16 +22,21 @@ inverse need only exp and log.
 
 The strata are evaluated in blocks of about BLOCK_POINTS points, so that
 numpy's fixed cost per call is paid once per block, not once per stratum.
-Each stratum of a block draws every uniform of every point, in stream order,
-into its own slice of the block's arrays.  One pass over the block then works
-support first, so that beyond the draws the work goes to points whose
-integrand can be nonzero.  The ball half heights and energies are formed only
-where the spatial part of leg 2 lies within h1's support radius (about half
-the points in the Baumann geometries), the kernel only where leg 2 lies inside
-h1's support ball (about a quarter), and proposal weights and test functions
-only where the kernel is nonzero; the integrand is exactly 0 at every other
-point.  The pass is elementwise and each stratum is reduced on its own row,
-so the results are bit-identical to evaluating all points one stratum at a
+Stratum (s3, s4) draws from substream(seed, s3 * n_strata + s4) in two
+calls: (6, per) uniforms, the radial variable and the angle of legs 3, 4
+and 1 at each of its points, then (9, n_near) uniforms, the energy uniforms
+(comp, u_slab, u_peak) of legs 3, 4 and 1, at its n_near points whose leg 2
+lies spatially within h1's support radius.  One pass over the block then
+narrows the points in play stage by stage: legs 3 and 4 get their energies
+at the near points, leg 1 only where delta+(leg 3) or delta-(leg 4) is
+nonzero (every j-term carries one of them), the kernel only where leg 2
+lies inside h1's support ball, and proposal weights and test functions only
+where the kernel is nonzero; the integrand is exactly 0 at every other
+point.  On the control at mass 1 (250 000 points, 8 x 8 strata, seed 5)
+the stages keep 54.3% of the points, then 54.3 / 43.9 / 19.3%,
+29.4 / 21.1 / 12.7% and 29.4 / 15.0 / 1.4% at eps 0.5 / 0.05 / 0.005.  The
+pass is elementwise, and each stratum's draws depend on its own points
+only, so the results are bit-identical to evaluating one stratum at a
 time, for any block size.
 
 If both middle test functions have purely space-like support, every j-term
@@ -66,20 +71,19 @@ _DIM = 3  # Minkowski dimension supported by the integrator
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
-def _sum_sq(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over a short last axis, added left to right, (a + b) + c:
-    the bits np.sum gives there, at about a fifth of its cost per element on
-    a length-3 axis (no reduction loop)."""
-    out = x[..., 0] ** 2
-    for j in range(1, x.shape[-1]):
-        out += x[..., j] ** 2
-    return out
+def _components(k) -> np.ndarray:
+    """The components (k0, x, y) of (..., 3) momenta, each of shape (...)."""
+    return np.moveaxis(np.asarray(k, dtype=float), -1, 0)
+
+
+def _shell_offset(k0, x, y, m2: float) -> np.ndarray:
+    """k^2 - m2 at the momenta with components k0, x, y, k^2 = k0^2 - (x^2 + y^2)."""
+    return k0**2 - (x**2 + y**2) - m2
 
 
 def minkowski_sq(k: np.ndarray) -> np.ndarray:
-    """Invariant k^2 = (k0)^2 - |kvec|^2 for (..., d) arrays, d >= 2."""
-    k = np.asarray(k, dtype=float)
-    return k[..., 0] ** 2 - _sum_sq(k[..., 1:])
+    """Invariant k^2 = (k0)^2 - |kvec|^2 for (..., 3) momenta."""
+    return _shell_offset(*_components(k), 0.0)
 
 
 @dataclass(frozen=True)
@@ -109,16 +113,19 @@ class MomentumTestFunction:
         for name, value in (("center", c), ("width", w), ("radius", r)):
             object.__setattr__(self, name, value)
 
-    def _dsq(self, k: np.ndarray) -> np.ndarray:
-        return _sum_sq(np.asarray(k, dtype=float) - np.asarray(self.center))
+    def _dsq(self, k0, x, y) -> np.ndarray:
+        """|k - center|^2 at the momenta with components k0, x, y, added as
+        ((k0 - c0)^2 + (x - c1)^2) + (y - c2)^2."""
+        c = self.center
+        return ((k0 - c[0]) ** 2 + (x - c[1]) ** 2) + (y - c[2]) ** 2
 
-    def support(self, k: np.ndarray) -> np.ndarray:
-        """True where k lies in the closed support ball."""
-        return self._dsq(k) <= self.radius**2
+    def at(self, k0, x, y) -> np.ndarray:
+        """The bump at the momenta with components k0, x, y."""
+        dsq = self._dsq(k0, x, y)
+        return np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
-        dsq = self._dsq(k)
-        return np.exp(-dsq / (2.0 * self.width**2)) * (dsq <= self.radius**2)
+        return self.at(*_components(k))
 
 
 def _sup_ksq(t: MomentumTestFunction, field: str) -> float:
@@ -228,17 +235,21 @@ class WightmanEstimate:
     variance_share: tuple | None = None
 
 
-def _leg_factors(k: np.ndarray, m2: float, reg: ShellRegularization):
+def _leg_factors(k0, x, y, m2: float, reg: ShellRegularization):
     """(delta+, delta-, PV) factors for one leg on the shell k^2 = m2, vectorized."""
-    q = minkowski_sq(k) - m2
+    q = _shell_offset(k0, x, y, m2)
     shell = reg.delta(q)
-    return shell * (k[..., 0] > 0.0), shell * (k[..., 0] < 0.0), reg.pv(q)
+    return shell * (k0 > 0.0), shell * (k0 < 0.0), reg.pv(q)
 
 
 def truncated_kernel(ks, masses: MassAssignment, reg: ShellRegularization) -> np.ndarray:
-    """The j-sum kernel for a list of n per-leg momentum arrays."""
-    n = len(ks)
-    facs = [_leg_factors(k, m2, reg) for k, m2 in zip(ks, masses.m2)]
+    """The j-sum kernel for a list of n per-leg (..., 3) momentum arrays."""
+    return _j_sum([_leg_factors(*_components(k), m2, reg) for k, m2 in zip(ks, masses.m2)])
+
+
+def _j_sum(facs) -> np.ndarray:
+    """The j-sum of the per-leg (delta+, delta-, PV) factors facs, in leg order."""
+    n = len(facs)
     total = np.zeros_like(facs[0][0])
     for j in range(n):
         term = facs[j][2]
@@ -319,51 +330,63 @@ def _energy_weight(k0, lo, hi, peaks, sd: float) -> np.ndarray:
     return (1.0 / (hi - lo)) / dens
 
 
-class _Leg:
-    """One sampled leg of a block of strata: the uniforms of every point, drawn
-    stratum by stratum into its slice, then its spatial momenta, narrowed by
-    keep() to the points still in play, then their energies and weights."""
+def _disk(t: MomentumTestFunction, v, angle):
+    """(x, y, c) of points uniform in t's ball: the spatial momenta (x, y) at
+    the angle and at the radius whose CDF u has 1 - u = v, and c = cbrt(v),
+    so that the ball's half height above (x, y) is R c."""
+    c = np.cbrt(v)
+    rho = t.radius * np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    return t.center[1] + rho * np.cos(angle), t.center[2] + rho * np.sin(angle), c
 
-    def __init__(self, test: MomentumTestFunction, n: int):
-        self.test = test
-        # per point: the radial CDF variable, the angle, then the energy
-        # uniforms (comp, u_slab, u_peak) of _draw_energy
-        self.u = np.empty((5, n))
 
-    def fill(self, rng, sl: slice, radial) -> None:
-        """Draw one stratum's points into the slice sl: the radial CDF variable
-        restricted to radial = [u_lo, u_hi) (stratification), the angle, then
-        the energy uniforms."""
-        n = sl.stop - sl.start
-        self.u[0, sl] = rng.uniform(*radial, size=n)
-        self.u[1, sl] = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        self.u[2:, sl] = rng.uniform(size=(3, n))
+def _slab(t: MomentumTestFunction, c):
+    """(lo, hi), the energies of t's ball above the points of half height R c."""
+    half = t.radius * c
+    return t.center[0] - half, t.center[0] + half
 
-    def place(self) -> None:
-        """Spatial momenta (x, y), uniform in the support disk, and radii rho."""
-        c, R = self.test.center, self.test.radius
-        self.rho = R * np.sqrt(np.maximum(0.0, 1.0 - (1.0 - self.u[0]) ** (2.0 / 3.0)))
-        self.x, self.y = c[1] + self.rho * np.cos(self.u[1]), c[2] + self.rho * np.sin(self.u[1])
 
-    def keep(self, idx) -> None:
-        """Narrow to the points idx, whose energy slabs are center[0] -/+ the
-        half height of the ball above each."""
-        c0, R, rho = self.test.center[0], self.test.radius, self.rho[idx]
-        self.x, self.y, self.u = self.x[idx], self.y[idx], self.u[2:, idx]
-        del self.rho
-        half = np.sqrt(np.maximum(R**2 - rho**2, 1e-300))
-        self.lo, self.hi = c0 - half, c0 + half
+def _leg1_peaks(x1, y1, k3, k4, m2) -> list:
+    """Leg 1's proposal peaks at the spatial momenta (x1, y1), with legs 3 and
+    4 given as components (k0, x, y): its own shell energies, then those
+    where the conserved leg 2 hits its shells."""
+    a0 = k3[0] + k4[0]
+    x2, y2 = x1 + (k3[1] + k4[1]), y1 + (k3[2] + k4[2])
+    return _shell_energies(x1, y1, m2[0]) + [-a0 + e for e in _shell_energies(x2, y2, m2[1])]
 
-    def draw(self, peaks, sd: float) -> np.ndarray:
-        """(n, 3) momenta with energies drawn from the proposal at the peaks."""
-        self.peaks = peaks
-        k0 = _draw_energy(self.u, self.lo, self.hi, peaks, sd)
-        return np.stack([k0, self.x, self.y], axis=1)
 
-    def weight(self, k0, idx, sd: float) -> np.ndarray:
-        """Proposal weights of the drawn energies k0 of the points idx."""
-        return _energy_weight(k0, self.lo[idx], self.hi[idx],
-                              [p[idx] for p in self.peaks], sd)
+def _take(idx, *groups) -> list:
+    """Each group, a tuple of arrays over the same points, narrowed to idx."""
+    return [tuple(a[idx] for a in group) for group in groups]
+
+
+def _near_points(tests, rngs, S: int, strata, per: int):
+    """The points of a block whose leg 2 lies within h1's support radius:
+    their indices in the block, then (x, y, c) (_disk) of legs 1, 3 and 4
+    there.  Each stratum draws its rows (radial variable, angle) of legs 3,
+    4 and 1 as one (6, per) call."""
+    f, h1, h2, g = tests
+    n = len(strata) * per
+    # a radial row holds v = 1 - u for the radial CDF variable u = (s + r) / S
+    # on the stratum's [s/S, (s+1)/S) (leg 1: s = 0, S = 1); (S - s) - r is
+    # exact where it is at most 1/2, so v > 0 and no slab has height 0
+    u = np.empty((6, n))
+    for b, ((s3, s4), rng) in enumerate(zip(strata, rngs)):
+        sl = slice(b * per, (b + 1) * per)
+        u[:, sl] = rng.random((6, per))
+        u[0, sl] = ((S - s3) - u[0, sl]) / S
+        u[2, sl] = ((S - s4) - u[2, sl]) / S
+    u[4] = 1.0 - u[4]
+    u[1::2] *= 2.0 * np.pi
+    leg3, leg4, leg1 = (_disk(t, u[i], u[i + 1]) for i, t in zip((0, 2, 4), (h2, g, f)))
+    # the spatial squares of h1's distance to k2 = -(k1 + k3 + k4), rounded as
+    # h1._dsq rounds them; it adds them to an energy square e >= 0 as
+    # (e + x) + y, never below x + y as rounding is monotone, so no point in
+    # h1's ball is dropped
+    c = h1.center
+    dsq = ((-((leg1[0] + leg3[0]) + leg4[0]) - c[1]) ** 2
+           + (-((leg1[1] + leg3[1]) + leg4[1]) - c[2]) ** 2)
+    near = np.flatnonzero(dsq <= h1.radius**2)
+    return (near, *_take(near, leg1, leg3, leg4))
 
 
 BLOCK_POINTS = 8192  # points per block of strata: 2 strata of baumann's 3 906 points
@@ -376,45 +399,37 @@ def _block(tests, masses: MassAssignment, reg: ShellRegularization, seed: int, S
     docstring) in one pass over the block."""
     f, h1, h2, g = tests
     m2 = masses.m2
-    leg3, leg4, leg1 = (_Leg(t, len(strata) * per) for t in (h2, g, f))
-    for b, (s3, s4) in enumerate(strata):
-        # every uniform of the stratum, in stream order: legs 3, 4, 1, each
-        # its spatial then its energy uniforms
-        rng = substream(seed, s3 * S + s4)
-        sl = slice(b * per, (b + 1) * per)
-        leg3.fill(rng, sl, (s3 / S, (s3 + 1) / S))
-        leg4.fill(rng, sl, (s4 / S, (s4 + 1) / S))
-        leg1.fill(rng, sl, (0.0, 1.0))
-    for leg in (leg3, leg4, leg1):
-        leg.place()
-    # x + y, the spatial squares of h1's distance to k2 = -(k1 + k3 + k4)
-    # rounded as h1 rounds them; h1 sums (e + x) + y with an energy square
-    # e >= 0, never below x + y as rounding is monotone, so no point in its
-    # ball is dropped
-    c = h1.center
-    dsq = ((-((leg1.x + leg3.x) + leg4.x) - c[1]) ** 2
-           + (-((leg1.y + leg3.y) + leg4.y) - c[2]) ** 2)
-    near = np.flatnonzero(dsq <= h1.radius**2)
-    for leg in (leg3, leg4, leg1):
-        leg.keep(near)
-    k3 = leg3.draw(_shell_energies(leg3.x, leg3.y, m2[2]), sd)
-    k4 = leg4.draw(_shell_energies(leg4.x, leg4.y, m2[3]), sd)
-    # leg 1 also peaks where the conserved leg 2 hits its shells
-    a0 = k3[:, 0] + k4[:, 0]
-    x2, y2 = leg1.x + (k3[:, 1] + k4[:, 1]), leg1.y + (k3[:, 2] + k4[:, 2])
-    k1 = leg1.draw(_shell_energies(leg1.x, leg1.y, m2[0])
-                   + [-a0 + e for e in _shell_energies(x2, y2, m2[1])], sd)
-    k2 = -(k1 + k3 + k4)
-    on = np.flatnonzero(h1.support(k2))
-    ks = [k1[on], k2[on], k3[on], k4[on]]
-    kernel = truncated_kernel(ks, masses, reg)
+    rngs = [substream(seed, s3 * S + s4) for s3, s4 in strata]
+    near, (x1, y1, c1), (x3, y3, c3), (x4, y4, c4) = _near_points(tests, rngs, S, strata, per)
+    # then each stratum draws the energy uniforms (comp, u_slab, u_peak) of
+    # legs 3, 4 and 1 for its own near points, as one (9, n_near) call
+    cuts = np.searchsorted(near, np.arange(len(strata) + 1) * per)
+    u = np.empty((9, len(near)))
+    for rng, a, b in zip(rngs, cuts, cuts[1:]):
+        u[:, a:b] = rng.random((9, b - a))
+    k3 = (_draw_energy(u[0:3], *_slab(h2, c3), _shell_energies(x3, y3, m2[2]), sd), x3, y3)
+    k4 = (_draw_energy(u[3:6], *_slab(g, c4), _shell_energies(x4, y4, m2[3]), sd), x4, y4)
+    # every j-term carries delta-(leg 4) (j <= 3) or delta+(leg 3) (j = 4), so
+    # the kernel is 0 wherever both are: leg 1 is drawn only where one is not
+    live = np.flatnonzero(((k3[0] > 0.0) & (reg.delta(_shell_offset(*k3, m2[2])) > 0.0))
+                          | ((k4[0] < 0.0) & (reg.delta(_shell_offset(*k4, m2[3])) > 0.0)))
+    (near,), u, (x1, y1), k3, k4, c = _take(live, (near,), u[6:9], (x1, y1), k3, k4, (c1, c3, c4))
+    del x3, y3, c3, x4, y4, c4, c1  # free the near-point arrays before leg 1's draw
+    k1 = (_draw_energy(u, *_slab(f, c[0]), _leg1_peaks(x1, y1, k3, k4, m2), sd), x1, y1)
+    del u, x1, y1
+    # leg 2 by momentum conservation
+    k2 = tuple(-((a1 + a3) + a4) for a1, a3, a4 in zip(k1, k3, k4))
+    on = np.flatnonzero(h1._dsq(*k2) <= h1.radius**2)
+    (near,), k1, k2, k3, k4, c = _take(on, (near,), k1, k2, k3, k4, c)
+    kernel = _j_sum([_leg_factors(*k, m2[j], reg) for j, k in enumerate((k1, k2, k3, k4))])
     live = np.flatnonzero(kernel)  # every other factor is finite: 0 where the kernel is
-    at = on[live]
-    k1, k2, k3, k4 = (k[live] for k in ks)
-    vals = (leg1.weight(k1[:, 0], at, sd) * leg3.weight(k3[:, 0], at, sd)
-            * leg4.weight(k4[:, 0], at, sd) * f(k1) * h1(k2) * h2(k3) * g(k4) * kernel[live])
+    (near, kernel), k1, k2, k3, k4, (c1, c3, c4) = _take(live, (near, kernel), k1, k2, k3, k4, c)
+    vals = (_energy_weight(k1[0], *_slab(f, c1), _leg1_peaks(k1[1], k1[2], k3, k4, m2), sd)
+            * _energy_weight(k3[0], *_slab(h2, c3), _shell_energies(k3[1], k3[2], m2[2]), sd)
+            * _energy_weight(k4[0], *_slab(g, c4), _shell_energies(k4[1], k4[2], m2[3]), sd)
+            * f.at(*k1) * h1.at(*k2) * h2.at(*k3) * g.at(*k4) * kernel)
     out = np.zeros(len(strata) * per)
-    out[near[at]] = vals
+    out[near] = vals
     return out.reshape(len(strata), per)
 
 

@@ -319,6 +319,22 @@ def test_lflb_read_back_is_aligned(tmp_path, jump_law):
     assert not back.fields.flags.writeable
 
 
+def test_lflb_read_back_lives_in_its_own_mapping(tmp_path):
+    # the samples go to an anonymous mapping, not numpy's heap (which
+    # tracemalloc sees): freeing the ensemble unmaps their pages, so no
+    # worker forked later inherits them
+    e = _writer_ensemble(64, LatticeSpec(3, 16, 0.5))  # 2 MiB of samples
+    write_ensemble(tmp_path / "big.lflb", e)
+    tracemalloc.start()
+    try:
+        back = read_ensemble(tmp_path / "big.lflb")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < back.fields.nbytes / 2
+    assert back.fields.tobytes() == e.fields.tobytes()
+
+
 def test_lflb_write_makes_no_copy_of_the_samples(tmp_path):
     e = _writer_ensemble(64, LatticeSpec(3, 16, 0.5))  # 2 MiB of samples
     tracemalloc.start()

@@ -9,9 +9,10 @@ from levylab import (BaumannReport, ConfigurationError, IntegratorSpec,
                      baumann_check, make_spacelike_test, make_test,
                      shell_control_tests, wightman_n_regularized)
 from levylab import wightman
-from levylab.wightman import (P_UNIFORM, _draw_energy, _energy_weight, _Leg,
-                              _log10_spacelike_bound, _shell_energies, minkowski_sq,
-                              truncated_kernel)
+from levylab.streams import substream
+from levylab.wightman import (CONTROL_RADIUS, CONTROL_WIDTH, P_UNIFORM, _disk, _draw_energy,
+                              _energy_weight, _log10_spacelike_bound, _shell_energies, _slab,
+                              minkowski_sq, truncated_kernel)
 
 
 @pytest.fixture
@@ -326,11 +327,10 @@ def _energy_reference(rng, lo, hi, peaks, sd):
 @pytest.mark.parametrize("m2s", [(1.0,), (1.0, 2.0, 4.0)], ids=lambda m2s: str(len(m2s)))
 def test_energy_proposal_matches_per_peak_reference(m2s):
     test = make_test((1.0, 0.5, 0.0), 0.4, 0.8)
-    leg = _Leg(test, 5000)
-    leg.fill(np.random.default_rng(4), slice(0, 5000), (0.0, 1.0))
-    leg.place()
-    leg.keep(np.arange(5000))
-    x, y, lo, hi = leg.x, leg.y, leg.lo, leg.hi
+    # 5000 points uniform in the ball, placed and given their slabs as _block does
+    r = np.random.default_rng(4).uniform(size=(2, 5000))
+    x, y, c = _disk(test, 1.0 - r[0], 2.0 * np.pi * r[1])
+    lo, hi = _slab(test, c)
     shells = [e for m2 in m2s for e in _shell_energies(x, y, m2)]
     peaks = shells + [-0.3 + e for e in shells]
     sub = np.flatnonzero(np.random.default_rng(5).uniform(size=5000) < 0.3)
@@ -370,21 +370,21 @@ def test_energy_proposal_is_unbiased_on_a_slab_far_from_its_peaks(offset):
 
 # (value, stderr) hex of each pairing at 20000 points, 4 x 4 strata, seed 2024,
 # keyed by the shell mass of all four legs: skipping the points off h1's
-# support must not move a bit.  The nonzero entries were re-recorded when the
-# energy peaks became truncated Laplace laws and each stratum took a one-index
-# seed path.
+# support must not move a bit.  The nonzero entries were re-recorded when
+# each stratum began to draw its energy uniforms for the points near h1's
+# support only, and its radial variable through cbrt.
 # At mass 0.7 neither m^2 nor sqrt(m^2) is exact, so those rows see how m^2 is
 # stored and recovered.  At eps 0.05 the space-like shell deltas underflow, so
 # the stratum loop reads exactly 0
 PINNED = {
-    ("spacelike", 1.0, 2.0): ("-0x1.ffd8323f2acb4p-34", "0x1.5e89c04d2a78ap-37"),
+    ("spacelike", 1.0, 2.0): ("-0x1.230bc2540c17dp-33", "0x1.c7d785d7ca102p-37"),
     ("spacelike", 1.0, 0.05): ("0x0.0p+0", "0x0.0p+0"),
-    ("spacelike", 0.7, 2.0): ("-0x1.492151888a328p-31", "0x1.9adcaf7ec8351p-35"),
+    ("spacelike", 0.7, 2.0): ("-0x1.56ea8c3b5074bp-31", "0x1.f656e260d46dcp-35"),
     ("spacelike", 0.7, 0.05): ("0x0.0p+0", "0x0.0p+0"),
-    ("control", 1.0, 2.0): ("0x1.60e55a1603727p-14", "0x1.660f345708502p-20"),
-    ("control", 1.0, 0.05): ("0x1.1d2bb1274219ep-9", "0x1.e65878b0c6f38p-13"),
-    ("control", 0.7, 2.0): ("0x1.3c14c44906431p-14", "0x1.7eb83d70eb1f4p-20"),
-    ("control", 0.7, 0.05): ("0x1.abb20795302efp-7", "0x1.2d750392847a5p-9"),
+    ("control", 1.0, 2.0): ("0x1.57eb10570d456p-14", "0x1.5b5ffffc0b102p-20"),
+    ("control", 1.0, 0.05): ("0x1.c9f33ff7f893ep-10", "0x1.d43e658d0b27bp-13"),
+    ("control", 0.7, 2.0): ("0x1.371c076f410f7p-14", "0x1.720dabfbdd85ep-20"),
+    ("control", 0.7, 0.05): ("0x1.1dd59c75c9ad8p-7", "0x1.2f4482b9c6f1fp-9"),
 }
 
 
@@ -419,14 +419,96 @@ def test_block_size_does_not_move_bits(monkeypatch, tests_name, mass, eps):
         assert bits() == default
 
 
+def _unpruned_block(tests, masses, reg, seed, S, strata, per, sd):
+    """_block with no prune past the spatial filter: every point near h1's
+    support draws all three energies from _block's stream layout, and the
+    full integrand is formed there from stacked (n, 3) momenta, the test
+    functions' __call__ and truncated_kernel."""
+    f, h1, h2, g = tests
+    m2 = masses.m2
+    rngs = [substream(seed, s3 * S + s4) for s3, s4 in strata]
+    near, (x1, y1, c1), (x3, y3, c3), (x4, y4, c4) = wightman._near_points(
+        tests, rngs, S, strata, per)
+    cuts = np.searchsorted(near, np.arange(len(strata) + 1) * per)
+    u = np.concatenate([rng.random((9, b - a)) for rng, a, b in zip(rngs, cuts, cuts[1:])],
+                       axis=1)
+    peaks3, peaks4 = _shell_energies(x3, y3, m2[2]), _shell_energies(x4, y4, m2[3])
+    k30 = _draw_energy(u[0:3], *_slab(h2, c3), peaks3, sd)
+    k40 = _draw_energy(u[3:6], *_slab(g, c4), peaks4, sd)
+    peaks1 = _shell_energies(x1, y1, m2[0]) + [
+        -(k30 + k40) + e for e in _shell_energies(x1 + (x3 + x4), y1 + (y3 + y4), m2[1])]
+    k10 = _draw_energy(u[6:9], *_slab(f, c1), peaks1, sd)
+    k1, k3, k4 = (np.stack(k, axis=1) for k in ((k10, x1, y1), (k30, x3, y3), (k40, x4, y4)))
+    k2 = -((k1 + k3) + k4)
+    vals = (_energy_weight(k10, *_slab(f, c1), peaks1, sd)
+            * _energy_weight(k30, *_slab(h2, c3), peaks3, sd)
+            * _energy_weight(k40, *_slab(g, c4), peaks4, sd)
+            * f(k1) * h1(k2) * h2(k3) * g(k4) * truncated_kernel([k1, k2, k3, k4], masses, reg))
+    out = np.zeros(len(strata) * per)
+    out[near] = vals
+    return out.reshape(len(strata), per)
+
+
+def _j4_tests():
+    """Bumps on the + shells of mass 1 for legs 1 to 3, k1 at rest and k2, k3
+    at spatial momenta -/+ 1, so leg 4 = -(k1 + k2 + k3) sits far off its
+    shell: only the j = 4 term, delta+(leg 3) with PV(leg 4), survives."""
+    e2 = float(np.sqrt(2.0))
+    return (make_test((1.0, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS),
+            make_test((e2, -1.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS),
+            make_test((e2, 1.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS),
+            make_test((-1.0 - 2.0 * e2, 0.0, 0.0), CONTROL_WIDTH, CONTROL_RADIUS))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.005])
+@pytest.mark.parametrize("geometry", ["control", "j4"])
+def test_pruned_block_matches_unpruned_reference(monkeypatch, geometry, eps):
+    # drawing leg 1 only where delta-(leg 4) or delta+(leg 3) is nonzero, and
+    # the kernel only inside h1's ball, must not move a bit: at eps 0.005 most
+    # near points are pruned before leg 1, at eps 0.5 almost none.  The
+    # control keeps its points by leg 4's delta, the j = 4 bumps by leg 3's
+    masses = MassAssignment.fixed([1.0] * 4)
+    tests = shell_control_tests(1.0) if geometry == "control" else _j4_tests()
+    reg, spec = ShellRegularization(eps), IntegratorSpec(n_samples=20_000, n_strata=4, seed=11)
+    args = (tests, masses, reg, spec.seed, 4, [(1, 2), (3, 0)], 1250, eps / 2.0)
+    block, ref = wightman._block(*args), _unpruned_block(*args)
+    assert np.array_equal(block, ref) and np.count_nonzero(block) == np.count_nonzero(ref) > 0
+
+    def bits():
+        est = wightman_n_regularized(tests, masses, reg, spec)
+        return (est.value.hex(), est.stderr.hex(), est.n_nonzero,
+                [[x.hex() for x in row] for row in est.variance_share])
+
+    pruned = bits()
+    monkeypatch.setattr(wightman, "_block", _unpruned_block)
+    assert bits() == pruned
+
+
+def test_stratum_consumes_six_per_point_and_nine_per_near_point(monkeypatch):
+    # stratum (1, 2) draws (6, per) spatial uniforms, then (9, n_near) energy
+    # uniforms for its points near h1's support: no more, whatever is pruned
+    masses, tests = MassAssignment.fixed([1.0] * 4), shell_control_tests(1.0)
+    S, per, seed = 4, 1250, 3
+    used = []
+    monkeypatch.setattr(wightman, "substream", lambda *a: used.append(substream(*a)) or used[-1])
+    wightman._block(tests, masses, ShellRegularization(0.005), seed, S, [(1, 2)], per, 0.0025)
+    near = wightman._near_points(tests, [substream(seed, 1 * S + 2)], S, [(1, 2)], per)[0]
+    assert 0 < len(near) < per
+    fresh = substream(seed, 1 * S + 2)
+    fresh.random(6 * per + 9 * len(near))
+    (rng,) = used
+    assert np.array_equal(rng.random(8), fresh.random(8))
+
+
 # twice the 1.58 MiB that one such pairing allocated at peak when each stratum
 # was evaluated on its own; baumann's 5% peak_rss_mb bound absorbs that rise
 PAIRING_PEAK_BYTES = 3.2 * 2**20
 
 
-def test_pairing_peak_memory_at_baumann_size():
+@pytest.mark.parametrize("eps", [0.5, 0.05, 0.005])
+def test_pairing_peak_memory_at_baumann_size(eps):
     masses, tests = MassAssignment.fixed([1.0] * 4), shell_control_tests(1.0)
-    reg = ShellRegularization(0.5)
+    reg = ShellRegularization(eps)
     # a first, small pairing keeps one-time allocations out of the peak
     wightman_n_regularized(tests, masses, reg, IntegratorSpec(n_samples=2_000, n_strata=2))
     tracemalloc.start()
@@ -459,8 +541,8 @@ def test_stderr_survives_tiny_values():
     est = wightman_n_regularized(criterion8_tests(), MassAssignment.fixed([1.0] * 4),
                                  ShellRegularization(0.25),
                                  IntegratorSpec(n_samples=250_000, n_strata=8, seed=5))
-    assert est.n_nonzero == 2405
-    assert est.value == pytest.approx(-1.855e-250, rel=1e-3)
+    assert est.n_nonzero == 2432
+    assert est.value == pytest.approx(-1.439e-246, rel=1e-3)
     assert est.stderr > 0.0
 
 
@@ -542,17 +624,17 @@ def _hex(rows):
 # control (value, stderr) hex at 40 000 points, 8 x 8 strata, seed 5, the
 # bits of the check that sampled every row
 CONTROL_HEX = {
-    2.0: ("0x1.61175d7d9e7f5p-14", "0x1.f6495185d0030p-21"),
-    0.5: ("0x1.4a7b4ac35b0f1p-10", "0x1.18026a2b24c25p-15"),
-    0.3: ("0x1.c45b745e58e6dp-10", "0x1.26ddab8d715a6p-14"),
-    1.3: ("0x1.2ca25857cf777p-12", "0x1.e13394fb154aap-19"),
+    2.0: ("0x1.55a54f6363f91p-14", "0x1.e7df25771340ep-21"),
+    0.5: ("0x1.4ef796ac71d49p-10", "0x1.1763143705b75p-15"),
+    0.3: ("0x1.c0e4c11c01489p-10", "0x1.2058f342240aap-14"),
+    1.3: ("0x1.293d9a4daf44cp-12", "0x1.dad9dadecbe20p-19"),
 }
-SPACELIKE_EPS2_HEX = ("-0x1.04a1b2a626379p-33", "0x1.0f2c36fbb9815p-37")
+SPACELIKE_EPS2_HEX = ("-0x1.cc662bf6612d9p-34", "0x1.ccba44ef34e53p-38")
 
 
 def test_bound_certifies_only_where_it_decides(masses):
-    # eps 2.0: the bound 10^-3.59 lies above 1e-3 c_val = 10^-5.79, so that row
-    # is sampled (-1.19e-10 +/- 7.7e-12); eps 0.5 and 0.3 are certified
+    # eps 2.0: the bound 10^-3.59 lies above 1e-3 c_val = 10^-5.77, so that row
+    # is sampled (-1.05e-10 +/- 6.5e-12); eps 0.5 and 0.3 are certified
     f, h1, h2, g = criterion8_tests()
     eps = (2.0, 0.5, 0.3)
     rep = baumann_check(masses, h1, h2, f, g, eps,
@@ -568,7 +650,7 @@ def test_bound_certifies_only_where_it_decides(masses):
 
 def test_bound_that_breaks_the_decay_rule_is_sampled(masses):
     # at eps 1.3, 4 * 10^-6.86 is below 1e-3 c_val, but a row 0.0 +/- 10^-6.86
-    # would not fall 100x per decade from eps 2.0's 1.5e-10, and the check would
+    # would not fall 100x per decade from eps 2.0's 1.3e-10, and the check would
     # read FAIL for a pairing that vanishes: that row is sampled, eps 0.5 is not
     f, h1, h2, g = criterion8_tests()
     eps = (2.0, 1.3, 0.5)
@@ -578,6 +660,6 @@ def test_bound_that_breaks_the_decay_rule_is_sampled(masses):
     assert 4.0 * 10.0 ** bound[1] <= 1e-3 * rep.details["control_scale"]
     assert _hex(rep.control[:2]) == [CONTROL_HEX[2.0], CONTROL_HEX[1.3]]
     assert _hex(rep.spacelike[:2]) == [SPACELIKE_EPS2_HEX,
-                                       ("-0x1.4383d20c04e8bp-51", "0x1.57797d075265ap-54")]
+                                       ("-0x1.0c28d58debf47p-51", "0x1.23a274f082662p-54")]
     assert rep.spacelike[2] == (0.0, 10.0 ** bound[2])
     assert rep.verdict == "PASS"
