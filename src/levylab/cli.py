@@ -30,14 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from .cumulants import (MAX_ANALYTIC_ORDER, analytic_truncated_schwinger,
-                        joint_cumulant_jackknife)
+                        cumulant_from_subset_sums, joint_cumulant_jackknife,
+                        sample_subset_sums)
 from .errors import (ConfigurationError, ContractViolation, LevyLabError,
                      NumericalError, RangeError, SingularityError)
 from .greens import ModelParams, green_momentum_sq, kl_momentum
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     _check_points, characteristic_functional, check_site_mean)
 from .rp import MonomialBasis, gram_report, rp_scan, verify_witness, witness_record
-from .sampler import _sample_blocks, sample_ensemble, sample_point_values, write_ensemble
+from .sampler import _sample_blocks, sample_ensemble, write_ensemble
 from .streams import substream_seed
 from .wightman import (IntegratorSpec, MassAssignment, ShellRegularization,
                        baumann_check, make_test)
@@ -327,22 +328,21 @@ def _point_sets(cfg, spec):
 def _cmd_cumulants(cfg, p, chi, spec, args):
     n_samples = _n_samples(cfg, 2)
     sets = _point_sets(cfg, spec)
-    needed = sorted({pt for _, pts in sets for pt in pts})
-    index_of = {pt: i for i, pt in enumerate(needed)}
-    values = sample_point_values(p, chi, spec, needed, n_samples, args.seed,
-                                 workers=args.workers)
+    sums, counts = sample_subset_sums(p, chi, spec, [pts for _, pts in sets], n_samples,
+                                      args.seed, workers=args.workers)
     rows = []
-    for name, pts in sets:
-        cols = values[:, [index_of[pt] for pt in pts]]
-        est, stderr = joint_cumulant_jackknife(cols)
+    for (name, pts), s in zip(sets, sums):
+        est = cumulant_from_subset_sums(s, counts, len(pts))
+        analytic = analytic_truncated_schwinger(p, chi, spec, pts)
         rows.append({
             "name": name,
             "points": [list(pt) for pt in pts],
             "order": len(pts),
-            "analytic": analytic_truncated_schwinger(p, chi, spec, pts),
-            "empirical": est,
-            "stderr": stderr,
-            "n_samples": int(values.shape[0]),
+            "analytic": analytic,
+            "empirical": est.value,
+            "stderr": est.stderr,
+            "z": (est.value - analytic) / est.stderr if est.stderr > 0.0 else None,
+            "n_samples": est.n_samples,
         })
     return {"cumulants": rows}, 0
 
@@ -521,7 +521,12 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigurationError(f"run.workers: must be >= 1, got {args.workers}")
         runner, sections, report = _COMMANDS[args.command]
-        results, code = runner(cfg, *_validate(cfg, sections), args)
+        try:
+            results, code = runner(cfg, *_validate(cfg, sections), args)
+        except ConfigurationError as exc:  # the samplers' n_samples is run.n_samples
+            if str(exc).startswith("n_samples:"):
+                raise ConfigurationError(f"run.{exc}") from exc
+            raise
         if report:
             _write_report(os.path.join(args.out, report), args.command, cfg,
                           args.seed, results)

@@ -15,15 +15,15 @@ rp's Gram plan takes all its sums from one call, and each scalar value
 own, with no cache.  A full moment is moments_from_cumulants over the
 c_|S| * K(S) of every subset S of its points.  Empirical joint cumulants are
 estimated by the set-partition Moebius formula over sample moments: of point
-values (joint_cumulant_jackknife), or translation-averaged from subset sums,
-made by one kernel (_subset_rows) on stored fields or inside the sampler's
-workers (sample_subset_sums).  That and the two-point map
-(empirical_two_point) stream: no field leaves its worker, and the sampler
-keeps min(n_samples, N_BLOCKS) block sums, the blocks of the one
-delete-block jackknife (_jackknife) behind every standard error; the
-leave-one-out jackknife is the same with blocks of one sample.  The jackknife
-holds at most JACKKNIFE_BYTES of deleted pools at once, and
-sample_subset_sums hands out one configuration's block sums at a time.
+values (joint_cumulant_jackknife), or pooled over the lattice translations
+too, from subset sums made by one kernel (_subset_rows) on stored fields or
+inside the sampler's workers, which keep each product's translation mean
+(sample_subset_sums).  That and the two-point map (empirical_two_point)
+stream: no field leaves its worker, and the sampler keeps min(n_samples,
+N_BLOCKS) block sums, the blocks of the one delete-block jackknife
+(_jackknife) behind every standard error; the leave-one-out jackknife is the
+same with blocks of one sample.  It holds at most JACKKNIFE_BYTES of deleted
+pools at once.
 """
 
 from __future__ import annotations
@@ -245,18 +245,18 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
                               order: int) -> CumulantEstimate:
     """Translation-averaged cumulant with delete-block jackknife stderr.
 
-    block_sums: shape (B, n_subsets, V) of per-block subset sums.  The value is
-    the plug-in estimate, biased by O(1/N): z = -3.2, -3.5, -3.0, -1.6 against
-    an analytic 0 at 200 samples on 16^3 (seeds 7-10), so N must be large.
+    block_sums: shape (B, n_subsets, V) of per-block subset sums, whose moments
+    are pooled over the V translations before the Moebius formula (V = 1 keeps
+    every bit).  The plug-in estimate is biased by O(1/N): z = -1.73, -1.50,
+    -1.61, -0.38 against an analytic 0 at 200 samples on 16^3 (seeds 7-10).
     """
-    block_sums = np.asarray(block_sums, dtype=float)
+    pooled = np.asarray(block_sums, dtype=float).mean(axis=-1)
     keys = _subset_keys(order)
 
     def estimate(means):
-        moments = {key: means[..., k, :] for k, key in enumerate(keys)}
-        return np.mean(_mobius_cumulant(moments, order), axis=-1)
+        return _mobius_cumulant({key: means[..., k] for k, key in enumerate(keys)}, order)
 
-    value, stderr = _jackknife([block_sums], block_counts, estimate)
+    value, stderr = _jackknife([pooled], block_counts, estimate)
     return CumulantEstimate(float(value), float(stderr),
                             int(np.sum(block_counts)), order)
 
@@ -305,8 +305,8 @@ def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.nd
     return _subset_products(steps, column, out)
 
 
-def _solved_subset_rows(p: ModelParams, spec: LatticeSpec, steps, eta) -> np.ndarray:
-    return _subset_rows(spec, steps, sampler.solve_spde(p, eta).values)
+def _solved_subset_means(p: ModelParams, spec: LatticeSpec, steps, eta) -> np.ndarray:
+    return _subset_rows(spec, steps, sampler.solve_spde(p, eta).values).mean(-1, keepdims=True)
 
 
 def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.ndarray:
@@ -326,19 +326,16 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
 def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpec,
                        configs, n_samples: int, master_seed: int, workers: int = 1):
     """(sums, counts) of sampler._sample_blocks in at most N_BLOCKS blocks:
-    sums yields, for each of configs in turn, an array of shape
-    (n_blocks, n_subsets, V) with the block sums of
-    accumulate_subset_sums of that configuration over the fields
-    sample_ensemble would draw, the input of cumulant_from_subset_sums.  Each
-    is gathered from the shared block array when asked for, so a caller that
-    drops one before taking the next holds one copy, not one per
-    configuration.  No field leaves its worker; bit-identical for any worker
-    count, and summed over blocks equal to the stored-field sums to rounding."""
+    sums lists, per configuration, the (n_blocks, n_subsets, 1) block sums of
+    the translation means of accumulate_subset_sums over the fields
+    sample_ensemble would draw, the input of cumulant_from_subset_sums.  No
+    field leaves its worker; bit-identical for any worker count, and summed
+    over blocks equal to the stored-field means to rounding."""
     steps, rows = _product_steps(tuple(tuple(_check_points(spec, pts)) for pts in configs))
     blocks, counts = sampler._sample_blocks(chi, spec, n_samples, master_seed,
-                                            partial(_solved_subset_rows, p, spec, steps),
-                                            (len(steps), spec.n_sites), N_BLOCKS, workers)
-    return (blocks[:, list(r)] for r in rows), counts
+                                            partial(_solved_subset_means, p, spec, steps),
+                                            (len(steps), 1), N_BLOCKS, workers)
+    return [blocks[:, list(r)] for r in rows], counts
 
 
 def _autocorrelation_row(p: ModelParams, eta) -> np.ndarray:

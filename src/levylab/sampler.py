@@ -8,8 +8,8 @@ is real by construction.  Point-only sampling skips the solve:
 phi(x) = a^d * sum_y G(x - y) eta_y is one product per sample with a cached
 matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
 draws from the counter-based stream (master_seed, i), one per-sample map turns
-the noise into a result (solved field, point values, cumulants' subset or
-two-point rows, or noise-check's phases) and the results are summed over
+the noise into a result (solved field, point values, cumulants' subset means
+or two-point rows, or noise-check's phases) and the results are summed over
 fixed blocks of samples in sample order, so sums are bit-identical for any
 worker count.  A worker pool forks its workers from an explicit fork context
 after the block sums are allocated as one anonymous shared mapping; each
@@ -177,18 +177,22 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     n_blocks = n_samples if max_blocks is None else min(n_samples, max_blocks)
-    bounds = -(-np.arange(n_blocks + 1) * n_samples // n_blocks)
-    counts = np.diff(bounds)
     # a fork pool starts all its processes at once: never more than the cores
     workers = min(workers, os.cpu_count() or 1)
+    try:  # without max_blocks, the bounds and sums grow with n_samples
+        bounds = -(-np.arange(n_blocks + 1) * n_samples // n_blocks)
+        counts = np.diff(bounds)
+        # a pool's sums are shared with its forked workers
+        out = (np.zeros if workers <= 1 else _mapped_zeros)((n_blocks,) + shape)
+    except (MemoryError, OSError, OverflowError, ValueError) as exc:  # refused by numpy or mmap
+        raise ConfigurationError(
+            f"n_samples: {n_samples} samples cannot be allocated ({exc})") from exc
     if workers <= 1:
-        out = np.zeros((n_blocks,) + shape)
         _sample_chunk(chi, spec, master_seed, 0, n_samples, n_samples, fn, out)
         return out, counts
     import multiprocessing  # only a pool needs these
     from concurrent.futures import ProcessPoolExecutor
 
-    out = _mapped_zeros((n_blocks,) + shape)  # shared with the forked workers
     chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
     args = [(chi, spec, master_seed, int(bounds[c[0]]), int(bounds[c[-1] + 1]), n_samples, fn)
             for c in chunks]

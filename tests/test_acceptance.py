@@ -106,8 +106,8 @@ def test_criterion_3_four_point_poisson():
     ]
     sums, counts = sample_subset_sums(ALPHA_HALF, POISSON, DESK_SPEC, configs, 100_000, 301,
                                       workers=4)
-    for cfg in configs:  # each gather is freed before the next is built
-        est = cumulant_from_subset_sums(next(sums), counts, 4)
+    for cfg, s in zip(configs, sums, strict=True):
+        est = cumulant_from_subset_sums(s, counts, 4)
         an = analytic_truncated_schwinger(ALPHA_HALF, POISSON, DESK_SPEC, cfg)
         assert an > 0.0
         assert abs(est.value - an) / an <= 0.15

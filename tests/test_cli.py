@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import levylab
-from levylab import sample_noise, substream
-from levylab.cli import build_chi, build_lattice, main, parse_config
+from levylab import analytic_truncated_schwinger, sample_noise, substream
+from levylab.cli import build_chi, build_lattice, build_model, main, parse_config
+from levylab.cumulants import cumulant_from_subset_sums, sample_subset_sums
 from levylab.errors import ConfigurationError
 
 BASE_CONFIG = """\
@@ -841,6 +842,52 @@ def test_too_few_samples_exit_1_names_field(tmp_path, capsys, command):
     least = TOO_FEW_SAMPLES[command] + 1
     assert f"run.n_samples: must be >= {least}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["few.ini", "witness.json"]
+
+
+# these commands keep one entry per sample: 10**17 of them exceed any 64-bit
+# address space.  cumulants keeps N_BLOCKS block sums, whose bounds overflow
+# int64 at 10**19.  Either is refused before any draw.
+HUGE_SAMPLES = {"noise-check": 10**17, "sample": 10**17, "rp-scan": 10**17,
+                "verify-witness": 10**17, "cumulants": 10**19}
+
+
+@pytest.mark.parametrize("command", HUGE_SAMPLES)
+def test_unallocatable_samples_exit_1_names_field(tmp_path, capsys, command):
+    cfg = copy.deepcopy(IMPORT_INI)
+    cfg["run"] = {**cfg["run"], "n_samples": str(HUGE_SAMPLES[command])}
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(WITNESS))
+    flags = ("--witness", str(witness)) if command == "verify-witness" else ()
+    assert run_cli(command, write_ini(tmp_path / "huge.ini", cfg), tmp_path, *flags) == 1
+    err = capsys.readouterr().err
+    assert f"error: run.n_samples: {HUGE_SAMPLES[command]} samples cannot be allocated" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.ini", "witness.json"]
+
+
+# the README's example config at 2000 samples
+README_EXAMPLE = {"model": {"alpha": "0.5", "m0": "1.0", "symbol": "continuum"},
+                  "noise": {"b": "0.0", "sigma2": "0.0", "lambda": "2.0",
+                            "jump_kind": "atoms", "jump_params": "1.0, 1.0"},
+                  "lattice": {"d": "3", "L": "16", "a": "0.5"},
+                  "run": {"seed": "7", "n_samples": "2000", "workers": "1"},
+                  "points": {"pair": "0,0,0; 1,0,0", "quad": "0,0,0; 1,0,0; 0,1,0; 0,0,1"}}
+
+
+def test_cumulants_report_is_the_pooled_subset_sum_estimate(tmp_path):
+    path = write_ini(tmp_path / "readme.ini", README_EXAMPLE)
+    assert run_cli("cumulants", path, tmp_path) == 0
+    rows = json.loads((tmp_path / "cumulants.json").read_text())["results"]["cumulants"]
+    cfg = parse_config(Path(path).read_text())
+    p, chi, spec = build_model(cfg), build_chi(cfg), build_lattice(cfg)
+    sets = [cfg["points"]["pair"], cfg["points"]["quad"]]
+    sums, counts = sample_subset_sums(p, chi, spec, sets, 2000, 7)
+    for row, pts, s in zip(rows, sets, sums, strict=True):
+        est = cumulant_from_subset_sums(s, counts, len(pts))
+        analytic = analytic_truncated_schwinger(p, chi, spec, pts)
+        assert (row["empirical"], row["stderr"], row["analytic"], row["n_samples"]) == (
+            est.value, est.stderr, analytic, 2000)
+        assert row["z"] == (est.value - analytic) / est.stderr
+        assert abs(row["z"]) <= 4.0
 
 
 def test_noise_check_sample_i_draws_substream_i(tmp_path):

@@ -268,9 +268,9 @@ def test_block_jackknife_matches_explicit_deletion(rng):
     sums = rng.random((5, 3, 7)) * 10.0  # subsets {0}, {1}, {0, 1}
     counts = np.array([10.0, 12.0, 9.0, 11.0, 10.0])
 
-    def cov(s, n):
+    def cov(s, n):  # moments pooled over the 7 translations, then the formula
         m = s / n
-        return np.mean(m[2] - m[0] * m[1])
+        return np.mean(m[2]) - np.mean(m[0]) * np.mean(m[1])
 
     total = sums.sum(axis=0)
     deleted = np.array([cov(total - sums[i], counts.sum() - counts[i])

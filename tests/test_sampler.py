@@ -15,7 +15,8 @@ from levylab import (ConfigurationError, JumpLaw, LatticeField, LatticeSpec,
                      green_real_fft, read_ensemble, sample_ensemble,
                      sample_point_values, solve_spde, write_ensemble)
 from levylab import sampler
-from levylab.cumulants import N_BLOCKS, accumulate_subset_sums, sample_subset_sums
+from levylab.cumulants import (N_BLOCKS, _product_steps, accumulate_subset_sums,
+                               sample_subset_sums)
 from levylab.greens import green_momentum_sq, squared_momentum
 
 
@@ -205,6 +206,24 @@ def test_pool_makes_no_copy_of_the_blocks(model_half, poisson_chi):
     assert peak < e.fields.nbytes / 2
 
 
+def test_subset_sums_keep_no_site_axis(model_half, desk_spec, poisson_chi):
+    # criterion 3's configurations: each worker keeps only the translation
+    # means, so the block array is (N_BLOCKS, 25, 1) and the peak stays below
+    # two (25, V) product buffers, one for the sample in flight
+    configs = [[(0, 0, 0)] * 4, [(0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 0, 0)],
+               [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    steps = _product_steps(tuple(tuple(pts) for pts in configs))[0]
+    sample_subset_sums(model_half, poisson_chi, desk_spec, configs, 2, 3)  # warm the caches
+    tracemalloc.start()
+    try:
+        sums, counts = sample_subset_sums(model_half, poisson_chi, desk_spec, configs, 200, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.shape for s in sums] == [(N_BLOCKS, 15, 1)] * 3
+    assert peak < 2 * len(steps) * desk_spec.n_sites * 8  # 1.6 MB
+
+
 def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
     # equal products; only the grouping of the sums differs.  min(n, N_BLOCKS)
     # blocks: 20 of one sample, 49 of one and one of two, or 50 of 12
@@ -217,8 +236,9 @@ def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
         for cfg, s in zip(SUM_CONFIGS, sums, strict=True):
             ref = accumulate_subset_sums(e.fields, spec, cfg)
             assert ref.shape == (2 ** len(cfg) - 1, spec.n_sites)
-            assert s.shape == (len(counts),) + ref.shape
-            assert np.all(np.abs(s.sum(axis=0) - ref) <= 1e-12 * np.abs(ref))
+            ref = ref.mean(axis=-1)  # the workers keep each product's translation mean
+            assert s.shape == (len(counts),) + ref.shape + (1,)
+            assert np.all(np.abs(s.sum(axis=0)[:, 0] - ref) <= 1e-12 * np.abs(ref))
     with pytest.raises(RangeError, match="at least one point"):
         accumulate_subset_sums(e.fields, spec, [])
 
