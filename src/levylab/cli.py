@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cumulants import (MAX_ANALYTIC_ORDER, analytic_truncated_schwinger,
-                        cumulant_from_subset_sums, joint_cumulant_jackknife,
-                        sample_subset_sums)
+                        cumulant_from_subset_sums, sample_subset_sums)
 from .errors import (ConfigurationError, ContractViolation, LevyLabError,
                      NumericalError, RangeError, SingularityError)
 from .greens import ModelParams, green_momentum_sq, kl_momentum
@@ -283,22 +282,22 @@ def _cmd_noise_check(cfg, p, chi, spec, args):
     with _named("noise_check.amplitudes"):  # every amplitude, before any draw
         exact = [characteristic_functional(chi, LatticeField(spec, amp * base))
                  for amp in amplitudes]
-    phases, _ = _sample_blocks(chi, spec, n_samples, args.seed,
-                               partial(_phases, base, amplitudes), (len(amplitudes), 2),
-                               workers=args.workers)
+    phases, counts = _sample_blocks(chi, spec, n_samples, args.seed,
+                                    partial(_phases, base, amplitudes), (len(amplitudes), 2),
+                                    workers=args.workers)
     rows = []
     for j, amp in enumerate(amplitudes):
         # the first cumulant is the mean; its jackknife stderr is std / sqrt(n)
-        (re, se_re), (im, se_im) = (joint_cumulant_jackknife(phases[:, j, c:c + 1])
-                                    for c in (0, 1))
+        re, im = (cumulant_from_subset_sums(phases[:, j, c, None, None], counts, 1)
+                  for c in (0, 1))
         rows.append({
             "amplitude": float(amp),
             "exact": [exact[j].real, exact[j].imag],
-            "empirical": [re, im],
-            "stderr": [se_re, se_im],
+            "empirical": [re.value, im.value],
+            "stderr": [re.stderr, im.stderr],
             "n_draws": n_samples,
-            "within_3_stderr": (abs(re - exact[j].real) <= 3.0 * max(se_re, 1e-15)
-                                and abs(im - exact[j].imag) <= 3.0 * max(se_im, 1e-15)),
+            "within_3_stderr": (abs(re.value - exact[j].real) <= 3.0 * max(re.stderr, 1e-15)
+                                and abs(im.value - exact[j].imag) <= 3.0 * max(im.stderr, 1e-15)),
         })
     ok = all(row["within_3_stderr"] for row in rows)
     return {"tests": rows, "all_within": ok}, 0 if ok else 3

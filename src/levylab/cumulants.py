@@ -13,17 +13,18 @@ point sampler also uses, each with the same bits however many are asked for;
 rp's Gram plan takes all its sums from one call, and each scalar value
 (analytic_truncated_schwinger, full_schwinger_moment) from one call of its
 own, with no cache.  A full moment is moments_from_cumulants over the
-c_|S| * K(S) of every subset S of its points.  Empirical joint cumulants are
-estimated by the set-partition Moebius formula over sample moments: of point
-values (joint_cumulant_jackknife), or pooled over the lattice translations
-too, from subset sums made by one kernel (_subset_rows) on stored fields or
-inside the sampler's workers, which keep each product's translation mean
-(sample_subset_sums).  That and the two-point map (empirical_two_point)
-stream: no field leaves its worker, and the sampler keeps min(n_samples,
-N_BLOCKS) block sums, the blocks of the one delete-block jackknife
-(_jackknife) behind every standard error; the leave-one-out jackknife is the
-same with blocks of one sample.  It holds at most JACKKNIFE_BYTES of deleted
-pools at once.
+c_|S| * K(S) of every subset S of its points.  Empirical joint cumulants have
+one shape and one estimator.  One kernel (_subset_means) turns a field into
+the translation mean of every subset product, shape (n_subsets, 1);
+accumulate_subset_sums sums these over stored fields, and the sampler's
+workers over the blocks of sample_subset_sums, so no field leaves its
+worker.  cumulant_from_subset_sums applies the set-partition Moebius formula
+to these moments, pooled over the samples, and takes its standard error from
+the one delete-block jackknife (_jackknife) over min(n_samples, N_BLOCKS)
+blocks; a plain sample mean is the order-1 case on (N, 1, 1) columns with
+blocks of one sample, the leave-one-out jackknife.  The two-point map
+(empirical_two_point) streams the same way through the same jackknife, which
+holds at most JACKKNIFE_BYTES of deleted pools at once.
 """
 
 from __future__ import annotations
@@ -195,21 +196,6 @@ def _product_steps(configs: tuple) -> tuple:
     return tuple(steps), tuple(rows)
 
 
-def _subset_products(steps, column, out: np.ndarray) -> np.ndarray:
-    """Fill out, a (len(steps), n) buffer, with the rows of a _product_steps
-    plan: column(q, row) writes the column of point q into the row of the
-    singleton {q}, and every other row is its parent's row times that row.
-    A singleton's step precedes every step that uses its point."""
-    single = {}
-    for k, (parent, q) in enumerate(steps):
-        if parent < 0:
-            column(q, out[k])
-            single[q] = k
-        else:
-            np.multiply(out[parent], out[single[q]], out=out[k])
-    return out
-
-
 JACKKNIFE_BYTES = 1 << 22  # deleted pools held at once by _jackknife
 
 
@@ -243,34 +229,34 @@ def _jackknife(block_sums, counts, estimate):
 
 def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
                               order: int) -> CumulantEstimate:
-    """Translation-averaged cumulant with delete-block jackknife stderr.
+    """The joint cumulant of order points from their subset moments, with
+    delete-block jackknife stderr; the one empirical cumulant estimator.
 
-    block_sums: shape (B, n_subsets, V) of per-block subset sums, whose moments
-    are pooled over the V translations before the Moebius formula (V = 1 keeps
-    every bit).  The plug-in estimate is biased by O(1/N): z = -1.73, -1.50,
-    -1.61, -0.38 against an analytic 0 at 200 samples on 16^3 (seeds 7-10).
+    block_sums: shape (B, 2^order - 1, V), per block the sums of each subset
+    product in _subset_keys order, whose moments are pooled over the last
+    axis before the Moebius formula: V = 1 for translation means (a length-1
+    axis keeps every bit), or the sites of per-translation sums.
+    block_counts: the samples in each of the B blocks.  The plug-in estimate
+    is biased by O(1/N): z = -1.73, -1.50, -1.61, -0.38 against an analytic 0
+    at 200 samples on 16^3 (seeds 7-10).
     """
-    pooled = np.asarray(block_sums, dtype=float).mean(axis=-1)
+    sums = np.asarray(block_sums, dtype=float)
+    if order < 1:
+        raise RangeError(f"cumulant order {order} must be >= 1")
+    if sums.ndim != 3 or sums.shape[1] != 2 ** order - 1:
+        raise ConfigurationError(f"block sums of shape {sums.shape} are not "
+                                 f"(blocks, {2 ** order - 1} subsets, V) for order {order}")
+    if np.shape(block_counts) != sums.shape[:1]:
+        raise ConfigurationError(f"{np.size(block_counts)} block counts for "
+                                 f"{len(sums)} blocks")
     keys = _subset_keys(order)
 
     def estimate(means):
         return _mobius_cumulant({key: means[..., k] for k, key in enumerate(keys)}, order)
 
-    value, stderr = _jackknife([pooled], block_counts, estimate)
+    value, stderr = _jackknife([sums.mean(axis=-1)], block_counts, estimate)
     return CumulantEstimate(float(value), float(stderr),
                             int(np.sum(block_counts)), order)
-
-
-def joint_cumulant_jackknife(values: np.ndarray) -> tuple[float, float]:
-    """Joint cumulant of the columns of an (N, n) sample matrix, plus its
-    leave-one-out jackknife standard error."""
-    x = np.asarray(values, dtype=float)
-    # (n_subsets, N) in memory, so sums over samples stay pairwise
-    steps = _product_steps((tuple(range(x.shape[1])),))[0]
-    prods = _subset_products(steps, lambda q, row: np.copyto(row, x[:, q]),
-                             np.empty((len(steps), len(x))))
-    est = cumulant_from_subset_sums(prods.T[:, :, None], np.ones(len(x)), x.shape[1])
-    return est.value, est.stderr
 
 
 @lru_cache(maxsize=16)
@@ -284,42 +270,48 @@ def _translation_index(spec: LatticeSpec, q: tuple) -> np.ndarray:
     return index
 
 
-def _subset_rows(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.ndarray:
-    """The subset-sum kernel: the rows of a _product_steps plan over the
-    lattice translations tau of one field, point x standing for phi(tau + x).
-    Each distinct point's column is gathered straight into its singleton's
-    row, the origin's copied; out, if given, is the (len(steps), V) buffer
-    to fill."""
+def _subset_means(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.ndarray:
+    """The subset-moment kernel: the translation mean of every product of a
+    _product_steps plan over one field, shape (len(steps), 1), point x
+    standing for phi(tau + x).  A singleton's row gathers its point's column
+    (the origin's is copied), and every other row is its parent's row times
+    that singleton's; a singleton's step precedes every step that uses its
+    point.  out, if given, is the (len(steps), V) product buffer to reuse."""
     # a gather from unaligned data (say a view into file bytes) is several times slower
     flat = np.require(field, float, "CA").ravel()
-    origin = (0,) * spec.d
-
-    def column(q, row):
-        if q == origin:
-            np.copyto(row, flat)
-        else:  # the indices are in range: "clip" gathers unbuffered into row
-            np.take(flat, _translation_index(spec, q), out=row, mode="clip")
-
     if out is None:
         out = np.empty((len(steps), spec.n_sites))
-    return _subset_products(steps, column, out)
+    single = {}
+    for k, (parent, q) in enumerate(steps):
+        if parent >= 0:
+            np.multiply(out[parent], out[single[q]], out=out[k])
+            continue
+        single[q] = k
+        if any(q):  # the indices are in range: "clip" gathers unbuffered into the row
+            np.take(flat, _translation_index(spec, q), out=out[k], mode="clip")
+        else:
+            np.copyto(out[k], flat)
+    return out.mean(-1, keepdims=True)
 
 
 def _solved_subset_means(p: ModelParams, spec: LatticeSpec, steps, eta) -> np.ndarray:
-    return _subset_rows(spec, steps, sampler.solve_spde(p, eta).values).mean(-1, keepdims=True)
+    return _subset_means(spec, steps, sampler.solve_spde(p, eta).values)
 
 
 def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.ndarray:
-    """Sum over samples of prod_{j in S} phi(tau + x_j), for every subset S.
-
-    Returns shape (n_subsets, V); tau runs over all lattice translations.
-    Used by the translation-averaged cumulant estimator.
-    """
+    """Sum over the fields of the translation mean of prod_{j in S}
+    phi(tau + x_j), for every subset S in _subset_keys order: shape
+    (n_subsets, 1), a block of cumulant_from_subset_sums.  Fields whose
+    per-sample shape is not the lattice's raise ConfigurationError."""
     steps, (rows,) = _product_steps((tuple(_check_points(spec, pts)),))
-    sums = np.zeros((len(steps), spec.n_sites))
+    fields = np.asarray(fields)
+    if fields.shape[1:] != spec.shape:
+        raise ConfigurationError(f"fields of shape {fields.shape[1:]} are not on the "
+                                 f"{spec.shape} lattice")
+    sums = np.zeros((len(steps), 1))
     products = np.empty((len(steps), spec.n_sites))  # one buffer for every sample
     for f in fields:
-        sums += _subset_rows(spec, steps, f, products)
+        sums += _subset_means(spec, steps, f, products)
     return sums[list(rows)]
 
 
@@ -327,10 +319,10 @@ def sample_subset_sums(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSpe
                        configs, n_samples: int, master_seed: int, workers: int = 1):
     """(sums, counts) of sampler._sample_blocks in at most N_BLOCKS blocks:
     sums lists, per configuration, the (n_blocks, n_subsets, 1) block sums of
-    the translation means of accumulate_subset_sums over the fields
-    sample_ensemble would draw, the input of cumulant_from_subset_sums.  No
-    field leaves its worker; bit-identical for any worker count, and summed
-    over blocks equal to the stored-field means to rounding."""
+    the kernel's translation means over the fields sample_ensemble would
+    draw, the input of cumulant_from_subset_sums.  No field leaves its
+    worker; bit-identical for any worker count, and summed over blocks equal
+    to accumulate_subset_sums on the stored fields to rounding."""
     steps, rows = _product_steps(tuple(tuple(_check_points(spec, pts)) for pts in configs))
     blocks, counts = sampler._sample_blocks(chi, spec, n_samples, master_seed,
                                             partial(_solved_subset_means, p, spec, steps),

@@ -234,7 +234,7 @@ class LatticeSpec:
 
 def _check_points(spec: LatticeSpec, pts) -> list[tuple[int, ...]]:
     """Lattice points as int tuples; a non-integer coordinate (1.7, nan, a
-    string), a wrong dimension or an off-lattice coordinate raises
+    string, a bool), a wrong dimension or an off-lattice coordinate raises
     ConfigurationError naming the point."""
     out = []
     for p in pts:
@@ -243,7 +243,7 @@ def _check_points(spec: LatticeSpec, pts) -> list[tuple[int, ...]]:
             q = tuple(int(c) for c in coords)
         except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"point {p!r}: coordinates must be integers") from None
-        if q != coords:
+        if q != coords or any(isinstance(c, (bool, np.bool_)) for c in coords):
             raise ConfigurationError(f"point {coords}: coordinates must be integers")
         if len(q) != spec.d:
             raise ConfigurationError(f"point {q} has wrong dimension (d={spec.d})")

@@ -38,7 +38,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .cumulants import (_partitions, analytic_truncated_schwinger, joint_cumulant_jackknife,
+from .cumulants import (_partitions, analytic_truncated_schwinger, cumulant_from_subset_sums,
                         lattice_sum_rows)
 # full_schwinger_moment stays a module attribute: bench/tracer patches it by name
 from .cumulants import full_schwinger_moment  # noqa: F401
@@ -282,7 +282,8 @@ def witness_quadratic_form_mc(p: ModelParams, chi: LevyCharacteristic,
     shift = analytic_truncated_schwinger(p, chi, basis.spec, [needed[0]]) if needed else 0.0
     a_vals = _monomial_values(values, index_of, theta_mons, shift) @ w
     b_vals = _monomial_values(values, index_of, mons, shift) @ w
-    return joint_cumulant_jackknife((a_vals * b_vals)[:, None])
+    est = cumulant_from_subset_sums((a_vals * b_vals)[:, None, None], np.ones(n_samples), 1)
+    return est.value, est.stderr
 
 
 def _require_fixed(field: str, value, fixed) -> None:

@@ -17,9 +17,8 @@ from levylab import (IntegratorSpec, JumpLaw, LatticeSpec, LevyCharacteristic,
                      empirical_two_point, gram_report, green_real_fft,
                      green_real_kl, kl_momentum, make_spacelike_test,
                      make_test, moments_from_cumulants, rp_scan,
-                     sample_point_values, verify_witness, witness_record)
-from levylab.cumulants import (cumulant_from_subset_sums, joint_cumulant_jackknife,
-                               sample_subset_sums)
+                     verify_witness, witness_record)
+from levylab.cumulants import cumulant_from_subset_sums, sample_subset_sums
 from levylab.wightman import substream_seed
 
 DESK_SPEC = LatticeSpec(3, 16, 0.5)
@@ -117,10 +116,10 @@ def test_criterion_3_four_point_poisson():
 def test_criterion_3_four_point_gaussian_zero():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert analytic_truncated_schwinger(ALPHA_HALF, GAUSSIAN, DESK_SPEC, pts) == 0.0
-    values = sample_point_values(ALPHA_HALF, GAUSSIAN, DESK_SPEC, pts, 10_000, 101,
-                                 workers=4)
-    value, stderr = joint_cumulant_jackknife(values)
-    assert abs(value) <= 4.0 * stderr
+    (sums,), counts = sample_subset_sums(ALPHA_HALF, GAUSSIAN, DESK_SPEC, [pts], 10_000, 101,
+                                         workers=4)
+    est = cumulant_from_subset_sums(sums, counts, 4)
+    assert abs(est.value) <= 4.0 * est.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -424,9 +424,12 @@ def test_verify_witness_parent_format_same_verdict(witness_dir):
     # named no file
     (("params", "symbol"), "foo", "witness: params: unknown momentum symbol 'foo'"),
     (("basis", 0, 0), [4, 1, 0], "witness: basis: monomial point (4, 1, 0) must have time"),
+    # verified as point (1, 0, 0)
+    (("basis", 0, 0), [True, False, False],
+     "witness: basis: point (True, False, False): coordinates must be integers"),
 ], ids=["time_axis_5", "time_axis_-1", "time_axis_1", "centered_false", "point_1.7",
         "coefficient_nan", "coefficient_inf", "float_L", "b_true", "a_1e400",
-        "coefficient_1e400", "symbol_foo", "point_time_4"])
+        "coefficient_1e400", "symbol_foo", "point_time_4", "point_bool"])
 def test_verify_witness_bad_field_exit_1(witness_dir, capsys, path, value, field):
     record = copy.deepcopy(WITNESS)
     _mutate(record, "set", path, value)

@@ -11,10 +11,9 @@ from levylab import (ConfigurationError, CumulantEstimate, JumpLaw,
                      LatticeSpec, LevyCharacteristic, ModelParams, RangeError,
                      analytic_truncated_schwinger, empirical_two_point,
                      full_schwinger_moment, moments_from_cumulants,
-                     noise_cumulant, sample_ensemble, sample_point_values,
-                     set_partitions)
+                     noise_cumulant, sample_ensemble, set_partitions)
 from levylab.cumulants import (N_BLOCKS, accumulate_subset_sums,
-                               cumulant_from_subset_sums, joint_cumulant_jackknife)
+                               cumulant_from_subset_sums, sample_subset_sums)
 from levylab.greens import green_momentum_sq, green_real_fft, squared_momentum
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -232,21 +231,23 @@ def test_estimate_validation():
 
 
 def test_empirical_cumulant_deterministic_ensemble(model_half, small_spec, gaussian_chi):
-    base = sample_point_values(model_half, gaussian_chi, small_spec,
-                               [(0, 0, 0), (1, 0, 0)], 1, 3)
-    value, stderr = joint_cumulant_jackknife(np.repeat(base, 50, axis=0))
-    assert value == pytest.approx(0.0, abs=1e-14)
-    assert stderr == pytest.approx(0.0, abs=1e-14)
+    # 50 identical blocks of the column products of one field's values at two points
+    f = sample_ensemble(model_half, gaussian_chi, small_spec, 1, 3).fields[0]
+    x, y = f[0, 0, 0], f[1, 0, 0]
+    est = cumulant_from_subset_sums(np.tile([[x], [y], [x * y]], (50, 1, 1)), np.ones(50), 2)
+    assert est.value == pytest.approx(0.0, abs=1e-14)
+    assert est.stderr == pytest.approx(0.0, abs=1e-14)
 
 
 def test_joint_cumulant_synthetic_poisson(rng):
-    # all cumulants of Poisson(mu) equal mu
+    # all cumulants of Poisson(mu) equal mu; n copies of one sample x make the
+    # product over a subset S equal to x^|S|
     mu = 1.7
     x = rng.poisson(mu, size=(60_000, 1)).astype(float)
     for n in range(1, 5):
-        cols = np.repeat(x, n, axis=1)
-        val, se = joint_cumulant_jackknife(cols)
-        assert abs(val - mu) <= 4.0 * se
+        sizes = [size for size in range(1, n + 1) for _ in combinations(range(n), size)]
+        est = cumulant_from_subset_sums((x ** sizes)[:, :, None], np.ones(len(x)), n)
+        assert abs(est.value - mu) <= 4.0 * est.stderr
 
 
 def test_subset_sums_match_per_subset_products(model_half, small_spec, poisson_chi):
@@ -254,13 +255,14 @@ def test_subset_sums_match_per_subset_products(model_half, small_spec, poisson_c
     pts = [(0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 2, 1)]
     sums = accumulate_subset_sums(e.fields, small_spec, pts)
     subsets = [idx for size in range(1, 5) for idx in combinations(range(4), size)]
+    assert sums.shape == (len(subsets), 1)
     for k, idx in enumerate(subsets):
-        ref = np.zeros(small_spec.n_sites)
-        for f in e.fields:
+        ref = np.zeros(1)
+        for f in e.fields:  # the sum over fields of each translation mean
             prod = np.roll(f, [-c for c in pts[idx[0]]], axis=(0, 1, 2)).ravel()
             for j in idx[1:]:
                 prod = prod * np.roll(f, [-c for c in pts[j]], axis=(0, 1, 2)).ravel()
-            ref += prod
+            ref += prod.mean()
         assert np.array_equal(sums[k], ref)
 
 
@@ -282,19 +284,33 @@ def test_block_jackknife_matches_explicit_deletion(rng):
     assert est.n_samples == 52
 
 
-def test_empirical_cumulant_needs_samples(model_half, small_spec, gaussian_chi):
-    values = sample_point_values(model_half, gaussian_chi, small_spec, [(0, 0, 0)], 1, 3)
+def test_empirical_cumulant_needs_samples():
     with pytest.raises(ConfigurationError):  # a stderr needs two samples
-        joint_cumulant_jackknife(values)
+        cumulant_from_subset_sums(np.ones((1, 1, 1)), [1], 1)
+
+
+@pytest.mark.parametrize("shape, order, n_counts, error", [
+    ((5, 3, 1), 1, 5, ConfigurationError),
+    ((5, 15, 1), 2, 5, ConfigurationError),
+    ((5, 3, 1), 3, 5, ConfigurationError),
+    ((5, 3), 2, 5, ConfigurationError),
+    ((5, 3, 1), 2, 4, ConfigurationError),
+    ((5, 0, 1), 0, 5, RangeError),
+], ids=["order_1_of_3", "order_2_of_15", "order_3_of_3", "two_d", "four_counts", "order_0"])
+def test_estimator_rejects_mismatched_input(rng, shape, order, n_counts, error):
+    # a subset axis of another order, a missing translation axis or a count
+    # per block too few must not reach the Moebius formula
+    with pytest.raises(error):
+        cumulant_from_subset_sums(rng.random(shape), np.ones(n_counts), order)
 
 
 def test_empirical_cumulant_agrees_with_analytic(model_half, small_spec, gaussian_chi):
     pts = [(0, 0, 0), (1, 0, 0)]
-    values = sample_point_values(model_half, gaussian_chi, small_spec, pts, 4000, 19,
-                                 workers=2)
-    value, stderr = joint_cumulant_jackknife(values)
+    (sums,), counts = sample_subset_sums(model_half, gaussian_chi, small_spec, [pts], 4000, 19,
+                                         workers=2)
+    est = cumulant_from_subset_sums(sums, counts, 2)
     an = analytic_truncated_schwinger(model_half, gaussian_chi, small_spec, pts)
-    assert abs(value - an) <= 4.0 * stderr
+    assert abs(est.value - an) <= 4.0 * est.stderr
 
 
 def test_empirical_two_point_map(model_half, small_spec, gaussian_chi):

@@ -235,18 +235,29 @@ def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
         assert counts.max() - counts.min() <= 1
         for cfg, s in zip(SUM_CONFIGS, sums, strict=True):
             ref = accumulate_subset_sums(e.fields, spec, cfg)
-            assert ref.shape == (2 ** len(cfg) - 1, spec.n_sites)
-            ref = ref.mean(axis=-1)  # the workers keep each product's translation mean
-            assert s.shape == (len(counts),) + ref.shape + (1,)
-            assert np.all(np.abs(s.sum(axis=0)[:, 0] - ref) <= 1e-12 * np.abs(ref))
+            assert ref.shape == (2 ** len(cfg) - 1, 1)
+            assert s.shape == (len(counts),) + ref.shape
+            assert np.all(np.abs(s.sum(axis=0) - ref) <= 1e-12 * np.abs(ref))
     with pytest.raises(RangeError, match="at least one point"):
         accumulate_subset_sums(e.fields, spec, [])
+
+
+@pytest.mark.parametrize("pts", [[(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 0, 0)]],
+                         ids=["off_origin", "with_origin"])
+def test_subset_sums_reject_fields_of_another_lattice(rng, pts):
+    # 8^3 fields on a 16^3 spec: the clipped gather would read site 511 for
+    # every index past it
+    with pytest.raises(ConfigurationError, match=r"\(8, 8, 8\) are not on the \(16, 16, 16\)"):
+        accumulate_subset_sums(rng.random((3, 8, 8, 8)), LatticeSpec(3, 16, 0.5), pts)
 
 
 def test_point_values_reject_non_integer_points(model_half, small_spec, gaussian_chi):
     with pytest.raises(ConfigurationError, match=r"point \(1\.7, 0, 0\)"):
         sample_point_values(model_half, gaussian_chi, small_spec, [(1.7, 0, 0)], 2, 0)
-    ints = sample_point_values(model_half, gaussian_chi, small_spec, [(1, 0, 0)], 2, 0)
+    for flag in (True, np.bool_(True)):  # as LatticeSpec refuses a bool d or L
+        with pytest.raises(ConfigurationError, match="coordinates must be integers"):
+            sample_point_values(model_half, gaussian_chi, small_spec, [(flag, 0, 0)], 2, 0)
+    ints =sample_point_values(model_half, gaussian_chi, small_spec, [(1, 0, 0)], 2, 0)
     same = sample_point_values(model_half, gaussian_chi, small_spec,
                                [np.array([1, 0, 0])], 2, 0)
     assert np.array_equal(ints, same)
