@@ -92,26 +92,23 @@ def solve_spde(p: ModelParams, eta: LatticeField) -> LatticeField:
 
 
 @lru_cache(maxsize=2)
-def _doubled_green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
-    """G(-z) for z in [0, 2L)^d (green_real_fft, continued periodically), so
-    that every Green row is one slice of it.  2^d times the size of G, so few
+def _green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
+    """G on the lattice (green_real_fft), read-only; one field each, so few
     are kept."""
-    minus = (-np.arange(spec.L)) % spec.L
-    flipped = green_real_fft(p, spec).values[np.ix_(*[minus] * spec.d)]
-    return np.tile(flipped, (2,) * spec.d)
+    return green_real_fft(p, spec).values
 
 
 @lru_cache(maxsize=32)
 def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
     """(n_points, V) matrix whose row for x holds G(x - y) over the sites y,
-    so that a^d * row @ eta is phi(x); read-only.  Also the source of the
-    analytic lattice sums (cumulants.lattice_sum_rows)."""
-    grid = _doubled_green(p, spec)
+    so that a^d * row @ eta is phi(x); read-only.  Each row is read from the
+    one cached G by index.  Also the source of the analytic lattice sums
+    (cumulants.lattice_sum_rows)."""
+    g = _green(p, spec)
     rows = np.empty((len(points), spec.n_sites))
     for r, x in enumerate(points):
-        # grid[L - x + y] = G(x - y - L) = G(x - y)
-        rows[r].reshape(spec.shape)[...] = grid[tuple(slice(spec.L - c, 2 * spec.L - c)
-                                                      for c in x)]
+        rows[r].reshape(spec.shape)[...] = g[np.ix_(*[(c - np.arange(spec.L)) % spec.L
+                                                      for c in x])]
     rows.setflags(write=False)
     return rows
 
