@@ -5,7 +5,11 @@ Fourier convention: forward transform with exp(i*k*x), inverse carries
 
     G(x) = (1/V) * sum_k Ghat(k) * exp(i*k*x),   V = (L*a)^d,
 
-realized as numpy ifftn divided by a^d, so that a^d * sum_x G(x) = Ghat(0).
+realized as numpy irfftn of Ghat on the half spectrum of rfftn divided by
+a^d, so that a^d * sum_x G(x) = Ghat(0).  There is one route: the cached half
+spectrum (_half_symbol) is the symbol of the sampler's solve and, through
+inverse_transform, the source of green_real_fft, which is therefore the solve
+of the unit source delta/a^d and real by construction.
 
 The propagator admits a superposition over masses,
 
@@ -22,6 +26,7 @@ spectral_integral, and scipy.special (kv) at the first yukawa call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .noise import LatticeField, LatticeSpec, _real
 CONTINUUM = "continuum"
 DISCRETE = "discrete"
 
-IMAG_TOL = 1e-10  # inverse_transform: largest relative imaginary residue
 # spectral_integral: adaptive quadrature budget of the mass superposition
 QUAD_REL_TOL = 1e-10
 QUAD_ABS_TOL = 1e-12
@@ -87,25 +91,29 @@ def green_momentum_sq(p: ModelParams, ksq):
     return float(out) if out.ndim == 0 else out
 
 
-def inverse_transform(spec: LatticeSpec, ghat: np.ndarray) -> LatticeField:
-    """Lattice inverse Fourier transform with the a^d density convention.
+@lru_cache(maxsize=32)
+def _half_symbol(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
+    """Ghat on the half spectrum of rfftn (last axis 0..L//2); read-only."""
+    ksq = squared_momentum(spec, p.symbol)[..., : spec.L // 2 + 1]
+    ghat = green_momentum_sq(p, ksq)
+    ghat.setflags(write=False)
+    return ghat
 
-    Guards against a nonreal result: the imaginary residue must stay below
-    IMAG_TOL times the field norm (catches symbol/convention bugs).
-    """
-    g = np.fft.ifftn(np.asarray(ghat, dtype=complex)) / spec.cell_volume
-    scale = np.linalg.norm(g.real) + 1e-300
-    if np.linalg.norm(g.imag) > IMAG_TOL * scale:
-        raise NumericalError("inverse transform produced a non-real field")
-    return LatticeField(spec, g.real)
+
+def inverse_transform(spec: LatticeSpec, ghat: np.ndarray) -> LatticeField:
+    """Lattice inverse Fourier transform with the a^d density convention of a
+    half spectrum ghat (rfftn's layout, last axis 0..L//2): irfftn / a^d."""
+    g = np.fft.irfftn(ghat, s=spec.shape, axes=tuple(range(spec.d)))
+    g /= spec.cell_volume
+    return LatticeField(spec, g)
 
 
 def green_real_fft(p: ModelParams, spec: LatticeSpec) -> LatticeField:
-    """Position-space Green function on the periodic lattice (FFT route)."""
+    """Position-space Green function on the periodic lattice: the inverse
+    transform of the solve's half spectrum, so the solve of delta/a^d."""
     if p.m0 == 0.0:
         raise SingularityError("zero mode diverges for m0 = 0")
-    ghat = green_momentum_sq(p, squared_momentum(spec, p.symbol))
-    return inverse_transform(spec, ghat)
+    return inverse_transform(spec, _half_symbol(p, spec))
 
 
 def rho(p: ModelParams, m2) -> float:

@@ -3,10 +3,12 @@
 The equation (-Laplace + m0^2)^alpha phi = eta is diagonal in the FFT basis,
 so phi_hat(k) = eta_hat(k) * (|k|^2 + m0^2)^(-alpha); this is exact on the
 periodic lattice and O(V log V).  The solve plan is the half-spectrum symbol
-that rfftn/irfftn work on, cached per (ModelParams, LatticeSpec), so the field
-is real by construction.  Point-only sampling skips the solve:
-phi(x) = a^d * sum_y G(x - y) eta_y is one product per sample with a cached
-matrix of Green rows.  Every sampler runs one loop (_sample_chunk): sample i
+that rfftn/irfftn work on (greens._half_symbol), cached per (ModelParams,
+LatticeSpec), so the field is real by construction; greens.green_real_fft is
+the same irfftn of the same symbol, so G is the solve of a unit source.
+Point-only sampling skips the solve: phi(x) = a^d * sum_y G(x - y) eta_y is
+one product per sample with a cached matrix of Green rows, each read from the
+one cached G by index.  Every sampler runs one loop (_sample_chunk): sample i
 draws from the counter-based stream (master_seed, i), one per-sample map turns
 the noise into a result (solved field, point values, cumulants' subset means
 or two-point rows, or noise-check's phases) and the results are summed over
@@ -31,10 +33,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ConfigurationError, SingularityError
-from .greens import (CONTINUUM, DISCRETE, ModelParams, green_momentum_sq,
-                     green_real_fft, squared_momentum)
-# inverse_transform stays a module attribute: bench/tracer patches it by name
-from .greens import inverse_transform  # noqa: F401
+from .greens import CONTINUUM, DISCRETE, ModelParams, _half_symbol, green_real_fft
+# module attributes only because bench/tracer patches them by name
+from .greens import green_momentum_sq, inverse_transform, squared_momentum  # noqa: F401
 from .noise import (JumpLaw, LatticeField, LatticeSpec, LevyCharacteristic,
                     _check_points, sample_noise)
 from .streams import substream
@@ -73,15 +74,6 @@ class Ensemble:
         return self.fields.shape[0]
 
 
-@lru_cache(maxsize=32)
-def _half_symbol(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
-    """Ghat on the half spectrum of rfftn (last axis 0..L//2); read-only."""
-    ksq = squared_momentum(spec, p.symbol)[..., : spec.L // 2 + 1]
-    ghat = green_momentum_sq(p, ksq)
-    ghat.setflags(write=False)
-    return ghat
-
-
 def solve_spde(p: ModelParams, eta: LatticeField) -> LatticeField:
     """Solve the lattice equation for one noise realization (FFT route)."""
     if p.m0 == 0.0:
@@ -93,8 +85,8 @@ def solve_spde(p: ModelParams, eta: LatticeField) -> LatticeField:
 
 @lru_cache(maxsize=2)
 def _green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
-    """G on the lattice (green_real_fft), read-only; one field each, so few
-    are kept."""
+    """G on the lattice (green_real_fft: the irfftn of the solve's half
+    spectrum), read-only; one field each, so few are kept."""
     return green_real_fft(p, spec).values
 
 
@@ -102,7 +94,8 @@ def _green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
 def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
     """(n_points, V) matrix whose row for x holds G(x - y) over the sites y,
     so that a^d * row @ eta is phi(x); read-only.  Each row is read from the
-    one cached G by index.  Also the source of the analytic lattice sums
+    one cached G by index, G[(x - y) mod L], so no shifted or tiled copy of G
+    is made.  Also the source of the analytic lattice sums
     (cumulants.lattice_sum_rows)."""
     g = _green(p, spec)
     rows = np.empty((len(points), spec.n_sites))

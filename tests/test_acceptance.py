@@ -178,17 +178,19 @@ def test_criterion_6_two_point_negative_witness():
 # float64, analytic_form, mc_form, mc_stderr) in hex, recorded when time axis
 # and centering were still options (at their defaults): fixing them as
 # conventions must not move a bit.  mc_stderr comes from the one jackknife,
-# which moved it by 1 and 2 ulp at lambda 1 and 10
+# which moved it by 1 and 2 ulp at lambda 1 and 10.  All were re-recorded
+# when G became the irfftn of the solve's half spectrum: they moved by at
+# most 3.5e-12 relative (analytic_form at lambda 100)
 CRITERION_7_PINS = {
-    1.0: ("-0x1.6fedc4e310852p-8",
-          "cc7666991637f586310d746e3f882764af69014dafc160212fbc8288decc3c57",
-          "-0x1.6fedc4e3107c8p-8", "-0x1.512cfe3c166d3p-7", "0x1.539e112abd490p-8"),
-    10.0: ("-0x1.08c8e5f46b4e2p-6",
-           "9b6d4d9ae68016672340076adc322365941327f2df31f7c19baab709a1914733",
-           "-0x1.08c8e5f46b86cp-6", "-0x1.4bf3ecbad65c4p-2", "0x1.e4986ace20911p-3"),
-    100.0: ("-0x1.202335db6ef9ap-5",
-            "45d0ada27b9932c05adc036fc2fa40765e6c01d5bd9b1eadda84f67186f1292b",
-            "-0x1.202335db6ede2p-5", "0x1.fec34931cb515p+5", "0x1.774fefeef64e4p+4"),
+    1.0: ("-0x1.6fedc4e3107cep-8",
+          "d18795a50d38a158c3a378334945d38630aa0774d1813d910729fadd78eda183",
+          "-0x1.6fedc4e3107c2p-8", "-0x1.512cfe3c1678dp-7", "0x1.539e112abd4d2p-8"),
+    10.0: ("-0x1.08c8e5f46b68dp-6",
+           "59d096bfe81d8891c994e68d715d9704aca9b01d01e3262e194116286b764fc8",
+           "-0x1.08c8e5f46bb24p-6", "-0x1.4bf3ecbad6317p-2", "0x1.e4986ace21018p-3"),
+    100.0: ("-0x1.202335db6e81dp-5",
+            "98e91199eb0cbbe99fd5f59df33bb7231a8f31703a7e5d12dd5f18c4a5b343e5",
+            "-0x1.202335db7327cp-5", "0x1.fec34931ce45dp+5", "0x1.774fefeef65adp+4"),
 }
 
 

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from functools import partial
 from itertools import combinations
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levylab
 from levylab import (ConfigurationError, CumulantEstimate, JumpLaw,
                      LatticeSpec, LevyCharacteristic, ModelParams, RangeError,
                      analytic_truncated_schwinger, empirical_two_point,
@@ -185,15 +189,17 @@ def test_full_moment_centered_drops_singletons(model_half, desk_spec, mixed_chi)
 # The scalar route's bits on 8^3 at alpha 0.6, m0 1.2, per symbol: the sha256
 # of (S_n^T, moment, centered moment) of SCALAR_PTS[:n] for n = 1..6 under
 # the uniform law and a Gaussian law with a negative mean, then the hex of
-# S_4^T and of the three values at n = 6 under the uniform law.
+# S_4^T and of the three values at n = 6 under the uniform law.  Re-recorded
+# when G became the irfftn of the solve's half spectrum (moved by at most
+# 7.8e-16 relative).
 SCALAR_PTS = [(0, 0, 0), (1, 0, 0), (0, 0, 0), (2, 3, 1), (7, 1, 0), (1, 0, 0)]
 SCALAR_PINS = {
-    "continuum": ("e6ed4f0f24b2a355e9eca09ebd8fee570cffc654dad5f7716a4731c7f45d8648",
-                  "0x1.1b46687059050p-10", "0x1.69dc6373d10f2p-15",
-                  "0x1.cf82aec93258ap+5", "0x1.636ad2b0aa1c6p-6"),
-    "discrete": ("f10c2e7ad9a8651b43e5623bbecd7f1fabf8f03449297014d2b5017797731b64",
-                 "0x1.606df7d399ffap-10", "0x1.8ed904d75b215p-15",
-                 "0x1.ffd06dd6655e2p+5", "0x1.e426a6c47cdcdp-6"),
+    "continuum": ("d044a56b04419b5c41a3703d0cf153b4db8bbd18d3987220e9ef0afdad9c25e3",
+                  "0x1.1b46687059051p-10", "0x1.69dc6373d10f6p-15",
+                  "0x1.cf82aec93258ap+5", "0x1.636ad2b0aa1c8p-6"),
+    "discrete": ("6b099a5044c2df21a6edc362c460a872a30a68caa6613867cbbc5cf67e1f149c",
+                 "0x1.606df7d399ff8p-10", "0x1.8ed904d75b210p-15",
+                 "0x1.ffd06dd6655e5p+5", "0x1.e426a6c47cdcap-6"),
 }
 
 
@@ -207,6 +213,28 @@ def test_scalar_route_bits_pinned(small_spec, mixed_chi, symbol):
                           partial(full_schwinger_moment, centered=True))]
     digest = hashlib.sha256(np.array(vals, "<f8").tobytes()).hexdigest()
     assert (digest, vals[9].hex(), *(v.hex() for v in vals[15:18])) == SCALAR_PINS[symbol]
+
+
+def test_analytic_value_memory_at_scale():
+    # one S_4^T on 128^3 (a field is 16 MiB) in a fresh interpreter: G, its
+    # four Green rows and their products, with no complex or tiled copy of G.
+    # The peak is VmHWM, the new process's own: after exec, ru_maxrss starts
+    # from the RSS of the process that forked it, here pytest's.  At most 10
+    # fields (KiB)
+    code = ("def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:'))\n"
+            "from levylab import (JumpLaw, LatticeSpec, LevyCharacteristic, ModelParams,\n"
+            "                     analytic_truncated_schwinger)\n"
+            "before = peak_kib()\n"
+            "chi = LevyCharacteristic(lam=2.0, jump_law=JumpLaw.atom(1.0))\n"
+            "analytic_truncated_schwinger(ModelParams(0.5, 1.0), chi, LatticeSpec(3, 128, 0.5),\n"
+            "                             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])\n"
+            "print(peak_kib() - before)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(levylab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert int(out.stdout) <= 10 * 128**3 * 8 // 1024
 
 
 def test_full_moment_matches_simulation(model_half, desk_spec, poisson_chi):
@@ -302,6 +330,7 @@ def test_estimator_rejects_mismatched_input(rng, shape, order, n_counts, error):
     # per block too few must not reach the Moebius formula
     with pytest.raises(error):
         cumulant_from_subset_sums(rng.random(shape), np.ones(n_counts), order)
+
 
 
 def test_empirical_cumulant_agrees_with_analytic(model_half, small_spec, gaussian_chi):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levylab import (ConfigurationError, LatticeSpec, ModelParams,
+from levylab import (ConfigurationError, LatticeField, LatticeSpec, ModelParams,
                      NumericalError, SingularityError, green_real_fft,
-                     green_real_kl, kl_momentum, rho, spectral_integral,
-                     squared_momentum)
+                     green_real_kl, kl_momentum, rho, solve_spde,
+                     spectral_integral, squared_momentum)
 from levylab.greens import DISCRETE, green_momentum_sq, inverse_transform, yukawa
 
 
@@ -70,7 +70,7 @@ def test_yukawa_oracle_for_transform():
     # closed-form massive kernel exp(-r)/(4 pi r) as oracle
     spec = LatticeSpec(3, 128, 0.0625)
     ghat = 1.0 / (squared_momentum(spec, DISCRETE) + 1.0)
-    g = inverse_transform(spec, ghat).values
+    g = inverse_transform(spec, ghat[..., : spec.L // 2 + 1]).values
     period = spec.L * spec.a
     yuk = lambda r: np.exp(-r) / (4 * np.pi * r)
     for n_cells in (16, 24, 32):
@@ -79,6 +79,25 @@ def test_yukawa_oracle_for_transform():
         expected = (yuk(r) + yuk(period - r) + yuk(period + r)
                     + 4 * yuk(np.hypot(r, period)))
         assert g[n_cells, 0, 0] == pytest.approx(expected, rel=0.01)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("symbol", ["continuum", DISCRETE])
+@pytest.mark.parametrize("a, L, rel", [(0.5, 16, 0.0), (0.5, 10, 0.0),
+                                       (0.3, 16, 1e-15), (0.3, 10, 1e-15)])
+def test_green_is_solve_of_unit_source(alpha, symbol, a, L, rel):
+    # one route: G is the sampler's solve of the source delta/a^d, bit for bit
+    # where 1/a^d is a power of two and so scales the half spectrum exactly
+    spec = LatticeSpec(3, L, a)
+    p = ModelParams(alpha, 1.0, symbol)
+    source = np.zeros(spec.shape)
+    source[0, 0, 0] = 1.0 / spec.cell_volume
+    g = green_real_fft(p, spec).values
+    solved = solve_spde(p, LatticeField(spec, source)).values
+    if rel == 0.0:
+        assert np.array_equal(g, solved)
+    else:
+        assert np.max(np.abs(g - solved)) <= rel * np.max(np.abs(g))
 
 
 def test_yukawa_closed_form():
