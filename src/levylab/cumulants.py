@@ -236,9 +236,9 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
     product in _subset_keys order, whose moments are pooled over the last
     axis before the Moebius formula: V = 1 for translation means (a length-1
     axis keeps every bit), or the sites of per-translation sums.
-    block_counts: the samples in each of the B blocks.  The plug-in estimate
-    is biased by O(1/N): z = -1.73, -1.50, -1.61, -0.38 against an analytic 0
-    at 200 samples on 16^3 (seeds 7-10).
+    block_counts: the samples in each of the B blocks, each >= 1.  The
+    plug-in estimate is biased by O(1/N): z = -1.73, -1.50, -1.61, -0.38
+    against an analytic 0 at 200 samples on 16^3 (seeds 7-10).
     """
     sums = np.asarray(block_sums, dtype=float)
     if order < 1:
@@ -249,6 +249,9 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
     if np.shape(block_counts) != sums.shape[:1]:
         raise ConfigurationError(f"{np.size(block_counts)} block counts for "
                                  f"{len(sums)} blocks")
+    if np.any(np.asarray(block_counts) < 1):
+        raise ConfigurationError(f"block counts {np.asarray(block_counts).tolist()} "
+                                 "must each be >= 1")
     keys = _subset_keys(order)
 
     def estimate(means):

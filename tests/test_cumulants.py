@@ -332,6 +332,13 @@ def test_estimator_rejects_mismatched_input(rng, shape, order, n_counts, error):
         cumulant_from_subset_sums(rng.random(shape), np.ones(n_counts), order)
 
 
+@pytest.mark.parametrize("counts", [[0, 0, 5], [5, -5, 5]])
+def test_estimator_rejects_blocks_without_samples(counts):
+    # a block of no or negative samples is no block: its deleted pool divides
+    # by zero and the estimate would read a number with a NaN stderr
+    with pytest.raises(ConfigurationError, match=r"block counts \[.*\] must each be >= 1"):
+        cumulant_from_subset_sums(np.ones((3, 1, 1)), counts, 1)
+
 
 def test_empirical_cumulant_agrees_with_analytic(model_half, small_spec, gaussian_chi):
     pts = [(0, 0, 0), (1, 0, 0)]
