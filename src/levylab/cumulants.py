@@ -249,9 +249,9 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
     if np.shape(block_counts) != sums.shape[:1]:
         raise ConfigurationError(f"{np.size(block_counts)} block counts for "
                                  f"{len(sums)} blocks")
-    if np.any(np.asarray(block_counts) < 1):
-        raise ConfigurationError(f"block counts {np.asarray(block_counts).tolist()} "
-                                 "must each be >= 1")
+    counts = np.asarray(block_counts)
+    if np.any(counts < 1):
+        raise ConfigurationError(f"block counts {counts.tolist()} must each be >= 1")
     keys = _subset_keys(order)
 
     def estimate(means):

@@ -94,9 +94,8 @@ def _green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
 def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
     """(n_points, V) matrix whose row for x holds G(x - y) over the sites y,
     so that a^d * row @ eta is phi(x); read-only.  Each row is read from the
-    one cached G by index, G[(x - y) mod L], so no shifted or tiled copy of G
-    is made.  Also the source of the analytic lattice sums
-    (cumulants.lattice_sum_rows)."""
+    one cached G by index, G[(x - y) mod L].  Also the source of the
+    analytic lattice sums (cumulants.lattice_sum_rows)."""
     g = _green(p, spec)
     rows = np.empty((len(points), spec.n_sites))
     for r, x in enumerate(points):

@@ -216,11 +216,10 @@ def test_scalar_route_bits_pinned(small_spec, mixed_chi, symbol):
 
 
 def test_analytic_value_memory_at_scale():
-    # one S_4^T on 128^3 (a field is 16 MiB) in a fresh interpreter: G, its
-    # four Green rows and their products, with no complex or tiled copy of G.
-    # The peak is VmHWM, the new process's own: after exec, ru_maxrss starts
-    # from the RSS of the process that forked it, here pytest's.  At most 10
-    # fields (KiB)
+    # one S_4^T on 128^3 in a fresh interpreter needs G, its four Green rows
+    # and their products: at most 10 fields of 16 MiB above the imports.  The
+    # peak is VmHWM (KiB), the new process's own: after exec, ru_maxrss
+    # starts from the RSS of the process that forked it, here pytest's
     code = ("def peak_kib():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:'))\n"
