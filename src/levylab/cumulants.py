@@ -81,15 +81,16 @@ def _partitions(n: int) -> tuple:
                  for part in set_partitions(range(n)))
 
 
-def _mobius_cumulant(moments, n):
-    """Joint cumulant from subset moments: sum over partitions of
-    (-1)^(b-1) (b-1)! prod of block moments."""
+def _partition_sum(terms, n, weight):
+    """Sum over the partitions of range(n) of weight(b) times the product of
+    terms[frozenset(block)] over its b blocks: the joint cumulant from subset
+    moments with the Moebius weight (-1)^(b-1) (b-1)!, the moment from joint
+    cumulants with weight 1."""
     total = 0.0
     for part in _partitions(n):
-        b = len(part)
-        prod = (-1.0) ** (b - 1) * math.factorial(b - 1)
+        prod = weight(len(part))
         for block in part:
-            prod = prod * moments[frozenset(block)]
+            prod = prod * terms[frozenset(block)]
         total = total + prod
     return total
 
@@ -143,16 +144,10 @@ def moments_from_cumulants(cumulants, n: int) -> float:
     """Moment of order n from a map frozenset(indices) -> joint cumulant."""
     if n < 1:
         raise RangeError("moment order must be >= 1")
-    total = 0.0
-    for part in _partitions(n):
-        prod = 1.0
-        for block in part:
-            key = frozenset(block)
-            if key not in cumulants:
-                raise ConfigurationError(f"missing cumulant for subset {sorted(block)}")
-            prod *= cumulants[key]
-        total += prod
-    return total
+    try:
+        return _partition_sum(cumulants, n, lambda b: 1.0)
+    except KeyError as exc:  # the first block, in partition order, with no cumulant
+        raise ConfigurationError(f"missing cumulant for subset {sorted(exc.args[0])}") from None
 
 
 def full_schwinger_moment(p: ModelParams, chi: LevyCharacteristic,
@@ -200,28 +195,28 @@ JACKKNIFE_BYTES = 1 << 22  # deleted pools held at once by _jackknife
 
 
 def _jackknife(block_sums, counts, estimate):
-    """Delete-block jackknife of estimate(*pooled means).
+    """Delete-block jackknife of estimate(pooled means).
 
-    block_sums: arrays with a leading block axis, one per pooled quantity;
-    counts: samples per block.  estimate is evaluated once on the pooled
-    means and once on the deleted pools, as many together (a new leading
-    axis) as fit in JACKKNIFE_BYTES, so it must broadcast over leading axes
-    and treat each leading index alone.  Blocks of one sample give the
-    leave-one-out jackknife.  Returns (value, stderr); stderr is 0 for fewer
-    than two blocks.
+    block_sums: one array whose leading axis is the blocks; counts: samples
+    per block.  estimate is evaluated once on the pooled means and once on
+    the deleted pools, as many together (a new leading axis) as fit in
+    JACKKNIFE_BYTES, so it must broadcast over leading axes and treat each
+    leading index alone.  Blocks of one sample give the leave-one-out
+    jackknife.  Returns (value, stderr); stderr is 0 for fewer than two
+    blocks.
     """
     counts = np.asarray(counts, dtype=float)
     n_total, b = counts.sum(), len(counts)
-    totals = [s.sum(axis=0) for s in block_sums]
-    value = estimate(*(t / n_total for t in totals))
+    total = block_sums.sum(axis=0)
+    value = estimate(total / n_total)
     if b < 2:
         return value, np.zeros_like(value)
-    step = max(1, JACKKNIFE_BYTES // sum(s[0].nbytes for s in block_sums))
+    step = max(1, JACKKNIFE_BYTES // block_sums[0].nbytes)
     deleted = []
     for lo in range(0, b, step):
         rest = n_total - counts[lo:lo + step]
-        deleted.append(estimate(*((t - s[lo:lo + step]) / rest.reshape((-1,) + (1,) * t.ndim)
-                                  for t, s in zip(totals, block_sums))))
+        deleted.append(estimate((total - block_sums[lo:lo + step])
+                                / rest.reshape((-1,) + (1,) * total.ndim)))
     deleted = np.concatenate(deleted)
     stderr = np.sqrt((b - 1) / b * np.sum((deleted - deleted.mean(axis=0)) ** 2, axis=0))
     return value, stderr
@@ -255,9 +250,10 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
     keys = _subset_keys(order)
 
     def estimate(means):
-        return _mobius_cumulant({key: means[..., k] for k, key in enumerate(keys)}, order)
+        return _partition_sum({key: means[..., k] for k, key in enumerate(keys)}, order,
+                              lambda b: (-1.0) ** (b - 1) * math.factorial(b - 1))
 
-    value, stderr = _jackknife([sums.mean(axis=-1)], block_counts, estimate)
+    value, stderr = _jackknife(sums.mean(axis=-1), block_counts, estimate)
     return CumulantEstimate(float(value), float(stderr),
                             int(np.sum(block_counts)), order)
 
@@ -273,17 +269,16 @@ def _translation_index(spec: LatticeSpec, q: tuple) -> np.ndarray:
     return index
 
 
-def _subset_means(spec: LatticeSpec, steps, field: np.ndarray, out=None) -> np.ndarray:
+def _subset_means(spec: LatticeSpec, steps, field: np.ndarray) -> np.ndarray:
     """The subset-moment kernel: the translation mean of every product of a
     _product_steps plan over one field, shape (len(steps), 1), point x
     standing for phi(tau + x).  A singleton's row gathers its point's column
     (the origin's is copied), and every other row is its parent's row times
     that singleton's; a singleton's step precedes every step that uses its
-    point.  out, if given, is the (len(steps), V) product buffer to reuse."""
+    point.  The (len(steps), V) product buffer is the call's own."""
     # a gather from unaligned data (say a view into file bytes) is several times slower
     flat = np.require(field, float, "CA").ravel()
-    if out is None:
-        out = np.empty((len(steps), spec.n_sites))
+    out = np.empty((len(steps), spec.n_sites))
     single = {}
     for k, (parent, q) in enumerate(steps):
         if parent >= 0:
@@ -312,9 +307,8 @@ def accumulate_subset_sums(fields: np.ndarray, spec: LatticeSpec, pts) -> np.nda
         raise ConfigurationError(f"fields of shape {fields.shape[1:]} are not on the "
                                  f"{spec.shape} lattice")
     sums = np.zeros((len(steps), 1))
-    products = np.empty((len(steps), spec.n_sites))  # one buffer for every sample
     for f in fields:
-        sums += _subset_means(spec, steps, f, products)
+        sums += _subset_means(spec, steps, f)
     return sums[list(rows)]
 
 
@@ -354,6 +348,5 @@ def empirical_two_point(p: ModelParams, chi: LevyCharacteristic, spec: LatticeSp
     blocks, counts = sampler._sample_blocks(chi, spec, n_samples, master_seed,
                                             partial(_autocorrelation_row, p),
                                             (spec.n_sites + 1,), N_BLOCKS, workers)
-    value, stderr = _jackknife([blocks[:, :-1], blocks[:, -1:]], counts,
-                               lambda auto, mean: auto - mean ** 2)
+    value, stderr = _jackknife(blocks, counts, lambda m: m[..., :-1] - m[..., -1:] ** 2)
     return value.reshape(spec.shape), stderr.reshape(spec.shape)

@@ -13,11 +13,12 @@ draws from the counter-based stream (master_seed, i), one per-sample map turns
 the noise into a result (solved field, point values, cumulants' subset means
 or two-point rows, or noise-check's phases) and the results are summed over
 fixed blocks of samples in sample order, so sums are bit-identical for any
-worker count.  A worker pool forks its workers from an explicit fork context
-after the block sums are allocated as one anonymous shared mapping; each
-worker adds its blocks into its own rows of it, so no result is pickled back
-or concatenated.  An ensemble file's samples are read into such a mapping
-too, so that their pages go back to the system when the ensemble is freed.
+worker count.  The block sums are always one anonymous shared mapping; a
+worker pool forks its workers from an explicit fork context after it is
+made, and each worker adds its blocks into its own rows of it, so no result
+is pickled back or concatenated.  An ensemble file's samples are read into
+such a mapping too, so that their pages go back to the system when the
+ensemble is freed.
 concurrent.futures and multiprocessing are imported only when a pool starts,
 mmap only when a mapping is made.
 """
@@ -114,12 +115,13 @@ def _point_values(p: ModelParams, spec: LatticeSpec, points: tuple, eta) -> np.n
     return spec.cell_volume * (_green_rows(p, spec, points) @ eta.values.ravel())
 
 
-def _sample_chunk(chi, spec, master_seed, lo, hi, n_samples, fn, out):
-    """Add fn(eta_i), from zero and in sample order, into its block's row of
-    out for i in lo..hi-1: block i * len(out) // n_samples (_sample_blocks)."""
-    n_blocks = len(out)
-    for i in range(lo, hi):
-        out[i * n_blocks // n_samples] += fn(sample_noise(chi, spec, substream(master_seed, i)))
+def _sample_chunk(chi, spec, master_seed, first, bounds, fn, out):
+    """Add fn(eta_i), from zero and in sample order, into row first + k of out
+    for i in bounds[k] .. bounds[k + 1] - 1; bounds is the slice of
+    _sample_blocks' block bounds that starts at block first."""
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), first):
+        for i in range(lo, hi):
+            out[b] += fn(sample_noise(chi, spec, substream(master_seed, i)))
 
 
 _shared = None  # in a pool worker: the parent's output array, in shared memory
@@ -156,13 +158,14 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
     """(sums, counts): sums of fn(eta_i) (a module-level function, so it
     pickles) over B = min(n_samples, max_blocks) blocks, shape (B,) + shape,
     and the samples per block; eta_i draws from substream(master_seed, i).
-    Block b holds samples ceil(b * n / B) to ceil((b + 1) * n / B) - 1, so
-    sizes differ by at most one; without max_blocks every sample is a block.
-    Chunks are runs of whole blocks, so the sums are bit-identical for any
-    worker count; at most os.cpu_count() workers.  A pool allocates the sums
-    as one anonymous shared mapping and forks its workers (an explicit fork
-    context, so they inherit it); each worker adds its chunks straight into
-    their rows and returns nothing."""
+    Block b holds samples bounds[b] to bounds[b + 1] - 1, bounds[b] =
+    ceil(b * n / B), so sizes differ by at most one; without max_blocks every
+    sample is a block.  The sums are one anonymous shared mapping
+    (_mapped_zeros).  Chunks are runs of whole blocks, each handed its slice
+    of the bounds, so the sums are bit-identical for any worker count; at
+    most os.cpu_count() workers.  A pool forks its workers (an explicit fork
+    context, so they inherit the mapping); each adds its chunks straight
+    into their rows and returns nothing."""
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     n_blocks = n_samples if max_blocks is None else min(n_samples, max_blocks)
@@ -171,20 +174,18 @@ def _sample_blocks(chi: LevyCharacteristic, spec: LatticeSpec, n_samples: int,
     try:  # without max_blocks, the bounds and sums grow with n_samples
         bounds = -(-np.arange(n_blocks + 1) * n_samples // n_blocks)
         counts = np.diff(bounds)
-        # a pool's sums are shared with its forked workers
-        out = (np.zeros if workers <= 1 else _mapped_zeros)((n_blocks,) + shape)
+        out = _mapped_zeros((n_blocks,) + shape)
     except (MemoryError, OSError, OverflowError, ValueError) as exc:  # refused by numpy or mmap
         raise ConfigurationError(
             f"n_samples: {n_samples} samples cannot be allocated ({exc})") from exc
     if workers <= 1:
-        _sample_chunk(chi, spec, master_seed, 0, n_samples, n_samples, fn, out)
+        _sample_chunk(chi, spec, master_seed, 0, bounds, fn, out)
         return out, counts
     import multiprocessing  # only a pool needs these
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = np.array_split(np.arange(n_blocks), min(4 * workers, n_blocks))
-    args = [(chi, spec, master_seed, int(bounds[c[0]]), int(bounds[c[-1] + 1]), n_samples, fn)
-            for c in chunks]
+    args = [(chi, spec, master_seed, c[0], bounds[c[0]:c[-1] + 2], fn) for c in chunks]
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
                              initializer=_share, initargs=(out,)) as ex:
