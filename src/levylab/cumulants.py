@@ -13,7 +13,8 @@ point sampler also uses, each with the same bits however many are asked for;
 rp's Gram plan takes all its sums from one call, and each scalar value
 (analytic_truncated_schwinger, full_schwinger_moment) from one call of its
 own, with no cache.  A full moment is moments_from_cumulants over the
-c_|S| * K(S) of every subset S of its points.  Empirical joint cumulants have
+c_|S| * K(S) of every subset S of its points; it and the Moebius cumulant
+are one partition sum (_partition_sum).  Empirical joint cumulants have
 one shape and one estimator.  One kernel (_subset_means) turns a field into
 the translation mean of every subset product, shape (n_subsets, 1);
 accumulate_subset_sums sums these over stored fields, and the sampler's
@@ -24,7 +25,8 @@ the one delete-block jackknife (_jackknife) over min(n_samples, N_BLOCKS)
 blocks; a plain sample mean is the order-1 case on (N, 1, 1) columns with
 blocks of one sample, the leave-one-out jackknife.  The two-point map
 (empirical_two_point) streams the same way through the same jackknife, which
-holds at most JACKKNIFE_BYTES of deleted pools at once.
+takes one block array and holds at most JACKKNIFE_BYTES of deleted pools at
+once.
 """
 
 from __future__ import annotations
@@ -258,15 +260,20 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
                             int(np.sum(block_counts)), order)
 
 
-@lru_cache(maxsize=16)
-def _translation_index(spec: LatticeSpec, q: tuple) -> np.ndarray:
-    """Flat site indices of tau + q over the lattice translations tau, so that
-    field.ravel()[index] is np.roll(field, -q).ravel(); read-only."""
+@lru_cache(maxsize=4)
+def _gather_indices(spec: LatticeSpec, steps: tuple) -> dict:
+    """Per nonzero point q of a _product_steps plan, the flat site indices of
+    tau + q over the lattice translations tau, so that field.ravel()[index]
+    is np.roll(field, -q).ravel(); read-only, and built once per plan."""
     grids = np.indices(spec.shape, sparse=True)
-    index = np.ravel_multi_index([(g + c) % spec.L for g, c in zip(grids, q)],
-                                 spec.shape).ravel()
-    index.setflags(write=False)
-    return index
+    indices = {}
+    for parent, q in steps:
+        if parent < 0 and any(q):
+            index = np.ravel_multi_index([(g + c) % spec.L for g, c in zip(grids, q)],
+                                         spec.shape).ravel()
+            index.setflags(write=False)
+            indices[q] = index
+    return indices
 
 
 def _subset_means(spec: LatticeSpec, steps, field: np.ndarray) -> np.ndarray:
@@ -279,14 +286,15 @@ def _subset_means(spec: LatticeSpec, steps, field: np.ndarray) -> np.ndarray:
     # a gather from unaligned data (say a view into file bytes) is several times slower
     flat = np.require(field, float, "CA").ravel()
     out = np.empty((len(steps), spec.n_sites))
+    indices = _gather_indices(spec, steps)
     single = {}
     for k, (parent, q) in enumerate(steps):
         if parent >= 0:
             np.multiply(out[parent], out[single[q]], out=out[k])
             continue
         single[q] = k
-        if any(q):  # the indices are in range: "clip" gathers unbuffered into the row
-            np.take(flat, _translation_index(spec, q), out=out[k], mode="clip")
+        if q in indices:  # the indices are in range: "clip" gathers unbuffered into the row
+            np.take(flat, indices[q], out=out[k], mode="clip")
         else:
             np.copyto(out[k], flat)
     return out.mean(-1, keepdims=True)

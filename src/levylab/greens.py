@@ -91,9 +91,10 @@ def green_momentum_sq(p: ModelParams, ksq):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _half_symbol(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
-    """Ghat on the half spectrum of rfftn (last axis 0..L//2); read-only."""
+    """Ghat on the half spectrum of rfftn (last axis 0..L//2); read-only.
+    Half a field each, and a run solves one model at a time: two are kept."""
     ksq = squared_momentum(spec, p.symbol)[..., : spec.L // 2 + 1]
     ghat = green_momentum_sq(p, ksq)
     ghat.setflags(write=False)

@@ -263,7 +263,8 @@ class LatticeField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.spec.shape:
-            v = v.reshape(self.spec.shape)
+            raise ConfigurationError(f"lattice field values of shape {v.shape} are not on "
+                                     f"the {self.spec.shape} lattice")
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("lattice field values must be finite")
         v = v.copy()

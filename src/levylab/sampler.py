@@ -91,12 +91,13 @@ def _green(p: ModelParams, spec: LatticeSpec) -> np.ndarray:
     return green_real_fft(p, spec).values
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _green_rows(p: ModelParams, spec: LatticeSpec, points: tuple) -> np.ndarray:
     """(n_points, V) matrix whose row for x holds G(x - y) over the sites y,
     so that a^d * row @ eta is phi(x); read-only.  Each row is read from the
     one cached G by index, G[(x - y) mod L].  Also the source of the
-    analytic lattice sums (cumulants.lattice_sum_rows)."""
+    analytic lattice sums (cumulants.lattice_sum_rows).  A field per point,
+    so two are kept: a run uses one or two point sets per model."""
     g = _green(p, spec)
     rows = np.empty((len(points), spec.n_sites))
     for r, x in enumerate(points):

@@ -80,8 +80,15 @@ def test_moments_from_cumulants_vs_exhaustive(n, seed):
 
 
 def test_moments_from_cumulants_missing_subset():
-    with pytest.raises(ConfigurationError):
+    # the error names the first block, in partition order, that has no cumulant
+    with pytest.raises(ConfigurationError, match=r"missing cumulant for subset \[0, 1\]"):
         moments_from_cumulants({frozenset([0]): 1.0}, 2)
+    with pytest.raises(ConfigurationError, match=r"missing cumulant for subset \[0\]$"):
+        moments_from_cumulants({frozenset([0, 1]): 1.0}, 2)
+    all_but_12 = {k: 1.0 for n in (1, 2, 3) for k in map(frozenset, combinations(range(3), n))
+                  if k != {1, 2}}
+    with pytest.raises(ConfigurationError, match=r"missing cumulant for subset \[1, 2\]"):
+        moments_from_cumulants(all_but_12, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +220,29 @@ def test_scalar_route_bits_pinned(small_spec, mixed_chi, symbol):
                           partial(full_schwinger_moment, centered=True))]
     digest = hashlib.sha256(np.array(vals, "<f8").tobytes()).hexdigest()
     assert (digest, vals[9].hex(), *(v.hex() for v in vals[15:18])) == SCALAR_PINS[symbol]
+
+
+def test_subset_sums_build_each_gather_index_once(model_half, small_spec, poisson_chi,
+                                                  monkeypatch):
+    # six 6-point sets over 30 distinct nonzero points: one gather index per
+    # point for the whole call, and none more for the same plan again
+    pts = [(t, x, y) for t in (1, 2, 3) for x in range(4) for y in range(3)][:30]
+    configs = [[(0, 0, 0)] + pts[5 * k:5 * k + 5] for k in range(6)]
+    for obj in vars(levylab.cumulants).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    builds = []
+    ravel = np.ravel_multi_index
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return ravel(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ravel_multi_index", counted)
+    sample_subset_sums(model_half, poisson_chi, small_spec, configs, 10, 3)
+    assert len(builds) == 30
+    sample_subset_sums(model_half, poisson_chi, small_spec, configs, 10, 4)
+    assert len(builds) == 30
 
 
 def test_analytic_value_memory_at_scale():

@@ -236,6 +236,13 @@ def test_cumulants_are_psi_derivatives(mixed_chi):
 # characteristic functional
 
 
+@pytest.mark.parametrize("size", [5, 16])
+def test_lattice_field_rejects_other_shapes(size):
+    # a flat array of the right size is no more a 4x4 field than one of size 5
+    with pytest.raises(ConfigurationError, match=rf"\({size},\) are not on the \(4, 4\)"):
+        LatticeField(LatticeSpec(2, 4, 0.5), np.zeros(size))
+
+
 def test_characteristic_functional_zero_field(small_spec, mixed_chi):
     assert characteristic_functional(mixed_chi, LatticeField.zeros(small_spec)) == 1.0
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cache
 from itertools import combinations
@@ -5,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import levylab
 from levylab import (ConfigurationError, ContractViolation, JumpLaw,
                      LatticeSpec, LevyCharacteristic, ModelParams,
                      MonomialBasis, RangeError, analytic_truncated_schwinger,
@@ -368,3 +372,29 @@ def test_rp_scan_propagates_bugs(desk_spec, basis6, monkeypatch):
     with pytest.raises(RuntimeError, match="bug"):
         rp_scan([0.5], [0.0], ModelParams(0.5, 1.0, "discrete"),
                 LevyCharacteristic(sigma2=1.0), basis6)
+
+
+def test_scan_memory_does_not_grow_with_alphas():
+    # rp_scan over 8 alphas on 64^3 (the rpscan basis, degree 2, discrete,
+    # atom(1), lambda 1) in a fresh interpreter: the lattice caches keep the
+    # Green rows and half spectra of at most two alphas, so the peak above
+    # the imports stays at most 60 fields of 2 MiB (it grew by about 6.5
+    # fields per alpha with 32 kept).  VmHWM is the new process's own peak.
+    code = ("def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:'))\n"
+            "from levylab import (JumpLaw, LatticeSpec, LevyCharacteristic, ModelParams,\n"
+            "                     MonomialBasis, rp_scan)\n"
+            "before = peak_kib()\n"
+            "spec = LatticeSpec(3, 64, 0.5)\n"
+            "pts = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)]\n"
+            "rows = rp_scan([0.2 + 0.05 * k for k in range(8)], [1.0],\n"
+            "               ModelParams(0.5, 1.0, 'discrete'),\n"
+            "               LevyCharacteristic(lam=1.0, jump_law=JumpLaw.atom(1.0)),\n"
+            "               MonomialBasis.up_to_degree_two(spec, pts))\n"
+            "assert all('min_eig' in row for row in rows), rows\n"
+            "print(peak_kib() - before)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(levylab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert int(out.stdout) <= 60 * 64**3 * 8 // 1024

@@ -242,6 +242,24 @@ def test_subset_sums_match_stored_ensemble(model_half, poisson_chi):
         accumulate_subset_sums(e.fields, spec, [])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [51, 130])
+def test_subset_sums_blocks_hold_their_samples(model_half, poisson_chi, n, workers):
+    # block b holds samples ceil(b n / B) .. ceil((b + 1) n / B) - 1, B =
+    # N_BLOCKS; both sides add the same translation means from zero in sample
+    # order, so each block equals the stored fields' sums bit for bit
+    spec = LatticeSpec(2, 4, 0.5)
+    fields = sample_ensemble(model_half, poisson_chi, spec, n, 13).fields
+    sums, counts = sample_subset_sums(model_half, poisson_chi, spec, SUM_CONFIGS, n, 13,
+                                      workers=workers)
+    bounds = [-(-b * n // N_BLOCKS) for b in range(N_BLOCKS + 1)]
+    assert counts.tolist() == np.diff(bounds).tolist()
+    for cfg, s in zip(SUM_CONFIGS, sums, strict=True):
+        for b in range(N_BLOCKS):
+            ref = accumulate_subset_sums(fields[bounds[b]:bounds[b + 1]], spec, cfg)
+            assert np.array_equal(s[b].view(np.uint64), ref.view(np.uint64)), (cfg, b)
+
+
 @pytest.mark.parametrize("pts", [[(1, 0, 0), (0, 1, 0)], [(0, 0, 0), (1, 0, 0)]],
                          ids=["off_origin", "with_origin"])
 def test_subset_sums_reject_fields_of_another_lattice(rng, pts):
