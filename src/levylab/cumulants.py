@@ -264,7 +264,8 @@ def cumulant_from_subset_sums(block_sums: np.ndarray, block_counts,
 def _gather_indices(spec: LatticeSpec, steps: tuple) -> dict:
     """Per nonzero point q of a _product_steps plan, the flat site indices of
     tau + q over the lattice translations tau, so that field.ravel()[index]
-    is np.roll(field, -q).ravel(); read-only, and built once per plan."""
+    is np.roll(field, -q).ravel(); read-only, and built once per plan.  A
+    field of indices per point, and a run uses a few plans: four are kept."""
     grids = np.indices(spec.shape, sparse=True)
     indices = {}
     for parent, q in steps:

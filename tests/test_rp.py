@@ -378,8 +378,8 @@ def test_scan_memory_does_not_grow_with_alphas():
     # rp_scan over 8 alphas on 64^3 (the rpscan basis, degree 2, discrete,
     # atom(1), lambda 1) in a fresh interpreter: the lattice caches keep the
     # Green rows and half spectra of at most two alphas, so the peak above
-    # the imports stays at most 60 fields of 2 MiB (it grew by about 6.5
-    # fields per alpha with 32 kept).  VmHWM is the new process's own peak.
+    # the imports stays at most 60 fields of 2 MiB.  VmHWM is the new
+    # process's own peak.
     code = ("def peak_kib():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(s.split()[1]) for s in fh if s.startswith('VmHWM:'))\n"
